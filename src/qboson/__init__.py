@@ -10,10 +10,9 @@ from .numerics import (FloatBackend, InputError, PrecisionError, QValue,
                        RATIONAL, SolverError, TruncSeries, geometric_factor,
                        qvalue, verify_at_double_precision)
 from .stationary import (ModelParams, PhiSeries, StationaryData,
-                         compute_stationary, intensive_quantities,
-                         mean_current_J, model, occupation_moments,
-                         partition_Z, phi_coefficients, rate_u, site_marginal,
-                         weight_f, weight_series)
+                         compute_stationary, intensive_quantities, model,
+                         occupation_moments, phi_coefficients, rate_u,
+                         site_marginal, weight_f, weight_series)
 from .cumulants import (DeltaResult, delta_exact_resummed,
                         delta_exact_truncated, delta_fss_estimate)
 from .asymptotics import (CrossoverData, SaddleData, crossover_F,

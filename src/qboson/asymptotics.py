@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .numerics import (InputError, QValue, REGIME_GREATER_ONE, REGIME_UNITY,
                        SolverError)
 
@@ -249,6 +247,9 @@ def crossover_F(g: float, quad_tol: float = 1e-10) -> float:
     Adaptive Gauss-Kronrod panels cover [0, 10]; beyond that the Gaussian
     tail is bounded analytically and checked against the tolerance.
     """
+    # scipy is the slowest import of the package and only this needs it
+    from scipy.integrate import quad
+
     g = float(g)
     if g <= 0:
         raise InputError(f"crossover parameter g must be > 0, got {g}")

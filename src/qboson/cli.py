@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -34,7 +35,8 @@ def _fraction_str(x: Fraction) -> str:
 
 def _mpf_str(x, prec_bits: int) -> str:
     dps = int(prec_bits * 0.30103) + 2
-    return mpmath.nstr(mpmath.mpf(x), dps, strip_zeros=True)
+    with mpmath.workprec(prec_bits):
+        return mpmath.nstr(mpmath.mpf(x), dps, strip_zeros=True)
 
 
 class Emitter:
@@ -99,7 +101,7 @@ def _emit(doc: dict, args) -> None:
 
 def _request_dict(args, command: str) -> dict:
     keep = ("n", "p", "rho", "q", "alpha", "backend", "prec", "tol", "imax",
-            "seed", "t_burn", "t_measure", "reps", "init", "format")
+            "seed", "t_burn", "t_measure", "reps", "init")
     req = {"command": command}
     for key in keep:
         if hasattr(args, key) and getattr(args, key) is not None:
@@ -120,11 +122,11 @@ def cmd_exact(args) -> int:
     def compute(be):
         q = qvalue(be.ratio(qfrac.numerator, qfrac.denominator), be)
         params = stationary.ModelParams(N=N, p=p, q=q)
-        if args.imax is not None:
-            res = cumulants.delta_exact_truncated(params, args.imax)
-        else:
-            res = cumulants.delta_exact_resummed(params)
         stat = stationary.compute_stationary(params)
+        if args.imax is not None:
+            res = cumulants.delta_exact_truncated(params, args.imax, stat=stat)
+        else:
+            res = cumulants.delta_exact_resummed(params, stat=stat)
         intens = stationary.intensive_quantities(params, res.J, res.Delta)
         return {
             "Z": stat.Zvals[p], "J": res.J, "j_N": intens["j_N"],
@@ -136,12 +138,15 @@ def cmd_exact(args) -> int:
     if backend.exact:
         values, res = compute(backend)
     else:
-        # doubled-precision acceptance on the scalar payload
+        # doubled-precision acceptance on the scalar payload; method, i_max
+        # and tail_bound come from the P-bit run
+        results = {}
+
         def payload(be):
-            return compute(be)[0]
+            vals, results[be.prec_bits] = compute(be)
+            return vals
         values = verify_at_double_precision(payload, backend, rtol)
-        with backend.workprec():
-            res = compute(backend)[1]
+        res = results[backend.prec_bits]
 
     em = Emitter(backend)
     result = {key: em.scalar(val) for key, val in values.items()}
@@ -262,7 +267,9 @@ def cmd_verify_tq(args) -> int:
     first = tq.build_first_order(params)
     ok, residual = tq.verify_first_order(first)
     em = Emitter(backend)
-    max_resid = max((abs(c) for c in residual), default=0)
+    with backend.workprec():
+        max_resid = max(abs(c) for c in residual.coeffs)
+        q1_at_1 = sum(first.Q1.coeffs)
     doc = {
         "schema": SCHEMA, "request": _request_dict(args, "verify-tq"),
         "backend": em.describe(),
@@ -272,7 +279,7 @@ def cmd_verify_tq(args) -> int:
             "lambda1": em.scalar(first.lambda1),
             "J": em.scalar(first.J),
             "lambda1_equals_J": first.lambda1 == first.J,
-            "Q1_at_1": em.scalar(sum(first.Q1)),
+            "Q1_at_1": em.scalar(q1_at_1),
         },
     }
     _emit(doc, args)
@@ -405,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--prec", type=int, default=DEFAULT_PREC_BITS,
                         help="float backend mantissa bits")
         sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
         sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("exact", help="exact J and Delta from the series formula")
@@ -454,9 +460,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
+
+
+def _attach_negative_fractions(argv: list) -> list:
+    """Rewrite '--q -1/2' as '--q=-1/2'.
+
+    argparse reads a token such as '-1/2' as an option name, so without
+    this a negative rational value works only in the '--q=-1/2' form.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and _NEGATIVE_FRACTION.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_negative_fractions(argv))
     try:
         return args.func(args)
     except InputError as exc:

@@ -100,6 +100,52 @@ def _unity_result(params: ModelParams) -> DeltaResult:
                        prefactor=zero, method="resummed")
 
 
+@dataclass(frozen=True)
+class _Terms:
+    """What both evaluations of the i-sum share: C, phi, A_k, signed S1."""
+
+    stat: StationaryData
+    C: tuple          # coefficients of F^N
+    phi: PhiSeries
+    A: list
+    sign: int
+    S1: object
+    prefactor: object  # 2 N^2 / Z(N,p)^2
+
+
+def _terms(params: ModelParams, stat: StationaryData | None) -> _Terms:
+    """Build (or reuse) F^N, then phi, the checked A_k, S1 and the prefactor.
+
+    Call inside the backend's working precision.
+    """
+    backend = params.backend
+    if stat is None:
+        stat = compute_stationary(params)
+    p, N = params.p, params.N
+    Z = stat.Zvals
+    C = stat.Fn.coeffs
+    phi = phi_coefficients(params, stat.J, p - 1)
+    A = _a_coefficients(p, C, phi, backend)
+    _check_a0(A[0], p, C, phi, backend)
+    sign = _regime_sign(params)
+    S1 = backend.integer(0)
+    for k in range(p):
+        S1 += Z[p + k] * A[k]
+    prefactor = 2 * backend.integer(N) ** 2 / Z[p] ** 2
+    return _Terms(stat=stat, C=C, phi=phi, A=A, sign=sign, S1=sign * S1,
+                  prefactor=prefactor)
+
+
+def _result(params: ModelParams, t: _Terms, S2, method: str,
+            **extra) -> DeltaResult:
+    """Delta = pJ + prefactor (S1 + S2) from the unsigned i-sum S2."""
+    S2 = t.sign * S2
+    pJ = params.p * t.stat.J
+    Delta = pJ + t.prefactor * (t.S1 + S2)
+    return DeltaResult(Delta=Delta, J=t.stat.J, pJ=pJ, S1=t.S1, S2=S2,
+                       prefactor=t.prefactor, method=method, **extra)
+
+
 def delta_exact_resummed(params: ModelParams,
                          stat: StationaryData | None = None) -> DeltaResult:
     """Exact Delta with the i-sum resummed in closed form per (k, b)."""
@@ -107,19 +153,10 @@ def delta_exact_resummed(params: ModelParams,
         return _unity_result(params)
     backend = params.backend
     with backend.workprec():
-        if stat is None:
-            stat = compute_stationary(params)
-        p, N = params.p, params.N
-        Z = stat.Zvals
-        C = stat.Fn.coeffs
-        phi = phi_coefficients(params, stat.J, p - 1)
-        A = _a_coefficients(p, C, phi, backend)
-        _check_a0(A[0], p, C, phi, backend)
-        r = params.q.r
-
-        gf = {a: geometric_factor(r, a) for a in range(1, 2 * p)}
-        sign = _regime_sign(params)
-        S1 = backend.integer(0)
+        t = _terms(params, stat)
+        p = params.p
+        Z, C, phi, A = t.stat.Zvals, t.C, t.phi, t.A
+        gf = {a: geometric_factor(params.q.r, a) for a in range(1, 2 * p)}
         S2 = backend.integer(0)
         for k in range(p):
             inner = backend.integer(0)
@@ -127,15 +164,8 @@ def delta_exact_resummed(params: ModelParams,
                 inner += C[p - 1 - k - b] * phi.coeff(b) * gf[k + 1 + b]
             if k >= 1:
                 inner += A[k] * gf[k]
-            S1 += Z[p + k] * A[k]
             S2 += Z[p + k] * inner
-        S1 = sign * S1
-        S2 = sign * S2
-
-        prefactor = 2 * backend.integer(N) ** 2 / Z[p] ** 2
-        Delta = p * stat.J + prefactor * (S1 + S2)
-    return DeltaResult(Delta=Delta, J=stat.J, pJ=p * stat.J, S1=S1, S2=S2,
-                       prefactor=prefactor, method="resummed")
+        return _result(params, t, S2, "resummed")
 
 
 def delta_exact_truncated(params: ModelParams, i_max: int,
@@ -151,22 +181,10 @@ def delta_exact_truncated(params: ModelParams, i_max: int,
         return _unity_result(params)
     backend = params.backend
     with backend.workprec():
-        if stat is None:
-            stat = compute_stationary(params)
-        p, N = params.p, params.N
-        Z = stat.Zvals
-        C = stat.Fn.coeffs
-        phi = phi_coefficients(params, stat.J, p - 1)
-        A = _a_coefficients(p, C, phi, backend)
-        _check_a0(A[0], p, C, phi, backend)
+        t = _terms(params, stat)
+        p = params.p
+        Z, C, phi, A = t.stat.Zvals, t.C, t.phi, t.A
         r = params.q.r
-
-        sign = _regime_sign(params)
-        S1 = backend.integer(0)
-        for k in range(p):
-            S1 += Z[p + k] * A[k]
-        S1 = sign * S1
-
         S2 = backend.integer(0)
         for i in range(1, i_max + 1):
             ri = r ** i
@@ -179,10 +197,6 @@ def delta_exact_truncated(params: ModelParams, i_max: int,
                     rib = rib * ri
                 S2 += rik * Z[p + k] * (inner + A[k])
                 rik = rik * ri
-        S2 = sign * S2
-
-        prefactor = 2 * backend.integer(N) ** 2 / Z[p] ** 2
-        Delta = p * stat.J + prefactor * (S1 + S2)
 
         # |i-th term| <= |r|^i * B, so the tail is <= B |r|^(i_max+1)/(1-|r|)
         B = backend.integer(0)
@@ -191,10 +205,9 @@ def delta_exact_truncated(params: ModelParams, i_max: int,
             B += Z[p + k] * (bk + abs(A[k]))
         r_abs = abs(r)
         tail = backend.to_float(
-            prefactor * B * r_abs ** (i_max + 1) / (1 - r_abs))
-    return DeltaResult(Delta=Delta, J=stat.J, pJ=p * stat.J, S1=S1, S2=S2,
-                       prefactor=prefactor, method="truncated",
-                       i_max=i_max, tail_bound=tail)
+            t.prefactor * B * r_abs ** (i_max + 1) / (1 - r_abs))
+        return _result(params, t, S2, "truncated", i_max=i_max,
+                       tail_bound=tail)
 
 
 def delta_fss_estimate(params: ModelParams,

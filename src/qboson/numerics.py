@@ -115,8 +115,11 @@ Backend = RationalBackend | FloatBackend
 
 
 def rel_close(a, b, rtol) -> bool:
-    """|a - b| <= rtol * max(|a|, |b|, 1)."""
-    scale = max(abs(a), abs(b), 1)
+    """|a - b| <= rtol * max(|a|, |b|); relative at every magnitude.
+
+    Two exact zeros compare equal; a zero against a nonzero value never does.
+    """
+    scale = max(abs(a), abs(b))
     return abs(a - b) <= rtol * scale
 
 
@@ -256,7 +259,7 @@ class TruncSeries:
     def pow(self, n: int, backend: Backend = RATIONAL) -> "TruncSeries":
         """Binary exponentiation; O(D^2 log n) scalar multiplications."""
         if n < 0:
-            raise InputError("series_pow exponent must be nonnegative")
+            raise InputError("series exponent must be nonnegative")
         result = TruncSeries.one(self.degree, backend)
         base = self
         while n:
@@ -266,6 +269,10 @@ class TruncSeries:
             if n:
                 base = base.mul(base)
         return result
+
+    def scale(self, c) -> "TruncSeries":
+        """Multiply every coefficient by the scalar c."""
+        return TruncSeries([coeff * c for coeff in self.coeffs])
 
     def scale_arg(self, c) -> "TruncSeries":
         """Substitute z -> c*z: coefficient k picks up a factor c^k."""
@@ -292,26 +299,6 @@ class TruncSeries:
         head = ", ".join(str(c) for c in self.coeffs[:4])
         tail = ", ..." if self.degree > 3 else ""
         return f"TruncSeries([{head}{tail}], D={self.degree})"
-
-
-def series_add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a.add(b)
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a.mul(b)
-
-
-def series_pow(a: TruncSeries, n: int, backend: Backend = RATIONAL) -> TruncSeries:
-    return a.pow(n, backend)
-
-
-def series_coeff(a: TruncSeries, k: int):
-    return a.coeff(k)
-
-
-def series_scale_arg(a: TruncSeries, c) -> TruncSeries:
-    return a.scale_arg(c)
 
 
 def geometric_factor(r, a: int):

@@ -9,7 +9,9 @@ The event loop is the only hot kernel in the package.  It is compiled with
 numba when available; setting QBOSON_DISABLE_NUMBA=1 selects the pure
 Python/numpy fallback, which runs the identical source (numba reproduces
 numpy's legacy MT19937 streams, so both paths see the same random numbers
-for the same seed).  benchmarks/bench_simulator.py compares the two.
+for the same seed); tests/test_simulate.py checks that both paths agree.
+The ``monte-carlo`` workload of perfbench/ measures the kernel's events
+per second.
 
 Estimation uses independent replicas: W_r = Y(t_burn + t_measure) -
 Y(t_burn), J_hat = mean(W)/t_measure, Delta_hat = var(W)/t_measure, with

@@ -12,7 +12,7 @@ f(m) = 1/m!); only the phi-series is restricted to q != 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .numerics import (Backend, InputError, QValue, RATIONAL, TruncSeries,
                        qvalue)
@@ -80,45 +80,28 @@ def weight_series(q: QValue, degree: int) -> TruncSeries:
 
 @dataclass(frozen=True)
 class StationaryData:
-    """Weights, F^N, partition values Z(N, 0..2p), current J and j_N."""
+    """F^N, partition values Z(N, 0..2p) and the current J."""
 
     params: ModelParams
-    fcoeffs: tuple
-    Fn: TruncSeries           # F(z)^N to degree max(2p, requested)
-    Zvals: tuple              # Z(N, k) for k = 0..degree
+    Fn: TruncSeries           # F(z)^N to degree 2p
+    Zvals: tuple              # Z(N, k) for k = 0..2p
     J: object                 # mean integrated current, events per unit time
-    jN: object = field(repr=False, default=None)  # J/N, bond current
 
 
-def compute_stationary(params: ModelParams, degree: int | None = None) -> StationaryData:
+def compute_stationary(params: ModelParams) -> StationaryData:
     """Build F, F^N and the partition values in one series power.
 
     The diffusion-coefficient formula consumes Z(N, p..2p-1) anyway, so the
-    default degree is 2p and all coefficients are read in one batch.
+    degree is 2p and all coefficients are read in one batch.
     """
     backend = params.backend
-    D = max(2 * params.p, degree or 0)
+    D = 2 * params.p
     with backend.workprec():
         F = weight_series(params.q, D)
         Fn = F.pow(params.N, backend)
         Zvals = tuple(Fn.coeffs)
         J = params.N * Zvals[params.p - 1] / Zvals[params.p]
-        jN = J / params.N
-    return StationaryData(params=params, fcoeffs=tuple(F.coeffs),
-                          Fn=Fn, Zvals=Zvals, J=J, jN=jN)
-
-
-def partition_Z(params: ModelParams, pmax: int) -> list:
-    """Z(N, k) for k = 0..pmax, as coefficients of F(z)^N."""
-    if pmax < 0:
-        raise InputError(f"pmax must be >= 0, got {pmax}")
-    stat = compute_stationary(params, degree=pmax)
-    return list(stat.Zvals[:pmax + 1])
-
-
-def mean_current_J(params: ModelParams):
-    """J = N Z(N, p-1)/Z(N, p)."""
-    return compute_stationary(params).J
+    return StationaryData(params=params, Fn=Fn, Zvals=Zvals, J=J)
 
 
 def intensive_quantities(params: ModelParams, J, Delta=None) -> dict:
@@ -138,6 +121,18 @@ def intensive_quantities(params: ModelParams, J, Delta=None) -> dict:
     return out
 
 
+def _one_site_split(params: ModelParams):
+    """F, F^(N-1) and Z(N, p) = sum_m f(m) Z(N-1, p-m), all at degree p.
+
+    Call inside the backend's working precision.
+    """
+    F = weight_series(params.q, params.p)
+    Fn1 = F.pow(params.N - 1, params.backend)
+    Zp = sum(F.coeff(m) * Fn1.coeff(params.p - m)
+             for m in range(params.p + 1))
+    return F, Fn1, Zp
+
+
 def site_marginal(params: ModelParams, m: int):
     """P(n_1 = m) = f(m) Z(N-1, p-m) / Z(N, p).
 
@@ -149,10 +144,8 @@ def site_marginal(params: ModelParams, m: int):
     if params.N == 1:
         return backend.integer(1 if m == params.p else 0)
     with backend.workprec():
-        F = weight_series(params.q, params.p)
-        Fn = F.pow(params.N, backend)
-        Fn1 = F.pow(params.N - 1, backend)
-        return F.coeff(m) * Fn1.coeff(params.p - m) / Fn.coeff(params.p)
+        F, Fn1, Zp = _one_site_split(params)
+        return F.coeff(m) * Fn1.coeff(params.p - m) / Zp
 
 
 def occupation_moments(params: ModelParams, k: int):
@@ -165,10 +158,7 @@ def occupation_moments(params: ModelParams, k: int):
     with backend.workprec():
         if params.N == 1:
             return backend.integer(0)
-        F = weight_series(params.q, params.p)
-        Fn = F.pow(params.N, backend)
-        Fn1 = F.pow(params.N - 1, backend)
-        Zp = Fn.coeff(params.p)
+        F, Fn1, Zp = _one_site_split(params)
         second = backend.integer(0)
         for m in range(params.p + 1):
             second += m * m * F.coeff(m) * Fn1.coeff(params.p - m)

@@ -14,59 +14,17 @@ where the bracket is divisible by x^p exactly.  The checks are that the
 first-order relation holds as an exact polynomial identity, that
 Q_1(1) = p, and that the top coefficient q_{p-1} equals the mean current J.
 
-Polynomials are dense coefficient vectors over backend scalars (degrees
-stay below N + p, so sparsity is not worth anything here).
+Polynomials are ``TruncSeries`` of the common degree N + p - 1: every
+product in the first-order relation has degree at most N + p - 1, so the
+truncation never drops a term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import Backend, InputError
+from .numerics import Backend, InputError, TruncSeries
 from .stationary import ModelParams, compute_stationary
-
-
-def poly_add(a: list, b: list, backend: Backend) -> list:
-    n = max(len(a), len(b))
-    zero = backend.integer(0)
-    out = [zero] * n
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return out
-
-
-def poly_scale(a: list, c) -> list:
-    return [x * c for x in a]
-
-
-def poly_mul(a: list, b: list, backend: Backend) -> list:
-    zero = backend.integer(0)
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def poly_scale_arg(a: list, c) -> list:
-    """a(x) -> a(c x)."""
-    out = []
-    power = 1
-    for k, coeff in enumerate(a):
-        out.append(coeff * power if k else coeff)
-        power = power * c
-    return out
-
-
-def poly_eval(a: list, x):
-    acc = 0
-    for coeff in reversed(a):
-        acc = acc * x + coeff
-    return acc
 
 
 def one_minus_x_pow(N: int, backend: Backend) -> list:
@@ -75,49 +33,53 @@ def one_minus_x_pow(N: int, backend: Backend) -> list:
     return [backend.integer((-1) ** k * comb(N, k)) for k in range(N + 1)]
 
 
+def _series(coeffs, params: ModelParams) -> TruncSeries:
+    """Zero-pad a coefficient vector to the common degree N + p - 1."""
+    zero = params.backend.integer(0)
+    return TruncSeries(list(coeffs) +
+                       [zero] * (params.N + params.p - len(coeffs)))
+
+
 @dataclass(frozen=True)
 class TqFirstOrder:
     params: ModelParams
-    Q0: tuple
-    T0: tuple
-    B1: tuple
-    Q1: tuple
-    T1: tuple
+    Q0: TruncSeries
+    T0: TruncSeries
+    B1: TruncSeries
+    Q1: TruncSeries
+    T1: TruncSeries
     lambda1: object
     J: object
 
 
-def b1_polynomial(params: ModelParams, stat=None) -> list:
+def b1_polynomial(params: ModelParams, stat=None) -> TruncSeries:
     """b_i = -N (1-q)^{p-i} C_i / Z(N,p), i = 0..p-1, C_i = [z^i] F^N."""
     params.q.require_series_regime("the first-order functional-equation step")
-    backend = params.backend
     if stat is None:
         stat = compute_stationary(params)
     q = params.q.q
     N, p = params.N, params.p
     Zp = stat.Zvals[p]
-    out = []
-    for i in range(p):
-        out.append(-N * (1 - q) ** (p - i) * stat.Fn.coeff(i) / Zp)
-    return out
+    return _series([-N * (1 - q) ** (p - i) * stat.Fn.coeff(i) / Zp
+                    for i in range(p)], params)
 
 
-def q1_polynomial(b1: list, params: ModelParams) -> list:
+def q1_polynomial(b1: TruncSeries, params: ModelParams) -> TruncSeries:
     """q_i = b_i / (q^{p-i} - 1)."""
     q = params.q.q
     p = params.p
     out = []
-    for i, b in enumerate(b1):
+    for i in range(p):
         denom = q ** (p - i) - 1
         if denom == 0:
             raise InputError(
                 f"q^{p - i} = 1; the first-order construction is undefined "
                 "at roots of unity")
-        out.append(b / denom)
-    return out
+        out.append(b1.coeff(i) / denom)
+    return _series(out, params)
 
 
-def t1_polynomial(b1: list, params: ModelParams) -> list:
+def t1_polynomial(b1: TruncSeries, params: ModelParams) -> TruncSeries:
     """T_1 = N q^p + x^{-p} [ (1-x)^N B_1(x) - B_1(qx) ].
 
     The bracket coefficients of x^0..x^{p-1} vanish identically; a nonzero
@@ -126,19 +88,16 @@ def t1_polynomial(b1: list, params: ModelParams) -> list:
     backend = params.backend
     q = params.q.q
     N, p = params.N, params.p
-    bracket = poly_add(poly_mul(one_minus_x_pow(N, backend), b1, backend),
-                       poly_scale(poly_scale_arg(b1, q), backend.integer(-1)),
-                       backend)
+    bracket = _series(one_minus_x_pow(N, backend), params).mul(b1).add(
+        b1.scale_arg(q).scale(backend.integer(-1)))
     for k in range(p):
-        if not _is_negligible(bracket[k], backend):
+        if not _is_negligible(bracket.coeff(k), backend):
             raise ArithmeticError(
-                f"bracket coefficient of x^{k} is {bracket[k]}, expected 0; "
-                "B_1 construction is inconsistent")
-    t1 = [backend.integer(0)] * max(len(bracket) - p, 1)
-    for k in range(p, len(bracket)):
-        t1[k - p] = bracket[k]
+                f"bracket coefficient of x^{k} is {bracket.coeff(k)}, "
+                "expected 0; B_1 construction is inconsistent")
+    t1 = list(bracket.coeffs[p:])
     t1[0] = t1[0] + N * q ** p
-    return t1
+    return _series(t1, params)
 
 
 def _is_negligible(x, backend: Backend) -> bool:
@@ -156,35 +115,32 @@ def build_first_order(params: ModelParams) -> TqFirstOrder:
         b1 = b1_polynomial(params, stat)
         q1 = q1_polynomial(b1, params)
         t1 = t1_polynomial(b1, params)
-        Q0 = [backend.integer(0)] * p + [backend.integer(1)]
-        T0 = poly_add(one_minus_x_pow(N, backend), [q ** p], backend)
-        lambda1 = q1[p - 1]
-    return TqFirstOrder(params=params, Q0=tuple(Q0), T0=tuple(T0),
-                        B1=tuple(b1), Q1=tuple(q1), T1=tuple(t1),
+        Q0 = _series([backend.integer(0)] * p + [backend.integer(1)], params)
+        T0 = _series(one_minus_x_pow(N, backend), params).add(
+            TruncSeries.constant(q ** p, N + p - 1, backend))
+        lambda1 = q1.coeff(p - 1)
+    return TqFirstOrder(params=params, Q0=Q0, T0=T0, B1=b1, Q1=q1, T1=t1,
                         lambda1=lambda1, J=stat.J)
 
 
-def verify_first_order(tq: TqFirstOrder) -> tuple[bool, list]:
+def verify_first_order(tq: TqFirstOrder) -> tuple[bool, TruncSeries]:
     """Residual of T0 Q1 + T1 Q0 - Q1(qx) - N Q0(qx) - q^p (1-x)^N Q1(x/q).
 
-    Returns (success, residual coefficients); success means an identically
-    zero polynomial (exact backend) or all coefficients negligible (float).
+    Returns (success, residual); success means an identically zero
+    polynomial (exact backend) or all coefficients negligible (float).
     """
     params = tq.params
     backend = params.backend
     q = params.q.q
     N, p = params.N, params.p
     with backend.workprec():
-        Q1 = list(tq.Q1)
-        lhs = poly_add(poly_mul(list(tq.T0), Q1, backend),
-                       poly_mul(list(tq.T1), list(tq.Q0), backend), backend)
-        rhs = poly_scale_arg(Q1, q)
-        rhs = poly_add(rhs, poly_scale(poly_scale_arg(list(tq.Q0), q),
-                                       backend.integer(N)), backend)
+        lhs = tq.T0.mul(tq.Q1).add(tq.T1.mul(tq.Q0))
+        rhs = tq.Q1.scale_arg(q).add(
+            tq.Q0.scale_arg(q).scale(backend.integer(N)))
         qinv = backend.integer(1) / q
-        third = poly_mul(one_minus_x_pow(N, backend),
-                         poly_scale_arg(Q1, qinv), backend)
-        rhs = poly_add(rhs, poly_scale(third, q ** p), backend)
-        residual = poly_add(lhs, poly_scale(rhs, backend.integer(-1)), backend)
-        ok = all(_is_negligible(c, backend) for c in residual)
+        third = _series(one_minus_x_pow(N, backend), params).mul(
+            tq.Q1.scale_arg(qinv))
+        rhs = rhs.add(third.scale(q ** p))
+        residual = lhs.add(rhs.scale(backend.integer(-1)))
+        ok = all(_is_negligible(c, backend) for c in residual.coeffs)
     return ok, residual

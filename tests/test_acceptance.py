@@ -170,7 +170,7 @@ def test_criterion_10_tq_verification():
                 ok, _ = verify_first_order(first)
                 assert ok
                 assert first.lambda1 == first.J
-                assert sum(first.Q1) == p
+                assert sum(first.Q1.coeffs) == p
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(10, f"first-order identity residual 0, lambda1=J, Q1(1)=p on "

@@ -1,8 +1,10 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from qboson import stationary
 from qboson.cli import main
 
 
@@ -79,6 +81,42 @@ class TestExact:
     def test_negative_q_accepted(self, capsys):
         doc = run_json(capsys, "exact", "--n", "3", "--p", "2", "--q=-1/2")
         assert doc["result"]["Delta"] == "5/3"
+
+    def test_negative_q_as_separate_token(self, capsys):
+        _, joined = run_cli(capsys, "exact", "--n", "3", "--p", "3",
+                            "--q=-1/2")
+        code, split = run_cli(capsys, "exact", "--n", "3", "--p", "3",
+                              "--q", "-1/2")
+        assert code == 0
+        assert split == joined
+
+    def test_float_printed_at_computed_precision(self, capsys):
+        doc = run_json(capsys, "exact", "--n", "2", "--p", "2", "--q", "1/2",
+                       "--backend", "float")
+        J = F(doc["result"]["J"])
+        assert abs(J - F(12, 7)) <= F(12, 7) * F(1, 10 ** 70)
+
+    @pytest.mark.parametrize("extra,builds", [
+        ((), 1), (("--imax", "20"), 1),
+        (("--backend", "float"), 2), (("--backend", "float", "--imax", "20"), 2),
+    ])
+    def test_one_stationary_build_per_evaluation(self, capsys, monkeypatch,
+                                                 extra, builds):
+        # a float run evaluates once at P and once at 2P bits
+        calls = []
+        original = stationary.compute_stationary
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "qboson" or name.startswith("qboson.")) and \
+                    getattr(module, "compute_stationary", None) is original:
+                monkeypatch.setattr(module, "compute_stationary", counting)
+        run_json(capsys, "exact", "--n", "4", "--p", "3", "--q", "1/2",
+                 *extra)
+        assert len(calls) == builds
 
     def test_both_p_and_rho_rejected(self, capsys):
         code, _ = run_cli(capsys, "exact", "--n", "2", "--p", "2",

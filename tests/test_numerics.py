@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from qboson.numerics import (FloatBackend, InputError, PrecisionError,
                              RATIONAL, TruncSeries, geometric_factor, qvalue,
-                             rel_close, series_add, series_coeff, series_mul,
-                             series_pow, series_scale_arg,
-                             verify_at_double_precision)
+                             rel_close, verify_at_double_precision)
 
 
 def S(*coeffs):
@@ -18,77 +16,80 @@ def S(*coeffs):
 
 class TestSeriesAdd:
     def test_basic(self):
-        assert series_add(S(1, 1), S(1, -1)) == S(2, 0)
+        assert S(1, 1).add(S(1, -1)) == S(2, 0)
 
     def test_identity(self):
         a = S(3, 1, 4)
         zero = TruncSeries.constant(F(0), 2)
-        assert series_add(a, zero) == a
+        assert a.add(zero) == a
 
     def test_mixed_degrees_in_range(self):
-        assert series_add(S(1, 2, 3), S(1, 1, 0)) == S(2, 3, 3)
+        assert S(1, 2, 3).add(S(1, 1, 0)) == S(2, 3, 3)
 
     def test_degree_mismatch(self):
         with pytest.raises(InputError):
-            series_add(S(1, 2), S(1, 2, 3))
+            S(1, 2).add(S(1, 2, 3))
 
 
 class TestSeriesMul:
     def test_telescoping(self):
         one_minus = S(1, -1, 0, 0, 0, 0)
         geom = S(1, 1, 1, 1, 1, 1)
-        assert series_mul(geom, one_minus) == TruncSeries.one(5)
+        assert geom.mul(one_minus) == TruncSeries.one(5)
 
     def test_difference_of_squares(self):
-        assert series_mul(S(1, 1, 0), S(1, -1, 0)) == S(1, 0, -1)
+        assert S(1, 1, 0).mul(S(1, -1, 0)) == S(1, 0, -1)
 
     def test_identity(self):
         a = S(2, -3, 5)
-        assert series_mul(a, TruncSeries.one(2)) == a
+        assert a.mul(TruncSeries.one(2)) == a
 
 
 class TestSeriesPow:
     def test_square(self):
-        assert series_pow(S(1, 1, 0), 2) == S(1, 2, 1)
+        assert S(1, 1, 0).pow(2) == S(1, 2, 1)
 
     def test_power_one(self):
         a = S(1, 4, 9)
-        assert series_pow(a, 1) == a
+        assert a.pow(1) == a
 
     def test_power_zero(self):
-        assert series_pow(S(5, 1), 0) == TruncSeries.one(1)
+        assert S(5, 1).pow(0) == TruncSeries.one(1)
 
     def test_stars_and_bars(self):
         # q = 0 weights: F = 1/(1-z); [z^p] F^N = C(N+p-1, p)
         from math import comb
         N, D = 7, 6
         geom = TruncSeries([F(1)] * (D + 1))
-        FN = series_pow(geom, N)
+        FN = geom.pow(N)
         for p in range(D + 1):
             assert FN.coeff(p) == comb(N + p - 1, p)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(InputError):
-            series_pow(S(1, 1), -1)
+            S(1, 1).pow(-1)
 
 
 class TestSeriesCoeffScale:
     def test_coeff(self):
-        assert series_coeff(S(1, 3), 1) == 3
+        assert S(1, 3).coeff(1) == 3
 
     def test_coeff_out_of_range(self):
         with pytest.raises(InputError):
-            series_coeff(S(1, 3), 2)
+            S(1, 3).coeff(2)
 
     def test_scale(self):
-        assert series_scale_arg(S(1, 1, 1), F(2)) == S(1, 2, 4)
+        assert S(1, 1, 1).scale_arg(F(2)) == S(1, 2, 4)
 
     def test_scale_by_zero_keeps_constant(self):
-        assert series_scale_arg(S(7, 1, 1), F(0)) == S(7, 0, 0)
+        assert S(7, 1, 1).scale_arg(F(0)) == S(7, 0, 0)
 
     def test_scale_identity(self):
         a = S(1, 2, 3)
-        assert series_scale_arg(a, F(1)) == a
+        assert a.scale_arg(F(1)) == a
+
+    def test_scalar_scale(self):
+        assert S(1, -2, 3).scale(F(-1, 2)) == S(F(-1, 2), 1, F(-3, 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,9 +100,8 @@ def test_mul_commutative_associative(a, b, c):
     D = max(len(a), len(b), len(c)) - 1
     pad = lambda v: TruncSeries([F(x) for x in v] + [F(0)] * (D + 1 - len(v)))
     sa, sb, sc = pad(a), pad(b), pad(c)
-    assert series_mul(sa, sb) == series_mul(sb, sa)
-    assert series_mul(series_mul(sa, sb), sc) == \
-        series_mul(sa, series_mul(sb, sc))
+    assert sa.mul(sb) == sb.mul(sa)
+    assert sa.mul(sb).mul(sc) == sa.mul(sb.mul(sc))
 
 
 @settings(max_examples=30, deadline=None)
@@ -111,8 +111,8 @@ def test_pow_is_iterated_mul(coeffs, n):
     a = TruncSeries([F(x) for x in coeffs])
     expected = TruncSeries.one(a.degree)
     for _ in range(n):
-        expected = series_mul(expected, a)
-    assert series_pow(a, n) == expected
+        expected = expected.mul(a)
+    assert a.pow(n) == expected
 
 
 class TestGeometricFactor:
@@ -200,6 +200,34 @@ class TestFloatBackend:
             # catastrophic cancellation whose survivor depends on precision
             big = b.integer(2) ** 70
             return {"x": (big + 1) - big}
+
+        with pytest.raises(PrecisionError):
+            verify_at_double_precision(compute, be, rtol=1e-12)
+
+
+class TestRelClose:
+    def test_tiny_values_compared_relatively(self):
+        # equal in 12 digits, different in the 13th: not equal at 1e-12
+        with mpmath.workprec(128):
+            a = mpmath.mpf("1.000000000000e-20")
+            b = mpmath.mpf("1.000000000005e-20")
+            assert not rel_close(a, b, 1e-12)
+            assert rel_close(a, b, 1e-11)
+
+    def test_exact_zeros_equal(self):
+        assert rel_close(0, 0, 1e-12)
+        assert rel_close(mpmath.mpf(0), mpmath.mpf(0), 0)
+
+    def test_zero_against_nonzero(self):
+        assert not rel_close(mpmath.mpf(0), mpmath.mpf("1e-300"), 1e-12)
+
+    def test_verify_rejects_tiny_value_that_moves(self):
+        be = FloatBackend(64)
+
+        def compute(b):
+            # near 1e-20; the 2P value differs in the 13th digit
+            return {"x": b.ratio(1, 10 ** 20) *
+                    (1 + b.ratio(5, 10 ** 12) * (b.prec_bits // 64))}
 
         with pytest.raises(PrecisionError):
             verify_at_double_precision(compute, be, rtol=1e-12)

@@ -24,8 +24,7 @@ import pytest
 from qboson.numerics import RATIONAL, TruncSeries
 from qboson.stationary import (compute_stationary, model, phi_coefficients,
                                weight_series)
-from qboson.tq import (build_first_order, poly_add, poly_mul, poly_scale,
-                       poly_scale_arg)
+from qboson.tq import build_first_order
 from qboson.cumulants import delta_exact_resummed
 
 
@@ -43,11 +42,9 @@ def series_recip(s: TruncSeries) -> TruncSeries:
 def second_order_f(params):
     tq = build_first_order(params)
     q = params.q.q
-    Q1, T1 = list(tq.Q1), list(tq.T1)
-    full = poly_mul(Q1, T1, RATIONAL)
-    full = poly_add(full, poly_scale(poly_scale_arg(Q1, q), -params.N),
-                    RATIONAL)
-    return full[:params.p]
+    # Q1 T1 has degree N + p - 2, inside the series degree N + p - 1
+    full = tq.Q1.mul(tq.T1).add(tq.Q1.scale_arg(q).scale(-params.N))
+    return list(full.coeffs[:params.p])
 
 
 def delta_second_order(params, i_terms=300):

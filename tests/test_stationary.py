@@ -5,10 +5,9 @@ import pytest
 
 from qboson.numerics import FloatBackend, InputError, qvalue
 from qboson.stationary import (ModelParams, compute_stationary,
-                               intensive_quantities, mean_current_J, model,
-                               occupation_moments, partition_Z,
-                               phi_coefficients, rate_u, site_marginal,
-                               weight_f, weight_series)
+                               intensive_quantities, model,
+                               occupation_moments, phi_coefficients, rate_u,
+                               site_marginal, weight_f, weight_series)
 
 
 def compositions(N, p):
@@ -79,33 +78,34 @@ class TestWeights:
 class TestPartition:
     def test_Z_N0_is_one(self):
         for N, p in ((2, 2), (3, 4)):
-            assert partition_Z(model(N, p, F(1, 2)), 0)[0] == 1
+            assert compute_stationary(model(N, p, F(1, 2))).Zvals[0] == 1
 
     def test_q0_counts_compositions(self):
         for N, p in ((3, 2), (4, 3), (5, 5)):
-            Z = partition_Z(model(N, p, F(0)), p)
+            Z = compute_stationary(model(N, p, F(0))).Zvals
             assert Z[p] == comb(N + p - 1, p)
 
     def test_Z22_half(self):
         # enumeration over {(2,0),(1,1),(0,2)}: f(2)+f(1)^2+f(2) = 7/3
-        assert partition_Z(model(2, 2, F(1, 2)), 2)[2] == F(7, 3)
+        assert compute_stationary(model(2, 2, F(1, 2))).Zvals[2] == F(7, 3)
 
     def test_Z1p_is_weight(self):
         for p in range(1, 6):
             for q in (F(-1, 2), F(1, 2), F(3)):
-                assert partition_Z(model(1, p, q), p)[p] == \
+                assert compute_stationary(model(1, p, q)).Zvals[p] == \
                     weight_f(p, qvalue(q))
 
     @pytest.mark.parametrize("N,p", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3),
                                      (5, 2), (2, 5), (4, 4)])
     @pytest.mark.parametrize("q", [F(-1, 2), F(0), F(1, 3), F(2)])
     def test_matches_enumeration(self, N, p, q):
-        assert partition_Z(model(N, p, q), p)[p] == brute_force_Z(N, p, q)
+        assert compute_stationary(model(N, p, q)).Zvals[p] == \
+            brute_force_Z(N, p, q)
 
     def test_unity_supported(self):
         # F = e^z termwise: Z(N, k) = N^k / k!
         import math
-        Z = partition_Z(model(3, 4, F(1)), 4)
+        Z = compute_stationary(model(3, 4, F(1))).Zvals
         for k in range(5):
             assert Z[k] == F(3 ** k, math.factorial(k))
 
@@ -114,26 +114,25 @@ class TestCurrent:
     def test_single_particle(self):
         for N in range(1, 7):
             for q in (F(-1, 2), F(0), F(1, 2), F(2)):
-                assert mean_current_J(model(N, 1, q)) == 1
+                assert compute_stationary(model(N, 1, q)).J == 1
 
     def test_J22_half(self):
-        assert mean_current_J(model(2, 2, F(1, 2))) == F(12, 7)
+        assert compute_stationary(model(2, 2, F(1, 2))).J == F(12, 7)
 
     def test_J12_closed_form(self):
         for q in (F(-1, 2), F(0), F(1, 2), F(2), F(3)):
-            assert mean_current_J(model(1, 2, q)) == 1 + q
+            assert compute_stationary(model(1, 2, q)).J == 1 + q
 
     @pytest.mark.parametrize("q", [F(1, 2), F(2), F(-1, 3)])
     def test_two_particle_closed_form(self, q):
         # J(N,2) = 2N / (N + (1-q)/(1+q))
         for N in range(1, 11):
             expected = F(2 * N) / (N + (1 - q) / (1 + q))
-            assert mean_current_J(model(N, 2, q)) == expected
+            assert compute_stationary(model(N, 2, q)).J == expected
 
     def test_matches_enumeration(self):
         for N, p, q in ((3, 3, F(1, 2)), (4, 2, F(2)), (2, 4, F(-1, 2))):
-            Zs = partition_Z(model(N, p, q), p)
-            assert mean_current_J(model(N, p, q)) == \
+            assert compute_stationary(model(N, p, q)).J == \
                 N * brute_force_Z(N, p - 1, q) / brute_force_Z(N, p, q)
 
 
