@@ -4,7 +4,9 @@ Subcommands: exact, oracle, simulate, asymptotic, crossover, verify-tq,
 sweep.  Results are JSON (one document, schema field "schema": 1, the full
 request embedded for reproducibility) except sweep, which emits a
 plot-ready CSV.  Rational values serialize as "num/den" strings; float
-backend values as decimal strings together with the precision in bits.
+backend values as decimal strings together with the precision in bits,
+except the float oracle's, which are float64 and print as the shortest
+string that reads back as the same double.
 
 Exit codes: 0 ok, 2 invalid input, 3 precision-verification failure,
 4 solver failure.
@@ -174,16 +176,19 @@ def cmd_oracle(args) -> int:
     params = stationary.ModelParams(N=N, p=p, q=q)
     res = oracle.lambda_derivatives(params)
     em = Emitter(backend)
+    # the float oracle solves in float64 (dense LAPACK) whatever --prec says
+    scalar = em.scalar if backend.exact else (lambda x: repr(float(x)))
     result = {
-        "J": em.scalar(res.J), "Delta": em.scalar(res.Delta),
-        "lambda1": em.scalar(res.lambda1), "lambda2": em.scalar(res.lambda2),
+        "J": scalar(res.J), "Delta": scalar(res.Delta),
+        "lambda1": scalar(res.lambda1), "lambda2": scalar(res.lambda2),
         "states": res.size, "solve_residual": res.residual,
     }
     if args.fd:
         fd = oracle.lambda_gamma_fd(params)
         result["fd"] = {"J": fd["J"], "Delta": fd["Delta"]}
     doc = {"schema": SCHEMA, "request": _request_dict(args, "oracle"),
-           "backend": em.describe(), "result": result}
+           "backend": em.describe() if backend.exact else {"kind": "float64"},
+           "result": result}
     _emit(doc, args)
     return 0
 
@@ -200,8 +205,7 @@ def cmd_simulate(args) -> int:
     est = simulate.estimate_cumulants(cfg)
     doc = {
         "schema": SCHEMA, "request": _request_dict(args, "simulate"),
-        "backend": {"kind": "float64-simulation",
-                    "numba": simulate.NUMBA_ENABLED},
+        "backend": {"kind": "float64-simulation"},
         "result": {
             "J_hat": est.J_hat, "se_J": est.se_J,
             "Delta_hat": est.Delta_hat, "se_D": est.se_D,

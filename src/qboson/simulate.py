@@ -5,26 +5,24 @@ are exponential with mean 1/R, the jumping site is chosen with probability
 u(n_i)/R, one particle hops i -> i+1 (mod N) and the displacement counter
 Y increases by 1.
 
-The event loop is the only hot kernel in the package.  It is compiled with
-numba when available; setting QBOSON_DISABLE_NUMBA=1 selects the pure
-Python/numpy fallback, which runs the identical source (numba reproduces
-numpy's legacy MT19937 streams, so both paths see the same random numbers
-for the same seed); tests/test_simulate.py checks that both paths agree.
-The ``monte-carlo`` workload of perfbench/ measures the kernel's events
-per second.
+The event loop is the only hot kernel in the package: one plain-Python
+loop over list state that draws its uniforms from its replica's own
+``np.random.Generator`` in fixed blocks.  The ``monte-carlo`` workload of
+perfbench/ measures the kernel's events per second.
 
 Estimation uses independent replicas: W_r = Y(t_burn + t_measure) -
 Y(t_burn), J_hat = mean(W)/t_measure, Delta_hat = var(W)/t_measure, with
-standard errors from the replica jackknife.  Replica streams are derived
-from (seed, rep_index) through numpy's SeedSequence, whose spawning
-contract guarantees stream independence.
+standard errors from the replica jackknife.  Each replica spawns two PCG64
+streams, one for its initial configuration and one for its kernel, from
+SeedSequence([seed, rep_index]), whose spawning contract guarantees
+stream independence; numpy's global random state is never touched.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,47 +31,51 @@ from .stationary import ModelParams, rate_u, weight_f
 from . import asymptotics
 
 _RESYNC_EVERY = 1 << 20
+_DRAW_BLOCK = 1024   # events per block of uniforms drawn from the stream
 
 
-def _gillespie_core(n, ut, t_burn, t_end, seed, hist):
-    """Run one trajectory to t_end; n is modified in place.
+def _gillespie(n, ut, t_burn, t_end, rng, hist):
+    """Run one trajectory to t_end; the lists n and hist are modified in place.
 
-    Returns (Y_burn, Y_end, events, max_drift).  hist accumulates the
-    time-weighted occupation of site 0 over [t_burn, t_end).  max_drift is
-    the largest deviation between the incrementally maintained total rate
-    and its from-scratch recomputation (the rate is resynced each time).
+    Returns (Y_burn, Y_end, events, max_drift).  Every event moves one
+    particle one site forward, so the displacement Y equals the event
+    count.  hist accumulates the time-weighted occupation of site 0 over
+    [t_burn, t_end).  max_drift is the largest deviation between the
+    incrementally maintained total rate and its from-scratch recomputation
+    (the rate is resynced each time).  Each event takes two uniforms from
+    rng, drawn _DRAW_BLOCK events at a time.
     """
-    np.random.seed(seed)
-    N = n.shape[0]
-    rates = np.empty(N)
-    R = 0.0
-    for i in range(N):
-        rates[i] = ut[n[i]]
-        R += rates[i]
+    N = len(n)
+    rates = [ut[m] for m in n]
+    R = sum(rates)
+    log = math.log
     t = 0.0
-    Y = 0
     Y_burn = 0
     events = 0
     max_drift = 0.0
+    draws = []
+    k = 0
     while True:
-        u1 = np.random.random()
-        dt = -np.log(1.0 - u1) / R
-        tn = t + dt
+        if k == len(draws):
+            draws = rng.random(2 * _DRAW_BLOCK).tolist()
+            k = 0
+        tn = t - log(1.0 - draws[k]) / R
         lo = t if t > t_burn else t_burn
         hi = tn if tn < t_end else t_end
         if hi > lo:
             hist[n[0]] += hi - lo
         if t < t_burn <= tn:
-            Y_burn = Y
+            Y_burn = events
         if tn >= t_end:
-            return Y_burn, Y, events, max_drift
+            return Y_burn, events, events, max_drift
         t = tn
-        u2 = np.random.random() * R
+        u = draws[k + 1] * R
+        k += 2
         acc = 0.0
         site = N - 1
         for i in range(N):
             acc += rates[i]
-            if acc >= u2:
+            if acc >= u:
                 site = i
                 break
         j = site + 1
@@ -85,33 +87,11 @@ def _gillespie_core(n, ut, t_burn, t_end, seed, hist):
             R += ut[n[site]] - rates[site] + ut[n[j]] - rates[j]
             rates[site] = ut[n[site]]
             rates[j] = ut[n[j]]
-        Y += 1
         events += 1
         if events % _RESYNC_EVERY == 0:
-            Rs = 0.0
-            for i in range(N):
-                Rs += rates[i]
-            drift = abs(R - Rs)
-            if drift > max_drift:
-                max_drift = drift
-            R = Rs
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("QBOSON_DISABLE_NUMBA", "") not in ("", "0")
-
-
-if not _numba_disabled():
-    try:
-        import numba
-        _gillespie = numba.njit(cache=True)(_gillespie_core)
-        NUMBA_ENABLED = True
-    except ImportError:
-        _gillespie = _gillespie_core
-        NUMBA_ENABLED = False
-else:
-    _gillespie = _gillespie_core
-    NUMBA_ENABLED = False
+            resynced = sum(rates)
+            max_drift = max(max_drift, abs(R - resynced))
+            R = resynced
 
 
 INIT_MODES = ("stationary-product-rejection", "all-equal", "single-pile")
@@ -163,11 +143,13 @@ class SimEstimate:
     total_events: int
 
 
-def _rate_table(params: ModelParams) -> np.ndarray:
-    return np.array([float(rate_u(m, params.q)) for m in range(params.p + 1)],
-                    dtype=np.float64)
+def _rate_table(params: ModelParams) -> list:
+    return [float(rate_u(m, params.q)) for m in range(params.p + 1)]
 
 
+# every replica of a run starts from the same product measure, so the
+# saddle point is found once per model rather than once per replica
+@lru_cache(maxsize=32)
 def _stationary_fugacity(params: ModelParams) -> float:
     if params.q.is_unity:
         return float(params.rho)
@@ -200,25 +182,19 @@ def initial_config(params: ModelParams, mode: str,
                       "use init='all-equal'")
 
 
-def _replica_seeds(seed: int, rep_index: int) -> tuple[int, np.random.Generator]:
-    ss = np.random.SeedSequence([int(seed), int(rep_index)])
-    kernel_seed = int(ss.generate_state(1, np.uint32)[0])
-    init_rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
-    return kernel_seed, init_rng
-
-
 def run_trajectory(cfg: SimConfig, rep_index: int) -> TrajectoryResult:
     params = cfg.params
-    kernel_seed, init_rng = _replica_seeds(cfg.seed, rep_index)
-    n = initial_config(params, cfg.init, init_rng)
-    ut = _rate_table(params)
-    hist = np.zeros(params.p + 1, dtype=np.float64)
+    init_rng, kernel_rng = (
+        np.random.default_rng(s) for s in
+        np.random.SeedSequence([int(cfg.seed), int(rep_index)]).spawn(2))
+    n = initial_config(params, cfg.init, init_rng).tolist()
+    hist = [0.0] * (params.p + 1)
     t_end = cfg.burn_time + cfg.t_measure
-    Y_burn, Y_end, events, drift = _gillespie(n, ut, cfg.burn_time, t_end,
-                                              kernel_seed, hist)
-    return TrajectoryResult(Y_burn=int(Y_burn), Y_end=int(Y_end),
-                            events=int(events), max_rate_drift=float(drift),
-                            hist=hist)
+    Y_burn, Y_end, events, drift = _gillespie(n, _rate_table(params),
+                                              cfg.burn_time, t_end,
+                                              kernel_rng, hist)
+    return TrajectoryResult(Y_burn=Y_burn, Y_end=Y_end, events=events,
+                            max_rate_drift=drift, hist=np.array(hist))
 
 
 def _jackknife_se(values: list, statistic) -> float:

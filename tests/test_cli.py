@@ -156,6 +156,17 @@ class TestOracle:
                           "--q", "1/2")
         assert code == 2
 
+    def test_float_reports_float64(self, capsys):
+        doc = run_json(capsys, "oracle", "--n", "3", "--p", "3", "--q", "1/2",
+                       "--backend", "float")
+        assert doc["backend"] == {"kind": "float64"}
+        J = doc["result"]["J"]
+        assert repr(float(J)) == J
+        exact = run_json(capsys, "exact", "--n", "3", "--p", "3",
+                         "--q", "1/2")
+        assert float(J) == pytest.approx(float(F(exact["result"]["J"])),
+                                         rel=1e-12)
+
 
 class TestSimulate:
     def test_runs_and_embeds_seed(self, capsys):
