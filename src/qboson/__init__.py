@@ -20,7 +20,7 @@ from .asymptotics import (CrossoverData, SaddleData, crossover_F,
                           kpz_coefficient_phi_form, log_f_log_derivative,
                           saddle_data, saddle_point)
 from .oracle import (OracleResult, build_generator, lambda_derivatives,
-                     lambda_gamma, lambda_gamma_fd, stationary_vector)
+                     lambda_gamma, lambda_gamma_fd)
 from .simulate import (SimConfig, SimEstimate, estimate_cumulants,
                        run_trajectory)
 from .tq import TqFirstOrder, build_first_order, verify_first_order

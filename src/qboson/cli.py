@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -169,14 +168,11 @@ def cmd_oracle(args) -> int:
     N, p = _resolve_Np(args)
     kind, qfrac = _parse_q_text(args.q, args)
     backend = _make_backend(kind, args)
-    if backend.exact and math.comb(N + p - 1, p) > 300:
-        raise InputError("state space too large for the exact rational "
-                         "solve; rerun with --backend float")
     q = qvalue(backend.ratio(qfrac.numerator, qfrac.denominator), backend)
     params = stationary.ModelParams(N=N, p=p, q=q)
     res = oracle.lambda_derivatives(params)
     em = Emitter(backend)
-    # the float oracle solves in float64 (dense LAPACK) whatever --prec says
+    # the float oracle solves in float64 (sparse LU) whatever --prec says
     scalar = em.scalar if backend.exact else (lambda x: repr(float(x)))
     result = {
         "J": scalar(res.J), "Delta": scalar(res.Delta),

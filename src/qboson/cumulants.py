@@ -204,8 +204,7 @@ def delta_exact_truncated(params: ModelParams, i_max: int,
             bk = sum(abs(C[p - 1 - k - b] * phi.coeff(b)) for b in range(p - k))
             B += Z[p + k] * (bk + abs(A[k]))
         r_abs = abs(r)
-        tail = backend.to_float(
-            t.prefactor * B * r_abs ** (i_max + 1) / (1 - r_abs))
+        tail = float(t.prefactor * B * r_abs ** (i_max + 1) / (1 - r_abs))
         return _result(params, t, S2, "truncated", i_max=i_max,
                        tail_bound=tail)
 

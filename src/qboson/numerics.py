@@ -45,7 +45,6 @@ DEFAULT_VERIFY_RTOL = 1e-12
 class RationalBackend:
     """Exact scalars: arbitrary-size ``fractions.Fraction``."""
 
-    kind = "rational"
     exact = True
 
     def ratio(self, num, den=1) -> Fraction:
@@ -54,15 +53,8 @@ class RationalBackend:
     def integer(self, n: int) -> Fraction:
         return Fraction(n)
 
-    def parse(self, text: str) -> Fraction:
-        """Parse 'a/b', an integer, or a terminating decimal, exactly."""
-        return Fraction(text)
-
     def workprec(self):
         return contextlib.nullcontext()
-
-    def to_float(self, x) -> float:
-        return float(x)
 
     def __repr__(self):
         return "RationalBackend()"
@@ -76,7 +68,6 @@ class FloatBackend:
     entry points of this package do that themselves.
     """
 
-    kind = "float"
     exact = False
 
     def __init__(self, prec_bits: int = DEFAULT_PREC_BITS):
@@ -92,15 +83,8 @@ class FloatBackend:
         with self.workprec():
             return mpmath.mpf(n)
 
-    def parse(self, text: str) -> mpmath.mpf:
-        frac = Fraction(text)
-        return self.ratio(frac.numerator, frac.denominator)
-
     def workprec(self):
         return mpmath.workprec(self.prec_bits)
-
-    def to_float(self, x) -> float:
-        return float(x)
 
     def doubled(self) -> "FloatBackend":
         return FloatBackend(2 * self.prec_bits)
@@ -193,10 +177,6 @@ def qvalue(q, backend: Backend = RATIONAL) -> QValue:
             r = backend.integer(1) / q
         return QValue(q=q, regime=REGIME_GREATER_ONE, r=r, backend=backend)
     return QValue(q=q, regime=REGIME_GENERIC, r=q, backend=backend)
-
-
-def parse_qvalue(text: str, backend: Backend = RATIONAL) -> QValue:
-    return qvalue(backend.parse(text), backend)
 
 
 # ---------------------------------------------------------------------------

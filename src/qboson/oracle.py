@@ -4,15 +4,20 @@ The deformed generator is L_gamma = L + (e^gamma - 1) M, where M is the
 off-diagonal jump matrix (column n' holds the rates out of configuration n',
 self-transitions of the N = 1 ring stored explicitly) and
 L = M - diag(R) with R the total exit rates.  With pi the stationary vector
-and 1^T the left null vector of L:
+and 1^T the left null vector of L (so 1^T M = R^T):
 
     lambda_1 = 1^T M pi = J
-    lambda_2 = J/2 + 1^T M psi,   L psi = (lambda_1 I - M) pi,  1^T psi = 0
+    lambda_2 = J/2 + R . psi,   L psi = (lambda_1 I - M) pi,  1^T psi = 0
     Delta    = 2 lambda_2
 
-The singular solve is regularized by bordering L with the constraint row.
-Ring translation symmetry is deliberately not exploited; the oracle stays
-simple and independently trustworthy.
+The singular solve is regularized by bordering L with the constraint row,
+[[L, 1], [1^T, 0]].  The rational backend solves it by exact Gaussian
+elimination on dense Fraction rows, capped at EXACT_STATE_CAP states.  The
+float backend builds L_gamma once as a scipy.sparse matrix
+(``_generator_matrix``), solves the bordered system with ``spsolve`` and
+runs the Perron power iteration of ``lambda_gamma`` on the same matrix; its
+cap is STATE_SPACE_CAP.  Ring translation symmetry is deliberately not
+exploited; the oracle stays simple and independently trustworthy.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .numerics import Backend, InputError, SolverError
 from .stationary import ModelParams, rate_u, weight_f
 
 STATE_SPACE_CAP = 20_000
+EXACT_STATE_CAP = 300  # dense Fraction elimination is O(states^3) big-int work
 
 
 @dataclass(frozen=True)
@@ -43,12 +49,17 @@ class ConfigSpace:
         return len(self.configs)
 
 
-def enumerate_configs(N: int, p: int) -> ConfigSpace:
+def _check_size(N: int, p: int, cap: int, hint: str = "") -> int:
     total = comb(N + p - 1, p)
-    if total > STATE_SPACE_CAP:
+    if total > cap:
         raise InputError(
             f"configuration space C({N + p - 1},{p}) = {total} exceeds the "
-            f"cap {STATE_SPACE_CAP}")
+            f"cap {cap}{hint}")
+    return total
+
+
+def enumerate_configs(N: int, p: int) -> ConfigSpace:
+    total = _check_size(N, p, STATE_SPACE_CAP)
     configs = []
 
     def fill(prefix, remaining, sites_left):
@@ -103,12 +114,22 @@ def build_generator(params: ModelParams) -> GeneratorPair:
                          backend=backend)
 
 
-def _jump_matrix_dense(gen: GeneratorPair) -> np.ndarray:
-    M = gen.space.size
-    out = np.zeros((M, M))
-    for src, dst, rate in gen.jumps:
-        out[dst, src] += float(rate)
-    return out
+def _generator_matrix(gen: GeneratorPair, gamma: float = 0.0):
+    """e^gamma M - diag(R) in float64, as a scipy.sparse CSC matrix.
+
+    Duplicate entries are summed, so the N = 1 self-loop cancels against R
+    on the diagonal at gamma = 0.
+    """
+    from scipy import sparse
+
+    size = gen.space.size
+    scale = np.exp(gamma)
+    rows = [dst for _, dst, _ in gen.jumps] + list(range(size))
+    cols = [src for src, _, _ in gen.jumps] + list(range(size))
+    vals = ([scale * float(rate) for _, _, rate in gen.jumps]
+            + [-float(r) for r in gen.R])
+    return sparse.coo_matrix((vals, (rows, cols)),
+                             shape=(size, size)).tocsc()
 
 
 def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
@@ -157,36 +178,6 @@ def _generator_dense_fraction(gen: GeneratorPair) -> list:
     return L
 
 
-def stationary_vector(gen: GeneratorPair, tol: float = 1e-12) -> list:
-    """Solve L pi = 0, sum pi = 1, by a bordered linear system.
-
-    The analytic product-form vector is the reference answer; the direct
-    solve is compared against it and a disagreement raises SolverError.
-    """
-    M = gen.space.size
-    if gen.backend.exact:
-        L = _generator_dense_fraction(gen)
-        A = [row[:] + [Fraction(1)] for row in L]
-        A.append([Fraction(1)] * M + [Fraction(0)])
-        b = [Fraction(0)] * M + [Fraction(1)]
-        sol = _solve_fraction(A, b)
-        return sol[:M]
-    L = _jump_matrix_dense(gen)
-    L[np.diag_indices(M)] -= np.array([float(r) for r in gen.R])
-    A = np.zeros((M + 1, M + 1))
-    A[:M, :M] = L
-    A[:M, M] = 1.0
-    A[M, :M] = 1.0
-    b = np.zeros(M + 1)
-    b[M] = 1.0
-    sol = np.linalg.solve(A, b)
-    pi = sol[:M]
-    residual = np.max(np.abs(L @ pi))
-    if residual > tol * max(1.0, np.max(np.abs(pi))):
-        raise SolverError(f"stationary solve residual {residual} above {tol}")
-    return list(pi)
-
-
 @dataclass(frozen=True)
 class OracleResult:
     J: object
@@ -201,6 +192,9 @@ def lambda_derivatives(params: ModelParams,
                        gen: GeneratorPair | None = None,
                        tol: float = 1e-10) -> OracleResult:
     """First two scaled cumulants from Rayleigh-Schroedinger perturbation."""
+    if params.backend.exact:
+        _check_size(params.N, params.p, EXACT_STATE_CAP,
+                    " of the exact rational solve; use the float backend")
     if gen is None:
         gen = build_generator(params)
     M = gen.space.size
@@ -217,32 +211,30 @@ def lambda_derivatives(params: ModelParams,
         A.append([Fraction(1)] * M + [Fraction(0)])
         sol = _solve_fraction(A, rhs + [Fraction(0)])
         psi = sol[:M]
-        corr = Fraction(0)
-        for src, dst, rate in gen.jumps:
-            corr += Fraction(rate) * psi[src]
-        lam2 = lam1 / 2 + corr
+        lam2 = lam1 / 2 + sum(r * x for r, x in zip(gen.R, psi))
         return OracleResult(J=lam1, Delta=2 * lam2, lambda1=lam1,
                             lambda2=lam2, size=M, residual=0.0)
 
-    Mjump = _jump_matrix_dense(gen)
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
+    L = _generator_matrix(gen)
     R = np.array([float(r) for r in gen.R])
-    L = Mjump - np.diag(R)
     piv = np.array([float(w) for w in pi])
     lam1 = float(R @ piv)
-    rhs = lam1 * piv - Mjump @ piv
-    A = np.zeros((M + 1, M + 1))
-    A[:M, :M] = L
-    A[:M, M] = 1.0
-    A[M, :M] = 1.0
-    b = np.concatenate([rhs, [0.0]])
-    sol = np.linalg.solve(A, b)
+    rhs = (lam1 - R) * piv - L @ piv  # (lambda_1 I - M) pi, M = L + diag(R)
+    ones = sparse.csc_matrix(np.ones((M, 1)))
+    A = sparse.bmat([[L, ones], [ones.T, None]], format="csc")
+    # minimum degree on A^T + A: the 3432-state ring factors in 0.6 s,
+    # against 1.1 s with the default COLAMD (2-CPU host)
+    sol = spsolve(A, np.append(rhs, 0.0), permc_spec="MMD_AT_PLUS_A")
     psi = sol[:M]
     residual = float(np.max(np.abs(L @ psi - rhs)))
     scale = max(1.0, float(np.max(np.abs(rhs))))
     if residual > tol * scale:
         raise SolverError(f"perturbation solve residual {residual} above "
                           f"{tol} * {scale}")
-    lam2 = lam1 / 2 + float(np.ones(M) @ (Mjump @ psi))
+    lam2 = lam1 / 2 + float(R @ psi)
     return OracleResult(J=lam1, Delta=2 * lam2, lambda1=lam1, lambda2=lam2,
                         size=M, residual=residual)
 
@@ -270,14 +262,13 @@ def lambda_gamma(params: ModelParams, gamma: float,
     Perron vectors, accurate to second order in the iteration residuals;
     the finite-difference channel needs eigenvalues at machine precision.
     """
+    from scipy import sparse
+
     if gen is None:
         gen = build_generator(params)
-    M = gen.space.size
-    Mjump = _jump_matrix_dense(gen)
-    R = np.array([float(r) for r in gen.R])
-    B = np.exp(gamma) * Mjump - np.diag(R)
-    shift = 1.0 + float(np.max(R))
-    B[np.diag_indices(M)] += shift
+    shift = 1.0 + max(float(r) for r in gen.R)
+    B = (_generator_matrix(gen, gamma)
+         + shift * sparse.identity(gen.space.size, format="csc"))
     v = _perron_vector(B, tol, max_iter)
     u = _perron_vector(B.T, tol, max_iter)
     est = float(u @ (B @ v) / (u @ v))

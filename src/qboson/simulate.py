@@ -111,8 +111,10 @@ class SimConfig:
             raise InputError("t_measure must be positive")
         if self.t_burn is not None and self.t_burn <= 0:
             raise InputError("t_burn must be positive")
-        if self.reps < 2:
-            raise InputError("need reps >= 2 for variance estimation")
+        if self.reps < 3:
+            raise InputError(
+                "need reps >= 3: the jackknife error of the variance leaves "
+                "one replica out, and a variance needs two that remain")
         if self.init not in INIT_MODES:
             raise InputError(f"init must be one of {INIT_MODES}")
 

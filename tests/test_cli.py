@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
 
+import qboson
 from qboson import stationary
 from qboson.cli import main
 
@@ -185,6 +188,14 @@ class TestSimulate:
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_two_replicas_exit_2(self, capsys):
+        # the jackknife error of the variance needs three replicas
+        code = main(["simulate", "--n", "3", "--p", "3", "--q", "1/2",
+                     "--reps", "2", "--t-measure", "10", "--t-burn", "5",
+                     "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestAsymptotic:
     def test_q0_reference_values(self, capsys):
@@ -267,3 +278,16 @@ class TestSweep:
             row = line.split(",")
             assert float(row[6]) == 1.0   # Delta/N = rho at q = 1
             assert float(row[8]) == 0.0   # gap exactly zero
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside the functions that use it; a module-level
+    # import would add its load time to every CLI start
+    code = ("import sys, qboson, qboson.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.dirname(os.path.dirname(qboson.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

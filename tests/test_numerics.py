@@ -175,11 +175,6 @@ class TestFloatBackend:
             err = abs(x * 3 - 1)
             assert err < mpmath.mpf(2) ** -250
 
-    def test_parse(self):
-        be = FloatBackend(128)
-        with be.workprec():
-            assert abs(be.parse("1/3") - be.ratio(1, 3)) == 0
-
     def test_rejects_tiny_precision(self):
         with pytest.raises(InputError):
             FloatBackend(16)

@@ -1,7 +1,6 @@
 from fractions import Fraction as F
 from math import comb
 
-import numpy as np
 import pytest
 
 from qboson.numerics import FloatBackend, InputError, qvalue
@@ -9,7 +8,7 @@ from qboson.stationary import ModelParams, model
 from qboson.cumulants import delta_exact_resummed
 from qboson.oracle import (build_generator, enumerate_configs,
                            lambda_derivatives, lambda_gamma, lambda_gamma_fd,
-                           product_form_vector, stationary_vector)
+                           product_form_vector)
 
 
 class TestConfigSpace:
@@ -69,11 +68,6 @@ class TestStationaryVector:
             assert all(x == 0 for x in out)
             assert sum(pi) == 1
 
-    def test_direct_solve_matches_product_form(self):
-        m = model(2, 2, F(1, 2))
-        gen = build_generator(m)
-        assert stationary_vector(gen) == product_form_vector(m, gen)
-
     def test_explicit_weights(self):
         m = model(2, 2, F(1, 2))
         gen = build_generator(m)
@@ -86,16 +80,6 @@ class TestStationaryVector:
         gen = build_generator(m)
         pi = product_form_vector(m, gen)
         assert all(x == F(1, 6) for x in pi)
-
-    def test_float_solve(self):
-        be = FloatBackend(64)
-        m = ModelParams(N=3, p=2, q=qvalue(0.5, be))
-        gen = build_generator(m)
-        pi = stationary_vector(gen)
-        ref = [float(x) for x in
-               product_form_vector(model(3, 2, F(1, 2)),
-                                   build_generator(model(3, 2, F(1, 2))))]
-        assert np.allclose(pi, ref, atol=1e-12)
 
 
 class TestLambdaDerivatives:
@@ -132,6 +116,26 @@ class TestLambdaDerivatives:
         exact = delta_exact_resummed(model(8, 6, F(1, 2)))
         assert abs(res.J - float(exact.J)) < 1e-8
         assert abs(res.Delta - float(exact.Delta)) < 1e-8
+
+    @pytest.mark.parametrize("N,p,q", [
+        (1, 2, F(1, 2)),    # one state, self-loop cancelling R
+        (2, 1, F(1, 2)),
+        (3, 3, F(2)),       # q > 1
+        (3, 3, F(-1, 2)),   # q < 0
+        (4, 4, F(1, 2)),
+    ])
+    def test_float_matches_rational(self, N, p, q):
+        exact = lambda_derivatives(model(N, p, q))
+        res = lambda_derivatives(
+            ModelParams(N=N, p=p, q=qvalue(float(q), FloatBackend(64))))
+        for got, want in ((res.J, exact.J), (res.Delta, exact.Delta),
+                          (res.lambda2, exact.lambda2)):
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    def test_rational_cap(self):
+        # 462 states: above the exact elimination's cap of 300
+        with pytest.raises(InputError):
+            lambda_derivatives(model(7, 5, F(1, 2)))
 
 
 class TestLambdaGamma:

@@ -20,7 +20,7 @@ class TestConfigValidation:
 
     def test_default_burn_in(self):
         m = model(6, 3, F(1, 2))
-        cfg = SimConfig(params=m, t_measure=10.0, reps=2, seed=1)
+        cfg = SimConfig(params=m, t_measure=10.0, reps=3, seed=1)
         assert cfg.burn_time == 360.0
 
 
@@ -54,7 +54,7 @@ class TestInitialConfig:
 class TestTrajectories:
     def test_determinism(self):
         m = model(4, 4, F(1, 2))
-        cfg = SimConfig(params=m, t_measure=50.0, reps=2, seed=9)
+        cfg = SimConfig(params=m, t_measure=50.0, reps=3, seed=9)
         a = run_trajectory(cfg, 0)
         b = run_trajectory(cfg, 0)
         assert (a.Y_burn, a.Y_end, a.events) == (b.Y_burn, b.Y_end, b.events)
@@ -62,19 +62,19 @@ class TestTrajectories:
 
     def test_replicas_differ(self):
         m = model(4, 4, F(1, 2))
-        cfg = SimConfig(params=m, t_measure=50.0, reps=2, seed=9)
+        cfg = SimConfig(params=m, t_measure=50.0, reps=3, seed=9)
         assert run_trajectory(cfg, 0).Y_end != run_trajectory(cfg, 1).Y_end
 
     def test_counters_monotone(self):
         m = model(3, 2, F(1, 2))
-        cfg = SimConfig(params=m, t_measure=40.0, reps=2, seed=2)
+        cfg = SimConfig(params=m, t_measure=40.0, reps=3, seed=2)
         traj = run_trajectory(cfg, 0)
         assert 0 <= traj.Y_burn <= traj.Y_end == traj.events
 
     def test_rate_bookkeeping_drift(self):
         # long enough to cross the resync threshold at least once
         m = model(8, 8, F(1, 2))
-        cfg = SimConfig(params=m, t_measure=220_000.0, reps=2, seed=4,
+        cfg = SimConfig(params=m, t_measure=220_000.0, reps=3, seed=4,
                         t_burn=10.0)
         traj = run_trajectory(cfg, 0)
         assert traj.events > (1 << 20)
@@ -82,7 +82,7 @@ class TestTrajectories:
 
     def test_histogram_matches_marginal(self):
         m = model(4, 4, F(1, 2))
-        cfg = SimConfig(params=m, t_measure=50_000.0, reps=2, seed=11,
+        cfg = SimConfig(params=m, t_measure=50_000.0, reps=3, seed=11,
                         t_burn=200.0)
         traj = run_trajectory(cfg, 0)
         hist = traj.hist / traj.hist.sum()
