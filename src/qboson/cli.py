@@ -302,8 +302,23 @@ def _verified_float_delta(make_params, backend: FloatBackend,
     return float(vals["J"]), float(vals["Delta"])
 
 
+def _ring_sizes(text) -> list:
+    """The ring sizes of ``sweep --n``: a comma-separated list, each >= 1."""
+    if text is None:
+        raise InputError("--n is required")
+    try:
+        Ns = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise InputError(f"--n must be a comma-separated list of integers, "
+                         f"got {text!r}") from None
+    for N in Ns:
+        if N < 1:
+            raise InputError(f"N must be >= 1, got {N}")
+    return Ns
+
+
 def _sweep_rows(args):
-    Ns = [int(tok) for tok in str(args.n).split(",")]
+    Ns = _ring_sizes(args.n)
     if args.rho is None and args.p is None:
         raise InputError("sweep needs --rho or --p")
     if args.alpha is not None and args.q is not None:

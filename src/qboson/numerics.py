@@ -237,18 +237,37 @@ class TruncSeries:
         return TruncSeries(out)
 
     def pow(self, n: int, backend: Backend = RATIONAL) -> "TruncSeries":
-        """Binary exponentiation; O(D^2 log n) scalar multiplications."""
+        """The n-th power by J. C. P. Miller's recurrence (Knuth, TAOCP 4.7).
+
+        For g = a^n with a_0 != 0, differentiating g = a^n gives
+        a g' = n a' g, whose coefficient of z^(k-1) is
+
+            k a_0 g_k = sum_{j=1..k} ((n+1) j - k) a_j g_{k-j},
+
+        with g_0 = a_0^n.  That is O(D^2) scalar operations whatever n is.
+        A series z^v b(z) with b_0 != 0 is raised as z^(v n) b^n, so the
+        power is zero once v n > D.  Division is by backend scalars, so
+        rational coefficients stay exact.
+        """
         if n < 0:
             raise InputError("series exponent must be nonnegative")
-        result = TruncSeries.one(self.degree, backend)
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base)
-            n >>= 1
-            if n:
-                base = base.mul(base)
-        return result
+        D = self.degree
+        if n == 0:
+            return TruncSeries.one(D, backend)
+        zero = backend.integer(0)
+        v = next((i for i, c in enumerate(self.coeffs) if c != 0), D + 1)
+        if v * n > D:
+            return TruncSeries.constant(zero, D, backend)
+        a = self.coeffs[v:]
+        top = D - v * n
+        a0 = a[0]
+        g = [a0 ** n]
+        for k in range(1, top + 1):
+            acc = zero
+            for j in range(1, k + 1):
+                acc += a[j] * g[k - j] * ((n + 1) * j - k)
+            g.append(acc / (k * a0))
+        return TruncSeries([zero] * (v * n) + g)
 
     def scale(self, c) -> "TruncSeries":
         """Multiply every coefficient by the scalar c."""

@@ -25,11 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .numerics import Backend, InputError, SolverError
 from .stationary import ModelParams, rate_u, weight_f
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STATE_SPACE_CAP = 20_000
 EXACT_STATE_CAP = 300  # dense Fraction elimination is O(states^3) big-int work
@@ -120,6 +122,7 @@ def _generator_matrix(gen: GeneratorPair, gamma: float = 0.0):
     Duplicate entries are summed, so the N = 1 self-loop cancels against R
     on the diagonal at gamma = 0.
     """
+    import numpy as np
     from scipy import sparse
 
     size = gen.space.size
@@ -215,6 +218,7 @@ def lambda_derivatives(params: ModelParams,
         return OracleResult(J=lam1, Delta=2 * lam2, lambda1=lam1,
                             lambda2=lam2, size=M, residual=0.0)
 
+    import numpy as np
     from scipy import sparse
     from scipy.sparse.linalg import spsolve
 
@@ -240,6 +244,8 @@ def lambda_derivatives(params: ModelParams,
 
 
 def _perron_vector(B: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    import numpy as np
+
     M = B.shape[0]
     v = np.full(M, 1.0 / M)
     for _ in range(max_iter):

@@ -23,12 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .numerics import InputError, SolverError
 from .stationary import ModelParams, rate_u, weight_f
 from . import asymptotics
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _RESYNC_EVERY = 1 << 20
 _DRAW_BLOCK = 1024   # events per block of uniforms drawn from the stream
@@ -160,6 +162,8 @@ def _stationary_fugacity(params: ModelParams) -> float:
 
 def initial_config(params: ModelParams, mode: str,
                    rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
+
     N, p = params.N, params.p
     n = np.zeros(N, dtype=np.int64)
     if mode == "single-pile":
@@ -185,6 +189,8 @@ def initial_config(params: ModelParams, mode: str,
 
 
 def run_trajectory(cfg: SimConfig, rep_index: int) -> TrajectoryResult:
+    import numpy as np
+
     params = cfg.params
     init_rng, kernel_rng = (
         np.random.default_rng(s) for s in

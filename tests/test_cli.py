@@ -266,6 +266,13 @@ class TestSweep:
         assert float(row[4]) == pytest.approx(
             float(F(doc["result"]["Delta"])), rel=1e-12)
 
+    @pytest.mark.parametrize("sizes", ["8,abc", "0", "4,0"])
+    def test_bad_ring_sizes_exit_2(self, capsys, sizes):
+        code = main(["sweep", "--rho", "1", "--q", "1/2", "--n", sizes])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_needs_q_or_alpha(self, capsys):
         code, _ = run_cli(capsys, "sweep", "--rho", "1", "--n", "4,8")
         assert code == 2
@@ -281,11 +288,12 @@ class TestSweep:
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported inside the functions that use it; a module-level
-    # import would add its load time to every CLI start
+    # numpy and scipy are imported inside the functions that use them; a
+    # module-level import would add its load time and memory to every CLI
+    # start, including the series commands that never touch them
     code = ("import sys, qboson, qboson.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m.split('.')[0] in ('numpy', 'scipy')))")
     src = os.path.dirname(os.path.dirname(qboson.__file__))
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,

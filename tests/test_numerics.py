@@ -1,13 +1,15 @@
 from fractions import Fraction as F
+from math import comb
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qboson.numerics import (FloatBackend, InputError, PrecisionError,
                              RATIONAL, TruncSeries, geometric_factor, qvalue,
                              rel_close, verify_at_double_precision)
+from qboson.stationary import compute_stationary, model, weight_series
 
 
 def S(*coeffs):
@@ -104,9 +106,13 @@ def test_mul_commutative_associative(a, b, c):
     assert sa.mul(sb).mul(sc) == sa.mul(sb.mul(sc))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=5),
-       st.integers(0, 8))
+       st.integers(0, 24))
+@example([0, 0, 1, -2, 3], 2)    # zero constant term, v n = D
+@example([0, 0, 1, -2, 3], 3)    # v n > D: the power is zero
+@example([0, 3, 1, -2, 3], 4)    # v n = D with v = 1
+@example([0, 0, 0], 0)           # the zero series to the power 0 is one
 def test_pow_is_iterated_mul(coeffs, n):
     a = TruncSeries([F(x) for x in coeffs])
     expected = TruncSeries.one(a.degree)
@@ -228,6 +234,10 @@ class TestRelClose:
             verify_at_double_precision(compute, be, rtol=1e-12)
 
 
+def to_mpf(x: F):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
 def test_float_series_roundtrip_matches_rational():
     be = FloatBackend(128)
     ra = TruncSeries([F(1), F(1, 2), F(1, 3), F(1, 4)])
@@ -237,5 +247,27 @@ def test_float_series_roundtrip_matches_rational():
     want = ra.pow(5, RATIONAL)
     with be.workprec():
         for k in range(4):
-            assert rel_close(got.coeff(k), mpmath.mpf(want.coeff(k).numerator)
-                             / want.coeff(k).denominator, 1e-30)
+            assert rel_close(got.coeff(k), to_mpf(want.coeff(k)), 1e-30)
+
+    # F^N at N = p = 64: the power recurrence sums terms of both signs, so
+    # the 256-bit coefficients must still agree with the exact ones
+    N = p = 64
+    be = FloatBackend(256)
+    for q in (F(1, 2), F(-1, 2), F(3, 2)):
+        want = weight_series(qvalue(q), p).pow(N, RATIONAL)
+        with be.workprec():
+            qf = qvalue(be.ratio(q.numerator, q.denominator), be)
+            got = weight_series(qf, p).pow(N, be)
+            for k in range(p + 1):
+                assert rel_close(got.coeff(k), to_mpf(want.coeff(k)), 1e-60)
+
+
+@pytest.mark.parametrize("q", [F(1, 2), F(-1, 2), F(3, 2), F(99, 100)])
+@pytest.mark.parametrize("N,p", [(1, 3), (5, 4), (12, 9), (32, 28)])
+def test_power_satisfies_q_difference_identity(q, N, p):
+    # F(qz) = (1 - (1-q) z) F(z), so G = F^N has G(qz) = (1 - (1-q) z)^N G(z);
+    # the binomial side is built without the series power under test
+    G = compute_stationary(model(N, p, q)).Fn
+    D = G.degree
+    binom = TruncSeries([comb(N, k) * (q - 1) ** k for k in range(D + 1)])
+    assert G.scale_arg(q) == binom.mul(G)
