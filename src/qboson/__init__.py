@@ -9,18 +9,16 @@ and the large-N KPZ / EW-crossover asymptotics.
 from .numerics import (FloatBackend, InputError, PrecisionError, QValue,
                        RATIONAL, SolverError, TruncSeries, geometric_factor,
                        qvalue, verify_at_double_precision)
-from .stationary import (ModelParams, PhiSeries, StationaryData,
-                         compute_stationary, intensive_quantities, model,
-                         occupation_moments, phi_coefficients, rate_u,
-                         site_marginal, weight_f, weight_series)
+from .stationary import (ModelParams, StationaryData, compute_stationary,
+                         intensive_quantities, model, occupation_moments,
+                         phi_coefficients, rate_u, site_marginal, weight_f,
+                         weight_series)
 from .cumulants import (DeltaResult, delta_exact_resummed,
                         delta_exact_truncated, delta_fss_estimate)
 from .asymptotics import (CrossoverData, SaddleData, crossover_F,
                           crossover_prediction, kpz_coefficient,
-                          kpz_coefficient_phi_form, log_f_log_derivative,
-                          saddle_data, saddle_point)
-from .oracle import (OracleResult, build_generator, lambda_derivatives,
-                     lambda_gamma, lambda_gamma_fd)
+                          log_f_log_derivative, saddle_data, saddle_point)
+from .oracle import OracleResult, build_generator, lambda_derivatives
 from .simulate import (SimConfig, SimEstimate, estimate_cumulants,
                        run_trajectory)
 from .tq import TqFirstOrder, build_first_order, verify_first_order

@@ -7,7 +7,7 @@ The central object is h(z) = ln F(z) - rho ln z and its scaled-derivative
 values h_k = (z d/dz)^k h at the saddle z*, the smallest positive solution
 of z (ln F(z))' = rho.  The h_k are evaluated from the infinite-product
 form of ln F (termwise closed-form derivatives with geometric truncation),
-not form its power series: the product converges for every admissible z in
+not from its power series: the product converges for every admissible z in
 both regimes, while the series disk can exclude z* for q > 1.
 """
 
@@ -203,33 +203,6 @@ def kpz_coefficient(saddle: SaddleData) -> float:
     """
     _, _, h2, h3, _ = saddle.h
     return SQRT_PI / 4.0 * saddle.zstar * abs(h3 - h2) / h2 ** 1.5
-
-
-def limiting_phi_derivatives(saddle: SaddleData) -> tuple[float, float]:
-    """(z d/dz)^k of phi at z* with the limiting J/p = z*/rho, k = 1, 2."""
-    rho = saddle.rho
-    _, _, h2, h3, _ = saddle.h
-    return (h2 - rho) / rho, (h3 - 2 * h2 + rho) / rho
-
-
-def kpz_coefficient_phi_form(saddle: SaddleData, phi1: float,
-                             phi2: float) -> float:
-    """Alternative KPZ-coefficient expression through the phi derivatives.
-
-    sqrt(pi)/(8 sqrt(h2)) * (phi1 h3/|h2| - phi2).  Under the limiting
-    reading of phi_k this vanishes identically at q = 0 for every density,
-    contradicting the finite-size-scaling route, so kpz_coefficient is the
-    canonical prediction and this value is only reported alongside it for
-    comparison.
-    """
-    _, _, h2, h3, _ = saddle.h
-    return SQRT_PI / (8.0 * math.sqrt(h2)) * (phi1 * h3 / abs(h2) - phi2)
-
-
-def limiting_phi_at_saddle(saddle: SaddleData) -> float:
-    """phi(z*) with the limiting J/p; vanishes by the saddle condition."""
-    L1 = log_f_log_derivative(saddle.zstar, saddle.q, 1)
-    return (saddle.zstar / saddle.rho) * L1 / saddle.zstar - 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 
@@ -76,19 +77,28 @@ def _make_backend(kind: str, args):
     return RATIONAL
 
 
-def _resolve_Np(args) -> tuple[int, int]:
+def _particles(args, N: int) -> int:
+    """The particle number p on a ring of N sites, from --p or --rho."""
     if (args.p is None) == (args.rho is None):
         raise InputError("give exactly one of --p and --rho")
-    N = args.n
-    if N is None:
-        raise InputError("--n is required")
     if args.p is not None:
-        return N, args.p
-    rho = Fraction(args.rho)
-    p = rho * N
+        return args.p
+    p = Fraction(args.rho) * N
     if p.denominator != 1:
         raise InputError(f"rho * N = {p} is not an integer particle number")
-    return N, int(p)
+    return int(p)
+
+
+def _resolve_Np(args) -> tuple[int, int]:
+    if args.n is None:
+        raise InputError("--n is required")
+    return args.n, _particles(args, args.n)
+
+
+def _model(N: int, p: int, qfrac: Fraction, backend) -> stationary.ModelParams:
+    """The model at q = qfrac, with q a scalar of the given backend."""
+    return stationary.model(
+        N, p, backend.ratio(qfrac.numerator, qfrac.denominator), backend)
 
 
 def _emit(doc: dict, args) -> None:
@@ -121,8 +131,7 @@ def cmd_exact(args) -> int:
     rtol = args.tol if args.tol is not None else DEFAULT_VERIFY_RTOL
 
     def compute(be):
-        q = qvalue(be.ratio(qfrac.numerator, qfrac.denominator), be)
-        params = stationary.ModelParams(N=N, p=p, q=q)
+        params = _model(N, p, qfrac, be)
         stat = stationary.compute_stationary(params)
         if args.imax is not None:
             res = cumulants.delta_exact_truncated(params, args.imax, stat=stat)
@@ -168,8 +177,7 @@ def cmd_oracle(args) -> int:
     N, p = _resolve_Np(args)
     kind, qfrac = _parse_q_text(args.q, args)
     backend = _make_backend(kind, args)
-    q = qvalue(backend.ratio(qfrac.numerator, qfrac.denominator), backend)
-    params = stationary.ModelParams(N=N, p=p, q=q)
+    params = _model(N, p, qfrac, backend)
     res = oracle.lambda_derivatives(params)
     em = Emitter(backend)
     # the float oracle solves in float64 (sparse LU) whatever --prec says
@@ -179,9 +187,6 @@ def cmd_oracle(args) -> int:
         "lambda1": scalar(res.lambda1), "lambda2": scalar(res.lambda2),
         "states": res.size, "solve_residual": res.residual,
     }
-    if args.fd:
-        fd = oracle.lambda_gamma_fd(params)
-        result["fd"] = {"J": fd["J"], "Delta": fd["Delta"]}
     doc = {"schema": SCHEMA, "request": _request_dict(args, "oracle"),
            "backend": em.describe() if backend.exact else {"kind": "float64"},
            "result": result}
@@ -193,8 +198,7 @@ def cmd_simulate(args) -> int:
     N, p = _resolve_Np(args)
     kind, qfrac = _parse_q_text(args.q, args)
     backend = _make_backend(kind, args)
-    q = qvalue(backend.ratio(qfrac.numerator, qfrac.denominator), backend)
-    params = stationary.ModelParams(N=N, p=p, q=q)
+    params = _model(N, p, qfrac, backend)
     cfg = simulate.SimConfig(params=params, t_measure=args.t_measure,
                              reps=args.reps, seed=args.seed,
                              t_burn=args.t_burn, init=args.init)
@@ -222,7 +226,6 @@ def cmd_asymptotic(args) -> int:
     q = qvalue(Fraction(qfrac), RATIONAL)
     tol = args.tol if args.tol is not None else 1e-13
     sd = asymptotics.saddle_data(rho, q, tol)
-    phi1, phi2 = asymptotics.limiting_phi_derivatives(sd)
     doc = {
         "schema": SCHEMA, "request": _request_dict(args, "asymptotic"),
         "backend": {"kind": "float64"},
@@ -232,9 +235,6 @@ def cmd_asymptotic(args) -> int:
             "j_inf": sd.j_inf, "lambda": sd.lambda_nl, "A": sd.A,
             "current_fss": sd.current_fss,
             "kpz_coefficient": asymptotics.kpz_coefficient(sd),
-            "kpz_coefficient_phi_form":
-                asymptotics.kpz_coefficient_phi_form(sd, phi1, phi2),
-            "phi1": phi1, "phi2": phi2,
         },
     }
     _emit(doc, args)
@@ -262,8 +262,7 @@ def cmd_verify_tq(args) -> int:
     N, p = _resolve_Np(args)
     kind, qfrac = _parse_q_text(args.q, args)
     backend = _make_backend(kind, args)
-    q = qvalue(backend.ratio(qfrac.numerator, qfrac.denominator), backend)
-    params = stationary.ModelParams(N=N, p=p, q=q)
+    params = _model(N, p, qfrac, backend)
     first = tq.build_first_order(params)
     ok, residual = tq.verify_first_order(first)
     em = Emitter(backend)
@@ -319,27 +318,22 @@ def _ring_sizes(text) -> list:
 
 def _sweep_rows(args):
     Ns = _ring_sizes(args.n)
-    if args.rho is None and args.p is None:
-        raise InputError("sweep needs --rho or --p")
     if args.alpha is not None and args.q is not None:
         raise InputError("sweep takes --q or --alpha, not both")
     if args.alpha is None and args.q is None:
         raise InputError("sweep needs --q or --alpha")
-    rows = []
     crossover_mode = args.alpha is not None
     rtol = args.tol if args.tol is not None else DEFAULT_VERIFY_RTOL
-    backend = FloatBackend(args.prec) if (crossover_mode or
-                                          args.backend == "float") else None
+    if crossover_mode:
+        backend = FloatBackend(args.prec)
+    else:
+        kind, qfrac = _parse_q_text(args.q, args)
+        backend = _make_backend(kind, args)
 
+    rows = []
     pred_cache: dict = {}
     for N in Ns:
-        if args.p is not None:
-            p = args.p
-        else:
-            pf = Fraction(args.rho) * N
-            if pf.denominator != 1:
-                raise InputError(f"rho * N = {pf} is not an integer")
-            p = int(pf)
+        p = _particles(args, N)
         rho = p / N
         if crossover_mode:
             def make_params(be, N=N, p=p):
@@ -356,21 +350,12 @@ def _sweep_rows(args):
             gap = Delta / N - prediction
             qcol = float(make_params(backend).q.q)
         else:
-            kind, qfrac = _parse_q_text(args.q, args)
-
-            def make_params(be, N=N, p=p, qfrac=qfrac):
-                return stationary.ModelParams(
-                    N=N, p=p,
-                    q=qvalue(be.ratio(qfrac.numerator, qfrac.denominator),
-                             be))
-
-            if backend is not None or kind == "float":
-                be = backend if backend is not None else _make_backend(kind,
-                                                                       args)
-                J, Delta = _verified_float_delta(make_params, be, rtol)
-            else:
-                res = cumulants.delta_exact_resummed(make_params(RATIONAL))
+            make_params = partial(_model, N, p, qfrac)
+            if backend.exact:
+                res = cumulants.delta_exact_resummed(make_params(backend))
                 J, Delta = float(res.J), float(res.Delta)
+            else:
+                J, Delta = _verified_float_delta(make_params, backend, rtol)
             key = (rho, qfrac)
             if key not in pred_cache:
                 sd = asymptotics.saddle_data(rho, qvalue(qfrac, RATIONAL))
@@ -437,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="spectral perturbation ground truth")
     common(sp)
-    sp.add_argument("--fd", action="store_true",
-                    help="also report finite-difference cumulants")
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("simulate", help="kinetic Monte Carlo estimates")

@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .numerics import (Backend, InputError, PrecisionError,
-                       REGIME_GREATER_ONE, geometric_factor)
-from .stationary import (ModelParams, PhiSeries, StationaryData,
-                         compute_stationary, phi_coefficients)
+                       REGIME_GREATER_ONE, TruncSeries, geometric_factor)
+from .stationary import (ModelParams, StationaryData, compute_stationary,
+                         phi_coefficients)
 
 
 def _regime_sign(params: ModelParams) -> int:
@@ -65,18 +65,18 @@ class DeltaResult:
     tail_bound: float | None = None
 
 
-def _a_coefficients(p: int, C, phi: PhiSeries, backend: Backend) -> list:
+def _a_coefficients(p: int, C, phi: TruncSeries, backend: Backend) -> list:
     """A_k = sum_{a+b=p-1-k} C_a phi_b for k = 0..p-1."""
     out = []
     for k in range(p):
         acc = backend.integer(0)
         for b in range(p - k):
-            acc += C[p - 1 - k - b] * phi.coeff(b)
+            acc += C[p - 1 - k - b] * phi.coeffs[b]
         out.append(acc)
     return out
 
 
-def _check_a0(a0, p: int, C, phi: PhiSeries, backend: Backend):
+def _check_a0(a0, p: int, C, phi: TruncSeries, backend: Backend):
     """A_0 vanishes identically; enforce before dropping its divergent branch."""
     if backend.exact:
         if a0 != 0:
@@ -106,7 +106,7 @@ class _Terms:
 
     stat: StationaryData
     C: tuple          # coefficients of F^N
-    phi: PhiSeries
+    phi: TruncSeries
     A: list
     sign: int
     S1: object
@@ -155,13 +155,13 @@ def delta_exact_resummed(params: ModelParams,
     with backend.workprec():
         t = _terms(params, stat)
         p = params.p
-        Z, C, phi, A = t.stat.Zvals, t.C, t.phi, t.A
+        Z, C, phi, A = t.stat.Zvals, t.C, t.phi.coeffs, t.A
         gf = {a: geometric_factor(params.q.r, a) for a in range(1, 2 * p)}
         S2 = backend.integer(0)
         for k in range(p):
             inner = backend.integer(0)
             for b in range(p - k):
-                inner += C[p - 1 - k - b] * phi.coeff(b) * gf[k + 1 + b]
+                inner += C[p - 1 - k - b] * phi[b] * gf[k + 1 + b]
             if k >= 1:
                 inner += A[k] * gf[k]
             S2 += Z[p + k] * inner
@@ -183,7 +183,7 @@ def delta_exact_truncated(params: ModelParams, i_max: int,
     with backend.workprec():
         t = _terms(params, stat)
         p = params.p
-        Z, C, phi, A = t.stat.Zvals, t.C, t.phi, t.A
+        Z, C, phi, A = t.stat.Zvals, t.C, t.phi.coeffs, t.A
         r = params.q.r
         S2 = backend.integer(0)
         for i in range(1, i_max + 1):
@@ -193,7 +193,7 @@ def delta_exact_truncated(params: ModelParams, i_max: int,
                 inner = backend.integer(0)
                 rib = ri
                 for b in range(p - k):
-                    inner += C[p - 1 - k - b] * phi.coeff(b) * rib
+                    inner += C[p - 1 - k - b] * phi[b] * rib
                     rib = rib * ri
                 S2 += rik * Z[p + k] * (inner + A[k])
                 rik = rik * ri
@@ -201,7 +201,7 @@ def delta_exact_truncated(params: ModelParams, i_max: int,
         # |i-th term| <= |r|^i * B, so the tail is <= B |r|^(i_max+1)/(1-|r|)
         B = backend.integer(0)
         for k in range(p):
-            bk = sum(abs(C[p - 1 - k - b] * phi.coeff(b)) for b in range(p - k))
+            bk = sum(abs(C[p - 1 - k - b] * phi[b]) for b in range(p - k))
             B += Z[p + k] * (bk + abs(A[k]))
         r_abs = abs(r)
         tail = float(t.prefactor * B * r_abs ** (i_max + 1) / (1 - r_abs))

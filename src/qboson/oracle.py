@@ -13,10 +13,9 @@ and 1^T the left null vector of L (so 1^T M = R^T):
 The singular solve is regularized by bordering L with the constraint row,
 [[L, 1], [1^T, 0]].  The rational backend solves it by exact Gaussian
 elimination on dense Fraction rows, capped at EXACT_STATE_CAP states.  The
-float backend builds L_gamma once as a scipy.sparse matrix
-(``_generator_matrix``), solves the bordered system with ``spsolve`` and
-runs the Perron power iteration of ``lambda_gamma`` on the same matrix; its
-cap is STATE_SPACE_CAP.  Ring translation symmetry is deliberately not
+float backend builds L once as a scipy.sparse matrix (``_generator_matrix``)
+and solves the bordered system with ``spsolve``; its cap is
+STATE_SPACE_CAP.  Ring translation symmetry is deliberately not
 exploited; the oracle stays simple and independently trustworthy.
 """
 
@@ -25,13 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING
 
 from .numerics import Backend, InputError, SolverError
 from .stationary import ModelParams, rate_u, weight_f
-
-if TYPE_CHECKING:
-    import numpy as np
 
 STATE_SPACE_CAP = 20_000
 EXACT_STATE_CAP = 300  # dense Fraction elimination is O(states^3) big-int work
@@ -116,20 +111,18 @@ def build_generator(params: ModelParams) -> GeneratorPair:
                          backend=backend)
 
 
-def _generator_matrix(gen: GeneratorPair, gamma: float = 0.0):
-    """e^gamma M - diag(R) in float64, as a scipy.sparse CSC matrix.
+def _generator_matrix(gen: GeneratorPair):
+    """The generator L = M - diag(R) in float64, as a scipy.sparse CSC matrix.
 
     Duplicate entries are summed, so the N = 1 self-loop cancels against R
-    on the diagonal at gamma = 0.
+    on the diagonal.
     """
-    import numpy as np
     from scipy import sparse
 
     size = gen.space.size
-    scale = np.exp(gamma)
     rows = [dst for _, dst, _ in gen.jumps] + list(range(size))
     cols = [src for src, _, _ in gen.jumps] + list(range(size))
-    vals = ([scale * float(rate) for _, _, rate in gen.jumps]
+    vals = ([float(rate) for _, _, rate in gen.jumps]
             + [-float(r) for r in gen.R])
     return sparse.coo_matrix((vals, (rows, cols)),
                              shape=(size, size)).tocsc()
@@ -242,66 +235,3 @@ def lambda_derivatives(params: ModelParams,
     return OracleResult(J=lam1, Delta=2 * lam2, lambda1=lam1, lambda2=lam2,
                         size=M, residual=residual)
 
-
-def _perron_vector(B: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    import numpy as np
-
-    M = B.shape[0]
-    v = np.full(M, 1.0 / M)
-    for _ in range(max_iter):
-        w = B @ v
-        w /= np.max(w)
-        if np.max(np.abs(w - v)) <= tol:
-            return w
-        v = w
-    raise SolverError(f"power iteration did not converge in {max_iter} steps")
-
-
-def lambda_gamma(params: ModelParams, gamma: float,
-                 gen: GeneratorPair | None = None,
-                 tol: float = 1e-13, max_iter: int = 200_000) -> float:
-    """Perron eigenvalue of L + (e^gamma - 1) M by power iteration.
-
-    Iterates on the elementwise-nonnegative shift L_gamma + c I with
-    c = 1 + max R, whose spectral radius is lambda(gamma) + c.  The final
-    estimate is the bilinear quotient u.(B v)/(u.v) over the left and right
-    Perron vectors, accurate to second order in the iteration residuals;
-    the finite-difference channel needs eigenvalues at machine precision.
-    """
-    from scipy import sparse
-
-    if gen is None:
-        gen = build_generator(params)
-    shift = 1.0 + max(float(r) for r in gen.R)
-    B = (_generator_matrix(gen, gamma)
-         + shift * sparse.identity(gen.space.size, format="csc"))
-    v = _perron_vector(B, tol, max_iter)
-    u = _perron_vector(B.T, tol, max_iter)
-    est = float(u @ (B @ v) / (u @ v))
-    return est - shift
-
-
-def lambda_gamma_fd(params: ModelParams, eps: float = 1e-4,
-                    gen: GeneratorPair | None = None) -> dict:
-    """Finite-difference cumulants with one Richardson step.
-
-    Central differences at eps and eps/2; the Richardson combination
-    removes the leading O(eps^2) error.  Cross-check channel for
-    lambda_derivatives, not the primary route.
-    """
-    if gen is None:
-        gen = build_generator(params)
-
-    def second(e):
-        lp = lambda_gamma(params, e, gen)
-        lm = lambda_gamma(params, -e, gen)
-        return (lp + lm) / e ** 2, (lp - lm) / (2 * e)
-
-    d2a, d1a = second(eps)
-    d2b, d1b = second(eps / 2)
-    return {
-        "lambda1": (4 * d1b - d1a) / 3,
-        "lambda2": (4 * d2b - d2a) / 6,  # lambda(g) = l1 g + l2 g^2 + ...
-        "J": (4 * d1b - d1a) / 3,
-        "Delta": (4 * d2b - d2a) / 3,
-    }

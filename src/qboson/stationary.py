@@ -166,25 +166,12 @@ def occupation_moments(params: ModelParams, k: int):
         return second - params.rho * params.rho
 
 
-@dataclass(frozen=True)
-class PhiSeries:
-    """Series coefficients of phi(z) = (J/p) (ln F(z))' - 1.
+def phi_coefficients(params: ModelParams, J, degree: int) -> TruncSeries:
+    """Series coefficients of phi(z) = (J/p) (ln F(z))' - 1 up to degree.
 
     phi_m = (J/p) (1-q)^{m+1} / (1 - q^{m+1}) - [m = 0]; the same closed
     form covers |q| < 1 and q > 1.
     """
-
-    coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, m: int):
-        return self.coeffs[m]
-
-
-def phi_coefficients(params: ModelParams, J, degree: int) -> PhiSeries:
     params.q.require_series_regime("the phi series")
     q = params.q.q
     backend = params.backend
@@ -196,4 +183,4 @@ def phi_coefficients(params: ModelParams, J, degree: int) -> PhiSeries:
             if m == 0:
                 val = val - 1
             coeffs.append(val)
-    return PhiSeries(coeffs=tuple(coeffs))
+    return TruncSeries(coeffs)

@@ -7,10 +7,7 @@ from qboson.numerics import FloatBackend, InputError, qvalue
 from qboson.stationary import ModelParams, compute_stationary, model, \
     occupation_moments
 from qboson.asymptotics import (crossover_F, crossover_prediction,
-                                kpz_coefficient, kpz_coefficient_phi_form,
-                                limiting_phi_at_saddle,
-                                limiting_phi_derivatives,
-                                log_f_log_derivative,
+                                kpz_coefficient, log_f_log_derivative,
                                 normalized_integral_expansion,
                                 partition_asymp, saddle_data, saddle_point)
 
@@ -220,25 +217,6 @@ class TestKpzCoefficient:
               for q in (F(1, 2), F(3, 4), F(9, 10), F(99, 100))]
         assert ks == sorted(ks, reverse=True)
         assert ks[-1] < 0.01
-
-    def test_phi_form_vanishes_at_q0(self):
-        sd = saddle_data(1.0, Q_ZERO)
-        phi1, phi2 = limiting_phi_derivatives(sd)
-        assert (phi1, phi2) == (pytest.approx(1.0, abs=1e-12),
-                                pytest.approx(3.0, abs=1e-12))
-        assert kpz_coefficient_phi_form(sd, phi1, phi2) == \
-            pytest.approx(0.0, abs=1e-12)
-
-    def test_phi_vanishes_at_saddle(self):
-        for rho, q in ((1.0, Q_HALF), (2.0, qvalue(F(2)))):
-            sd = saddle_data(rho, q)
-            assert limiting_phi_at_saddle(sd) == pytest.approx(0.0, abs=1e-10)
-
-    def test_phi_form_generic_reported(self):
-        sd = saddle_data(1.0, Q_HALF)
-        phi1, phi2 = limiting_phi_derivatives(sd)
-        val = kpz_coefficient_phi_form(sd, phi1, phi2)
-        assert math.isfinite(val)
 
 
 class TestCrossover:

@@ -148,12 +148,6 @@ class TestOracle:
         b = run_json(capsys, "exact", "--n", "3", "--p", "2", "--q", "1/2")
         assert a["result"]["Delta"] == b["result"]["Delta"]
 
-    def test_fd_channel(self, capsys):
-        doc = run_json(capsys, "oracle", "--n", "2", "--p", "2", "--q", "1/2",
-                       "--fd")
-        assert doc["result"]["fd"]["Delta"] == pytest.approx(
-            float(F(doc["result"]["Delta"])), abs=1e-6)
-
     def test_cap_guard(self, capsys):
         code, _ = run_cli(capsys, "oracle", "--n", "12", "--p", "12",
                           "--q", "1/2")
@@ -207,6 +201,13 @@ class TestAsymptotic:
         assert res["lambda"] == pytest.approx(-0.25, abs=1e-12)
         assert res["A"] == pytest.approx(2.0, abs=1e-12)
         assert res["kpz_coefficient"] == pytest.approx(0.31333, abs=1e-5)
+
+    def test_result_keys(self, capsys):
+        doc = run_json(capsys, "asymptotic", "--rho", "1", "--q", "1/2")
+        assert doc["schema"] == 1
+        assert set(doc["result"]) == {
+            "zstar", "h0", "h1", "h2", "h3", "h4", "free_energy", "j_inf",
+            "lambda", "A", "current_fss", "kpz_coefficient"}
 
     def test_unity_rejected(self, capsys):
         code, _ = run_cli(capsys, "asymptotic", "--rho", "1", "--q", "1")
@@ -272,6 +273,20 @@ class TestSweep:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:")
+
+    def test_both_p_and_rho_rejected(self, capsys):
+        # the same check and message as exact
+        code = main(["sweep", "--rho", "1", "--p", "2", "--q", "1/2",
+                     "--n", "4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: give exactly one of --p and --rho\n"
+
+    @pytest.mark.parametrize("extra", [["--q", "1/2"], ["--alpha", "1"]])
+    def test_rho_must_give_whole_particles_at_every_n(self, capsys, extra):
+        code, out = run_cli(capsys, "sweep", "--rho", "1/2", "--n", "4,5",
+                            *extra)
+        assert code == 2 and out == ""
 
     def test_needs_q_or_alpha(self, capsys):
         code, _ = run_cli(capsys, "sweep", "--rho", "1", "--n", "4,8")

@@ -2,13 +2,14 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qboson.numerics import FloatBackend, InputError, qvalue
 from qboson.stationary import ModelParams, model
 from qboson.cumulants import delta_exact_resummed
 from qboson.oracle import (build_generator, enumerate_configs,
-                           lambda_derivatives, lambda_gamma, lambda_gamma_fd,
-                           product_form_vector)
+                           lambda_derivatives, product_form_vector)
 
 
 class TestConfigSpace:
@@ -138,33 +139,30 @@ class TestLambdaDerivatives:
             lambda_derivatives(model(7, 5, F(1, 2)))
 
 
-class TestLambdaGamma:
-    def test_zero_at_gamma_zero(self):
-        assert abs(lambda_gamma(model(3, 2, F(1, 2)), 0.0)) < 1e-13
 
-    def test_single_state_exponential(self):
-        import math
-        m = model(1, 2, F(1, 2))
-        for g in (-0.2, 0.1, 0.5):
-            assert abs(lambda_gamma(m, g) - 1.5 * (math.exp(g) - 1)) < 1e-12
+# (N, p) with at most 36 states; the exact solve at 84 states takes ~2 s
+SMALL_SYSTEMS = [(N, p) for N in range(1, 9) for p in range(1, 9)
+                 if comb(N + p - 1, p) <= 36]
 
-    def test_convexity(self):
-        m = model(3, 2, F(1, 2))
-        gs = [-0.2, -0.1, 0.0, 0.1, 0.2]
-        vals = [lambda_gamma(m, g) for g in gs]
-        second = [vals[i + 1] - 2 * vals[i] + vals[i - 1]
-                  for i in range(1, len(vals) - 1)]
-        assert all(s >= -1e-12 for s in second)
 
-    def test_fd_matches_perturbation(self):
-        m = model(3, 2, F(1, 2))
-        fd = lambda_gamma_fd(m, eps=1e-4)
-        res = lambda_derivatives(m)
-        assert abs(fd["J"] - float(res.J)) < 1e-6
-        assert abs(fd["Delta"] - float(res.Delta)) < 1e-6
+def _rationals_in(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi,
+                        max_denominator=50).filter(lambda q: lo < q < hi)
 
-    def test_fd_single_state(self):
-        m = model(1, 2, F(1, 3))
-        fd = lambda_gamma_fd(m, eps=1e-4)
-        assert abs(fd["J"] - 4 / 3) < 1e-9
-        assert abs(fd["Delta"] - 4 / 3) < 1e-6
+
+Q_VALUES = st.one_of(
+    _rationals_in(F(-1), F(0)), _rationals_in(F(0), F(1)),
+    _rationals_in(F(1), F(3)),
+    # within 1/100 of the Poisson point q = 1, on both sides
+    st.builds(lambda sign, d: 1 + sign * F(1, d), st.sampled_from((-1, 1)),
+              st.integers(101, 10_000)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_SYSTEMS), Q_VALUES)
+def test_series_equals_rational_oracle(system, q):
+    N, p = system
+    m = model(N, p, q)
+    series = delta_exact_resummed(m)
+    orc = lambda_derivatives(m)
+    assert (series.J, series.Delta) == (orc.J, orc.Delta)

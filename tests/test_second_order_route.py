@@ -54,7 +54,7 @@ def delta_second_order(params, i_terms=300):
     D = p - 1
     Fser = weight_series(params.q, D)
     FN = Fser.pow(N, RATIONAL)
-    phi = TruncSeries(phi_coefficients(params, stat.J, D).coeffs)
+    phi = phi_coefficients(params, stat.J, D)
     base = FN.mul(phi)
     fpoly = second_order_f(params)
 
