@@ -60,12 +60,16 @@ class Emitter:
         return {"kind": "float", "prec_bits": self.backend.prec_bits}
 
 
+def _parse_fraction(name: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot parse {name} = {text!r}: {exc}") from None
+
+
 def _parse_q_text(text: str, args) -> tuple[str, object]:
     """Return (backend_kind, raw fraction); decimals force the float backend."""
-    try:
-        frac = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"cannot parse q = {text!r}: {exc}") from None
+    frac = _parse_fraction("q", text)
     wants_float = args.backend == "float" or \
         ("." in text or "e" in text.lower())
     return ("float" if wants_float else "rational"), frac
@@ -83,7 +87,7 @@ def _particles(args, N: int) -> int:
         raise InputError("give exactly one of --p and --rho")
     if args.p is not None:
         return args.p
-    p = Fraction(args.rho) * N
+    p = _parse_fraction("rho", args.rho) * N
     if p.denominator != 1:
         raise InputError(f"rho * N = {p} is not an integer particle number")
     return int(p)
@@ -221,7 +225,7 @@ def cmd_simulate(args) -> int:
 def cmd_asymptotic(args) -> int:
     if args.rho is None:
         raise InputError("asymptotic requires --rho")
-    rho = float(Fraction(args.rho))
+    rho = float(_parse_fraction("rho", args.rho))
     kind, qfrac = _parse_q_text(args.q, args)
     q = qvalue(Fraction(qfrac), RATIONAL)
     tol = args.tol if args.tol is not None else 1e-13
@@ -244,7 +248,7 @@ def cmd_asymptotic(args) -> int:
 def cmd_crossover(args) -> int:
     if args.rho is None or args.alpha is None:
         raise InputError("crossover requires --rho and --alpha")
-    rho = float(Fraction(args.rho))
+    rho = float(_parse_fraction("rho", args.rho))
     tol = args.tol if args.tol is not None else 1e-10
     cd = asymptotics.crossover_prediction(rho, args.alpha, tol)
     doc = {

@@ -11,12 +11,14 @@ and 1^T the left null vector of L (so 1^T M = R^T):
     Delta    = 2 lambda_2
 
 The singular solve is regularized by bordering L with the constraint row,
-[[L, 1], [1^T, 0]].  The rational backend solves it by exact Gaussian
-elimination on dense Fraction rows, capped at EXACT_STATE_CAP states.  The
-float backend builds L once as a scipy.sparse matrix (``_generator_matrix``)
-and solves the bordered system with ``spsolve``; its cap is
-STATE_SPACE_CAP.  Ring translation symmetry is deliberately not
-exploited; the oracle stays simple and independently trustworthy.
+[[L, 1], [1^T, 0]].  The rational backend builds the bordered rows straight
+from the jumps as sparse {column: Fraction} dicts and solves them by exact
+Gaussian elimination and back substitution (``_solve_fraction``), capped at
+EXACT_STATE_CAP states.  The float backend builds L once as a scipy.sparse
+matrix (``_generator_matrix``) and solves the bordered system with
+``spsolve``; its cap is STATE_SPACE_CAP.  Ring translation symmetry is
+deliberately not exploited; the oracle stays simple and independently
+trustworthy.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ from .numerics import Backend, InputError, SolverError
 from .stationary import ModelParams, rate_u, weight_f
 
 STATE_SPACE_CAP = 20_000
-EXACT_STATE_CAP = 300  # dense Fraction elimination is O(states^3) big-int work
+# the exact oracle's cost is fill and big-integer growth, not the state
+# count alone: 0.11 s at 84 states, 2.8 s at 252 (N = 6, p = 5),
+# 8.5 s at 286 (4, 10) and 18 s at 300 (2, 299), whose stationary weights
+# carry denominators of about 6700 digits (q = 1/2, 2-CPU host)
+EXACT_STATE_CAP = 300
 
 
 @dataclass(frozen=True)
@@ -146,32 +152,44 @@ def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
 # Exact rational linear algebra (small systems only)
 # ---------------------------------------------------------------------------
 
-def _solve_fraction(A: list, b: list) -> list:
-    """Gaussian elimination with partial (first nonzero) pivoting."""
-    n = len(b)
-    M = [row[:] + [rhs] for row, rhs in zip(A, b)]
+def _solve_fraction(rows: list) -> list:
+    """Solve n sparse rational equations exactly; row i is {column: value}.
+
+    Columns 0..n-1 hold the matrix's nonzero entries and column n the
+    right-hand side; absent entries are zero.  Gaussian elimination pivots on
+    the first row with a nonzero entry in the column and touches only the
+    pivot row's stored entries, then back substitution gives x.  The rows
+    are consumed.
+    """
+    n = len(rows)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if col in rows[r]), None)
         if pivot is None:
             raise SolverError("singular matrix in exact solve")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                factor = M[r][col]
-                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
-
-
-def _generator_dense_fraction(gen: GeneratorPair) -> list:
-    M = gen.space.size
-    L = [[Fraction(0)] * M for _ in range(M)]
-    for src, dst, rate in gen.jumps:
-        L[dst][src] += Fraction(rate)
-    for i in range(M):
-        L[i][i] -= Fraction(gen.R[i])
-    return L
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        prow = rows[col]
+        inv = 1 / prow[col]
+        for r in range(col + 1, n):
+            row = rows[r]
+            if col not in row:
+                continue
+            factor = row.pop(col) * inv
+            for c, y in prow.items():
+                if c != col:
+                    x = row.get(c, 0) - factor * y
+                    if x:
+                        row[c] = x
+                    else:
+                        row.pop(c, None)
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = row.get(n, Fraction(0))
+        for c, y in row.items():
+            if i < c < n:
+                acc -= y * x[c]
+        x[i] = acc / row[i]
+    return x
 
 
 @dataclass(frozen=True)
@@ -197,15 +215,17 @@ def lambda_derivatives(params: ModelParams,
     pi = product_form_vector(params, gen)
 
     if gen.backend.exact:
-        L = _generator_dense_fraction(gen)
         lam1 = sum(r * w for r, w in zip(gen.R, pi))
-        # rhs = (lambda_1 I - M) pi
-        rhs = [lam1 * pi[i] for i in range(M)]
+        # bordered rows [L | 1 | rhs], rhs = (lambda_1 I - M) pi
+        rows = [{i: -r, M: Fraction(1), M + 1: lam1 * w}
+                for i, (r, w) in enumerate(zip(gen.R, pi))]
         for src, dst, rate in gen.jumps:
-            rhs[dst] -= Fraction(rate) * pi[src]
-        A = [row[:] + [Fraction(1)] for row in L]
-        A.append([Fraction(1)] * M + [Fraction(0)])
-        sol = _solve_fraction(A, rhs + [Fraction(0)])
+            row = rows[dst]
+            row[src] = row.get(src, 0) + rate
+            row[M + 1] -= rate * pi[src]
+        rows = [{c: v for c, v in row.items() if v} for row in rows]
+        rows.append(dict.fromkeys(range(M), Fraction(1)))
+        sol = _solve_fraction(rows)
         psi = sol[:M]
         lam2 = lam1 / 2 + sum(r * x for r, x in zip(gen.R, psi))
         return OracleResult(J=lam1, Delta=2 * lam2, lambda1=lam1,

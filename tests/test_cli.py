@@ -225,6 +225,18 @@ class TestCrossover:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact", "--n", "4", "--rho", "abc", "--q", "1/2"],
+    ["crossover", "--rho", "x", "--alpha", "1"],
+    ["asymptotic", "--rho", "x", "--q", "1/2"],
+])
+def test_unparsable_rho_exits_2(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+
+
 class TestVerifyTq:
     def test_zero_residual(self, capsys):
         doc = run_json(capsys, "verify-tq", "--n", "4", "--p", "3",

@@ -2,14 +2,15 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qboson.numerics import FloatBackend, InputError, qvalue
+from qboson.numerics import FloatBackend, InputError, SolverError, qvalue
 from qboson.stationary import ModelParams, model
 from qboson.cumulants import delta_exact_resummed
-from qboson.oracle import (build_generator, enumerate_configs,
-                           lambda_derivatives, product_form_vector)
+from qboson.oracle import (_solve_fraction, build_generator,
+                           enumerate_configs, lambda_derivatives,
+                           product_form_vector)
 
 
 class TestConfigSpace:
@@ -140,9 +141,9 @@ class TestLambdaDerivatives:
 
 
 
-# (N, p) with at most 36 states; the exact solve at 84 states takes ~2 s
+# (N, p) with at most 84 states; the 40 examples take about 1 s
 SMALL_SYSTEMS = [(N, p) for N in range(1, 9) for p in range(1, 9)
-                 if comb(N + p - 1, p) <= 36]
+                 if comb(N + p - 1, p) <= 84]
 
 
 def _rationals_in(lo, hi):
@@ -160,9 +161,51 @@ Q_VALUES = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SMALL_SYSTEMS), Q_VALUES)
+@example((5, 5), F(1, 2))  # 126 states, above the drawn bound
+@example((5, 5), F(2))
 def test_series_equals_rational_oracle(system, q):
     N, p = system
     m = model(N, p, q)
     series = delta_exact_resummed(m)
     orc = lambda_derivatives(m)
     assert (series.J, series.Delta) == (orc.J, orc.Delta)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Row-permuted, strictly diagonally dominant (so nonsingular) sparse
+    systems with a known solution x, in _solve_fraction's row format."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(F(0)), st.just(F(0)),
+                      st.fractions(-5, 5, max_denominator=9))
+    A = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(A):
+        off = sum(abs(v) for j, v in enumerate(row) if j != i)
+        margin = draw(st.fractions(F(1, 9), 3, max_denominator=9))
+        row[i] = draw(st.sampled_from((-1, 1))) * (off + margin)
+    x = [draw(st.fractions(-10, 10, max_denominator=20)) for _ in range(n)]
+    rows = []
+    for i in draw(st.permutations(range(n))):
+        row = {j: v for j, v in enumerate(A[i]) if v}
+        row[n] = sum(v * xj for v, xj in zip(A[i], x))
+        rows.append(row)
+    return rows, x
+
+
+class TestSolveFraction:
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_systems())
+    def test_recovers_known_solution(self, system):
+        rows, x = system
+        assert _solve_fraction(rows) == x
+
+    def test_zero_leading_entry_needs_row_swap(self):
+        # 2 x1 = 4 and 3 x0 + x1 = 5
+        rows = [{1: F(2), 2: F(4)}, {0: F(3), 1: F(1), 2: F(5)}]
+        assert _solve_fraction(rows) == [F(1), F(2)]
+
+    def test_singular_raises(self):
+        # the second row is twice the first in the matrix columns
+        rows = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4), 2: F(1)}]
+        with pytest.raises(SolverError):
+            _solve_fraction(rows)
