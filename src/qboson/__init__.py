@@ -11,7 +11,7 @@ from .numerics import (FloatBackend, InputError, PrecisionError, QValue,
                        qvalue, verify_at_double_precision)
 from .stationary import (ModelParams, StationaryData, compute_stationary,
                          intensive_quantities, model, occupation_moments,
-                         phi_coefficients, rate_u, site_marginal, weight_f,
+                         phi_coefficients, rate_u, site_marginal,
                          weight_series)
 from .cumulants import (DeltaResult, delta_exact_resummed,
                         delta_exact_truncated, delta_fss_estimate)

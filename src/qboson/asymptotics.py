@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .numerics import (InputError, QValue, REGIME_GREATER_ONE, REGIME_UNITY,
-                       SolverError)
+                       SolverError, require_positive)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -94,9 +94,8 @@ def saddle_point(rho: float, q: QValue, tol: float = 1e-13,
     interval, so the root is unique: bisection brackets it, Newton
     polishes.
     """
-    rho = float(rho)
-    if rho <= 0:
-        raise InputError(f"density must be positive, got {rho}")
+    rho = require_positive("density", float(rho))
+    require_positive("tol", tol)
 
     def L(z):
         return log_f_log_derivative(z, q, 1)
@@ -266,10 +265,11 @@ class CrossoverData:
 
 def crossover_prediction(rho: float, alpha: float,
                          quad_tol: float = 1e-10) -> CrossoverData:
-    rho = float(rho)
+    rho = require_positive("density", float(rho))
     alpha = float(alpha)
-    if rho <= 0:
-        raise InputError(f"density must be positive, got {rho}")
+    if not math.isfinite(alpha):
+        raise InputError(f"alpha must be finite, got {alpha}")
+    require_positive("tol", quad_tol)
     g = 8.0 * rho * alpha * alpha
     Fg = 1.0 if g == 0.0 else crossover_F(g, quad_tol)
     return CrossoverData(alpha=alpha, g=g, D_ew=rho, nu_ew=0.5, Fg=Fg,

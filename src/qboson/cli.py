@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Subcommands: exact, oracle, simulate, asymptotic, crossover, verify-tq,
-sweep.  Results are JSON (one document, schema field "schema": 1, the full
-request embedded for reproducibility) except sweep, which emits a
-plot-ready CSV.  Rational values serialize as "num/den" strings; float
-backend values as decimal strings together with the precision in bits,
-except the float oracle's, which are float64 and print as the shortest
-string that reads back as the same double.
+sweep.  Each declares only the flags it reads.  Results are JSON (one
+document, schema field "schema": 1) except sweep, which emits a plot-ready
+CSV.  The document embeds the request for reproducibility: the command and
+every declared flag that has a value, --out aside.  Rational values
+serialize as "num/den" strings; float backend values as decimal strings
+together with the precision in bits, except the float oracle's, which are
+float64 and print as the shortest string that reads back as the same
+double.
 
 Exit codes: 0 ok, 2 invalid input, 3 precision-verification failure,
 4 solver failure.
@@ -25,7 +27,8 @@ import mpmath
 
 from .numerics import (DEFAULT_PREC_BITS, DEFAULT_VERIFY_RTOL, FloatBackend,
                        InputError, PrecisionError, RATIONAL, SolverError,
-                       qvalue, verify_at_double_precision)
+                       negligible, qvalue, require_positive,
+                       verify_at_double_precision)
 from . import asymptotics, cumulants, oracle, simulate, stationary, tq
 
 SCHEMA = 1
@@ -41,43 +44,37 @@ def _mpf_str(x, prec_bits: int) -> str:
         return mpmath.nstr(mpmath.mpf(x), dps, strip_zeros=True)
 
 
-class Emitter:
-    """Serializes backend scalars consistently for one run."""
-
-    def __init__(self, backend):
-        self.backend = backend
-
-    def scalar(self, x):
-        if x is None:
-            return None
-        if self.backend.exact:
-            return _fraction_str(Fraction(x))
-        return _mpf_str(x, self.backend.prec_bits)
-
-    def describe(self) -> dict:
-        if self.backend.exact:
-            return {"kind": "rational"}
-        return {"kind": "float", "prec_bits": self.backend.prec_bits}
+def _scalar(x, backend) -> str:
+    """A backend scalar as printed: "num/den", or decimal at its precision."""
+    if backend.exact:
+        return _fraction_str(Fraction(x))
+    return _mpf_str(x, backend.prec_bits)
 
 
-def _parse_fraction(name: str, text: str) -> Fraction:
+def _describe(backend) -> dict:
+    if backend.exact:
+        return {"kind": "rational"}
+    return {"kind": "float", "prec_bits": backend.prec_bits}
+
+
+def _parse_fraction(name: str, text) -> Fraction:
+    if text is None:
+        raise InputError(f"--{name} is required")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse {name} = {text!r}: {exc}") from None
 
 
-def _parse_q_text(text: str, args) -> tuple[str, object]:
-    """Return (backend_kind, raw fraction); decimals force the float backend."""
-    frac = _parse_fraction("q", text)
-    wants_float = args.backend == "float" or \
-        ("." in text or "e" in text.lower())
-    return ("float" if wants_float else "rational"), frac
+def _backend(args):
+    """The backend of --backend and --q.
 
-
-def _make_backend(kind: str, args):
-    if kind == "float":
-        return FloatBackend(args.prec)
+    --backend float or a decimal q selects the float backend, at --prec bits
+    where the command declares --prec and at the default precision elsewhere.
+    """
+    q = args.q or ""
+    if args.backend == "float" or "." in q or "e" in q.lower():
+        return FloatBackend(getattr(args, "prec", DEFAULT_PREC_BITS))
     return RATIONAL
 
 
@@ -93,10 +90,11 @@ def _particles(args, N: int) -> int:
     return int(p)
 
 
-def _resolve_Np(args) -> tuple[int, int]:
+def _system(args) -> tuple[int, int, Fraction]:
+    """(N, p, q) of --n, --p or --rho, and --q."""
     if args.n is None:
         raise InputError("--n is required")
-    return args.n, _particles(args, args.n)
+    return args.n, _particles(args, args.n), _parse_fraction("q", args.q)
 
 
 def _model(N: int, p: int, qfrac: Fraction, backend) -> stationary.ModelParams:
@@ -105,8 +103,8 @@ def _model(N: int, p: int, qfrac: Fraction, backend) -> stationary.ModelParams:
         N, p, backend.ratio(qfrac.numerator, qfrac.denominator), backend)
 
 
-def _emit(doc: dict, args) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, args) -> None:
+    """Write to the --out file, or to stdout without one."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -114,14 +112,43 @@ def _emit(doc: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _request_dict(args, command: str) -> dict:
-    keep = ("n", "p", "rho", "q", "alpha", "backend", "prec", "tol", "imax",
-            "seed", "t_burn", "t_measure", "reps", "init")
-    req = {"command": command}
-    for key in keep:
-        if hasattr(args, key) and getattr(args, key) is not None:
-            req[key] = getattr(args, key)
-    return req
+def _emit(args, kind: dict, result: dict) -> None:
+    request = {key: val for key, val in vars(args).items()
+               if val is not None and key not in ("func", "out")}
+    doc = {"schema": SCHEMA, "request": request, "backend": kind,
+           "result": result}
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
+
+
+def _evaluate(make_params, backend, rtol, imax=None):
+    """exact's values and the DeltaResult they come from.
+
+    The rational backend runs the series once.  The float backend runs it
+    at P and 2P bits and keeps the P-bit values only if every one agrees
+    (``verify_at_double_precision``); make_params builds the model afresh
+    for each backend, so a q like exp(-alpha/sqrt(N)) is recomputed at 2P
+    too.  The DeltaResult (method, i_max, tail_bound) is the P-bit run's.
+    """
+    runs = []
+
+    def payload(be):
+        params = make_params(be)
+        if imax is None:
+            res = cumulants.delta_exact_resummed(params)
+        else:
+            res = cumulants.delta_exact_truncated(params, imax)
+        runs.append(res)
+        return {"Z": res.Z, "J": res.J, "Delta": res.Delta, "pJ": res.pJ,
+                "S1": res.S1, "S2": res.S2,
+                **stationary.intensive_quantities(params, res.J, res.Delta)}
+
+    rtol = DEFAULT_VERIFY_RTOL if rtol is None else \
+        require_positive("tol", rtol)
+    if backend.exact:
+        values = payload(backend)
+    else:
+        values = verify_at_double_precision(payload, backend, rtol)
+    return values, runs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -129,180 +156,97 @@ def _request_dict(args, command: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_exact(args) -> int:
-    N, p = _resolve_Np(args)
-    kind, qfrac = _parse_q_text(args.q, args)
-    backend = _make_backend(kind, args)
-    rtol = args.tol if args.tol is not None else DEFAULT_VERIFY_RTOL
-
-    def compute(be):
-        params = _model(N, p, qfrac, be)
-        stat = stationary.compute_stationary(params)
-        if args.imax is not None:
-            res = cumulants.delta_exact_truncated(params, args.imax, stat=stat)
-        else:
-            res = cumulants.delta_exact_resummed(params, stat=stat)
-        intens = stationary.intensive_quantities(params, res.J, res.Delta)
-        return {
-            "Z": stat.Zvals[p], "J": res.J, "j_N": intens["j_N"],
-            "Delta": res.Delta, "Delta_j": intens["Delta_j"],
-            "v_p": intens["v_p"], "Delta_p": intens["Delta_p"],
-            "pJ": res.pJ, "S1": res.S1, "S2": res.S2,
-        }, res
-
-    if backend.exact:
-        values, res = compute(backend)
-    else:
-        # doubled-precision acceptance on the scalar payload; method, i_max
-        # and tail_bound come from the P-bit run
-        results = {}
-
-        def payload(be):
-            vals, results[be.prec_bits] = compute(be)
-            return vals
-        values = verify_at_double_precision(payload, backend, rtol)
-        res = results[backend.prec_bits]
-
-    em = Emitter(backend)
-    result = {key: em.scalar(val) for key, val in values.items()}
-    result["N"] = N
-    result["p"] = p
-    result["q"] = _fraction_str(qfrac)
-    result["method"] = res.method
+    N, p, qfrac = _system(args)
+    backend = _backend(args)
+    values, res = _evaluate(partial(_model, N, p, qfrac), backend, args.tol,
+                            args.imax)
+    result = {key: _scalar(val, backend) for key, val in values.items()}
+    result.update(N=N, p=p, q=_fraction_str(qfrac), method=res.method)
     if res.method == "truncated":
-        result["i_max"] = res.i_max
-        result["tail_bound"] = res.tail_bound
-    doc = {"schema": SCHEMA, "request": _request_dict(args, "exact"),
-           "backend": em.describe(), "result": result}
-    _emit(doc, args)
+        result.update(i_max=res.i_max, tail_bound=res.tail_bound)
+    _emit(args, _describe(backend), result)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    N, p = _resolve_Np(args)
-    kind, qfrac = _parse_q_text(args.q, args)
-    backend = _make_backend(kind, args)
-    params = _model(N, p, qfrac, backend)
-    res = oracle.lambda_derivatives(params)
-    em = Emitter(backend)
-    # the float oracle solves in float64 (sparse LU) whatever --prec says
-    scalar = em.scalar if backend.exact else (lambda x: repr(float(x)))
-    result = {
+    backend = _backend(args)
+    res = oracle.lambda_derivatives(_model(*_system(args), backend))
+    if backend.exact:
+        scalar, kind = partial(_scalar, backend=backend), _describe(backend)
+    else:
+        # the float oracle solves in float64 (sparse LU)
+        scalar, kind = (lambda x: repr(float(x))), {"kind": "float64"}
+    _emit(args, kind, {
         "J": scalar(res.J), "Delta": scalar(res.Delta),
         "lambda1": scalar(res.lambda1), "lambda2": scalar(res.lambda2),
         "states": res.size, "solve_residual": res.residual,
-    }
-    doc = {"schema": SCHEMA, "request": _request_dict(args, "oracle"),
-           "backend": em.describe() if backend.exact else {"kind": "float64"},
-           "result": result}
-    _emit(doc, args)
+    })
     return 0
 
 
 def cmd_simulate(args) -> int:
-    N, p = _resolve_Np(args)
-    kind, qfrac = _parse_q_text(args.q, args)
-    backend = _make_backend(kind, args)
-    params = _model(N, p, qfrac, backend)
-    cfg = simulate.SimConfig(params=params, t_measure=args.t_measure,
-                             reps=args.reps, seed=args.seed,
-                             t_burn=args.t_burn, init=args.init)
+    # exact rates and weights, rounded to float64 for the kernel
+    cfg = simulate.SimConfig(params=_model(*_system(args), RATIONAL),
+                             t_measure=args.t_measure, reps=args.reps,
+                             seed=args.seed, t_burn=args.t_burn,
+                             init=args.init)
     est = simulate.estimate_cumulants(cfg)
-    doc = {
-        "schema": SCHEMA, "request": _request_dict(args, "simulate"),
-        "backend": {"kind": "float64-simulation"},
-        "result": {
-            "J_hat": est.J_hat, "se_J": est.se_J,
-            "Delta_hat": est.Delta_hat, "se_D": est.se_D,
-            "reps": est.reps, "total_events": est.total_events,
-            "seed": cfg.seed, "t_burn": cfg.burn_time,
-            "t_measure": cfg.t_measure, "init": cfg.init,
-        },
-    }
-    _emit(doc, args)
+    _emit(args, {"kind": "float64-simulation"}, {
+        "J_hat": est.J_hat, "se_J": est.se_J,
+        "Delta_hat": est.Delta_hat, "se_D": est.se_D,
+        "reps": est.reps, "total_events": est.total_events,
+        "seed": cfg.seed, "t_burn": cfg.burn_time,
+        "t_measure": cfg.t_measure, "init": cfg.init,
+    })
     return 0
 
 
 def cmd_asymptotic(args) -> int:
-    if args.rho is None:
-        raise InputError("asymptotic requires --rho")
     rho = float(_parse_fraction("rho", args.rho))
-    kind, qfrac = _parse_q_text(args.q, args)
-    q = qvalue(Fraction(qfrac), RATIONAL)
-    tol = args.tol if args.tol is not None else 1e-13
-    sd = asymptotics.saddle_data(rho, q, tol)
-    doc = {
-        "schema": SCHEMA, "request": _request_dict(args, "asymptotic"),
-        "backend": {"kind": "float64"},
-        "result": {
-            "zstar": sd.zstar, "h0": sd.h[0], "h1": sd.h[1], "h2": sd.h[2],
-            "h3": sd.h[3], "h4": sd.h[4], "free_energy": sd.free_energy,
-            "j_inf": sd.j_inf, "lambda": sd.lambda_nl, "A": sd.A,
-            "current_fss": sd.current_fss,
-            "kpz_coefficient": asymptotics.kpz_coefficient(sd),
-        },
-    }
-    _emit(doc, args)
+    q = qvalue(_parse_fraction("q", args.q))
+    sd = asymptotics.saddle_data(rho, q,
+                                 args.tol if args.tol is not None else 1e-13)
+    _emit(args, {"kind": "float64"}, {
+        "zstar": sd.zstar, "h0": sd.h[0], "h1": sd.h[1], "h2": sd.h[2],
+        "h3": sd.h[3], "h4": sd.h[4], "free_energy": sd.free_energy,
+        "j_inf": sd.j_inf, "lambda": sd.lambda_nl, "A": sd.A,
+        "current_fss": sd.current_fss,
+        "kpz_coefficient": asymptotics.kpz_coefficient(sd),
+    })
     return 0
 
 
 def cmd_crossover(args) -> int:
-    if args.rho is None or args.alpha is None:
-        raise InputError("crossover requires --rho and --alpha")
     rho = float(_parse_fraction("rho", args.rho))
-    tol = args.tol if args.tol is not None else 1e-10
-    cd = asymptotics.crossover_prediction(rho, args.alpha, tol)
-    doc = {
-        "schema": SCHEMA, "request": _request_dict(args, "crossover"),
-        "backend": {"kind": "float64"},
-        "result": {"alpha": cd.alpha, "g": cd.g, "D_ew": cd.D_ew,
-                   "nu_ew": cd.nu_ew, "F": cd.Fg,
-                   "prediction": cd.prediction},
-    }
-    _emit(doc, args)
+    if args.alpha is None:
+        raise InputError("--alpha is required")
+    cd = asymptotics.crossover_prediction(
+        rho, args.alpha, args.tol if args.tol is not None else 1e-10)
+    _emit(args, {"kind": "float64"}, {
+        "alpha": cd.alpha, "g": cd.g, "D_ew": cd.D_ew, "nu_ew": cd.nu_ew,
+        "F": cd.Fg, "prediction": cd.prediction,
+    })
     return 0
 
 
 def cmd_verify_tq(args) -> int:
-    N, p = _resolve_Np(args)
-    kind, qfrac = _parse_q_text(args.q, args)
-    backend = _make_backend(kind, args)
-    params = _model(N, p, qfrac, backend)
-    first = tq.build_first_order(params)
+    backend = _backend(args)
+    first = tq.build_first_order(_model(*_system(args), backend))
     ok, residual = tq.verify_first_order(first)
-    em = Emitter(backend)
     with backend.workprec():
         max_resid = max(abs(c) for c in residual.coeffs)
         q1_at_1 = sum(first.Q1.coeffs)
-    doc = {
-        "schema": SCHEMA, "request": _request_dict(args, "verify-tq"),
-        "backend": em.describe(),
-        "result": {
-            "residual_zero": ok,
-            "max_residual": em.scalar(max_resid),
-            "lambda1": em.scalar(first.lambda1),
-            "J": em.scalar(first.J),
-            "lambda1_equals_J": first.lambda1 == first.J,
-            "Q1_at_1": em.scalar(q1_at_1),
-        },
-    }
-    _emit(doc, args)
+        lambda1_is_J = negligible("lambda1 - J", first.lambda1 - first.J,
+                                  abs(first.lambda1) + abs(first.J), backend)
+    _emit(args, _describe(backend), {
+        "residual_zero": ok,
+        "max_residual": _scalar(max_resid, backend),
+        "lambda1": _scalar(first.lambda1, backend),
+        "J": _scalar(first.J, backend),
+        "lambda1_equals_J": lambda1_is_J,
+        "Q1_at_1": _scalar(q1_at_1, backend),
+    })
     return 0 if ok else 4
-
-
-def _verified_float_delta(make_params, backend: FloatBackend,
-                          rtol: float) -> tuple[float, float]:
-    """(J, Delta) on the float backend, accepted at doubled precision.
-
-    make_params rebuilds the model per backend, so inputs like
-    q = exp(-alpha/sqrt(N)) are themselves recomputed at 2P.
-    """
-
-    def payload(be):
-        res = cumulants.delta_exact_resummed(make_params(be))
-        return {"J": res.J, "Delta": res.Delta}
-
-    vals = verify_at_double_precision(payload, backend, rtol)
-    return float(vals["J"]), float(vals["Delta"])
 
 
 def _ring_sizes(text) -> list:
@@ -322,68 +266,49 @@ def _ring_sizes(text) -> list:
 
 def _sweep_rows(args):
     Ns = _ring_sizes(args.n)
-    if args.alpha is not None and args.q is not None:
-        raise InputError("sweep takes --q or --alpha, not both")
-    if args.alpha is None and args.q is None:
-        raise InputError("sweep needs --q or --alpha")
-    crossover_mode = args.alpha is not None
-    rtol = args.tol if args.tol is not None else DEFAULT_VERIFY_RTOL
-    if crossover_mode:
-        backend = FloatBackend(args.prec)
+    if (args.alpha is None) == (args.q is None):
+        raise InputError("give exactly one of --q and --alpha")
+    kpz = args.alpha is None
+    if kpz:
+        qfrac = _parse_fraction("q", args.q)
+        backend = _backend(args)
     else:
-        kind, qfrac = _parse_q_text(args.q, args)
-        backend = _make_backend(kind, args)
+        backend = FloatBackend(args.prec)
 
     rows = []
-    pred_cache: dict = {}
+    predictions: dict = {}
     for N in Ns:
         p = _particles(args, N)
         rho = p / N
-        if crossover_mode:
+        if kpz:
+            make_params = partial(_model, N, p, qfrac)
+            if rho not in predictions:
+                sd = asymptotics.saddle_data(rho, qvalue(qfrac))
+                predictions[rho] = asymptotics.kpz_coefficient(sd)
+            qcol = float(qfrac)
+        else:
             def make_params(be, N=N, p=p):
                 with be.workprec():
                     qs = mpmath.exp(be.integer(-1) * args.alpha
                                     / mpmath.sqrt(N))
                 return stationary.ModelParams(N=N, p=p, q=qvalue(qs, be))
 
-            J, Delta = _verified_float_delta(make_params, backend, rtol)
-            if rho not in pred_cache:
-                pred_cache[rho] = asymptotics.crossover_prediction(
+            if rho not in predictions:
+                predictions[rho] = asymptotics.crossover_prediction(
                     rho, args.alpha).prediction
-            prediction = pred_cache[rho]
-            gap = Delta / N - prediction
             qcol = float(make_params(backend).q.q)
-        else:
-            make_params = partial(_model, N, p, qfrac)
-            if backend.exact:
-                res = cumulants.delta_exact_resummed(make_params(backend))
-                J, Delta = float(res.J), float(res.Delta)
-            else:
-                J, Delta = _verified_float_delta(make_params, backend, rtol)
-            key = (rho, qfrac)
-            if key not in pred_cache:
-                sd = asymptotics.saddle_data(rho, qvalue(qfrac, RATIONAL))
-                pred_cache[key] = asymptotics.kpz_coefficient(sd)
-            prediction = pred_cache[key]
-            gap = Delta / N ** 1.5 - prediction
-            qcol = float(qfrac)
-        rows.append((N, p, qcol, J, Delta, Delta / N ** 1.5, Delta / N,
-                     prediction, gap))
+        values, _ = _evaluate(make_params, backend, args.tol)
+        J, Delta = float(values["J"]), float(values["Delta"])
+        d32, d1 = Delta / N ** 1.5, Delta / N
+        gap = (d32 if kpz else d1) - predictions[rho]
+        rows.append((N, p, qcol, J, Delta, d32, d1, predictions[rho], gap))
     return rows
 
 
 def cmd_sweep(args) -> int:
-    rows = _sweep_rows(args)
     lines = ["N,p,q,J,Delta,Delta_over_N32,Delta_over_N,prediction,gap"]
-    for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    lines += [",".join(map(str, row)) for row in _sweep_rows(args)]
+    _write("\n".join(lines) + "\n", args)
     return 0
 
 
@@ -391,74 +316,60 @@ def cmd_sweep(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# every flag of the CLI; each subcommand declares the ones it reads
+FLAGS = {
+    "n": dict(type=int, help="number of sites"),
+    "p": dict(type=int, help="number of particles"),
+    "rho": dict(help="density p/N"),
+    "q": dict(help="deformation parameter, 'a/b' or decimal"),
+    "alpha": dict(type=float, help="q = exp(-alpha/sqrt(N))"),
+    "backend": dict(choices=("rational", "float"), default="rational"),
+    "prec": dict(type=int, default=DEFAULT_PREC_BITS,
+                 help="float backend mantissa bits"),
+    "tol": dict(type=float, help="tolerance of the 2P agreement (exact, "
+                "sweep), the saddle point (asymptotic) or the quadrature "
+                "(crossover)"),
+    "imax": dict(type=int, help="truncate the i-sum instead of resumming"),
+    "seed": dict(type=int, default=1),
+    "reps": dict(type=int, default=50),
+    "t-burn": dict(type=float),
+    "t-measure": dict(type=float, default=1000.0),
+    "init": dict(choices=simulate.INIT_MODES,
+                 default="stationary-product-rejection"),
+    "out": dict(help="write to this file instead of stdout"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qboson",
         description="Current statistics of the q-boson zero range process")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, q_required=True, n_as_list=False):
-        if n_as_list:
-            sp.add_argument("--n", type=str, default=None,
-                            help="comma-separated list of ring sizes")
-        else:
-            sp.add_argument("--n", type=int, default=None,
-                            help="number of sites")
-        sp.add_argument("--p", type=int, default=None,
-                        help="number of particles")
-        sp.add_argument("--rho", type=str, default=None,
-                        help="density p/N (alternative to --p)")
-        if q_required:
-            sp.add_argument("--q", type=str, default=None,
-                            help="deformation parameter, 'a/b' or decimal")
-        sp.add_argument("--backend", choices=("rational", "float"),
-                        default="rational")
-        sp.add_argument("--prec", type=int, default=DEFAULT_PREC_BITS,
-                        help="float backend mantissa bits")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--out", type=str, default=None)
+    def command(name, func, help, *flags):
+        sp = sub.add_parser(name, help=help)
+        for flag in flags + ("out",):
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("exact", help="exact J and Delta from the series formula")
-    common(sp)
-    sp.add_argument("--imax", type=int, default=None,
-                    help="truncate the i-sum instead of resumming")
-    sp.set_defaults(func=cmd_exact)
-
-    sp = sub.add_parser("oracle", help="spectral perturbation ground truth")
-    common(sp)
-    sp.set_defaults(func=cmd_oracle)
-
-    sp = sub.add_parser("simulate", help="kinetic Monte Carlo estimates")
-    common(sp)
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--reps", type=int, default=50)
-    sp.add_argument("--t-burn", dest="t_burn", type=float, default=None)
-    sp.add_argument("--t-measure", dest="t_measure", type=float,
-                    default=1000.0)
-    sp.add_argument("--init", choices=simulate.INIT_MODES,
-                    default="stationary-product-rejection")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("asymptotic", help="saddle-point data and KPZ constants")
-    common(sp)
-    sp.set_defaults(func=cmd_asymptotic)
-
-    sp = sub.add_parser("crossover", help="EW-KPZ crossover prediction")
-    common(sp, q_required=False)
-    sp.add_argument("--q", type=str, default=None, help=argparse.SUPPRESS)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.set_defaults(func=cmd_crossover)
-
-    sp = sub.add_parser("verify-tq",
-                        help="first-order functional-equation check")
-    common(sp)
-    sp.set_defaults(func=cmd_verify_tq)
-
-    sp = sub.add_parser("sweep", help="CSV table over a grid of N")
-    common(sp, n_as_list=True)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.set_defaults(func=cmd_sweep)
-
+    system = ("n", "p", "rho", "q")
+    command("exact", cmd_exact, "exact J and Delta from the series formula",
+            *system, "backend", "prec", "tol", "imax")
+    command("oracle", cmd_oracle, "spectral perturbation ground truth",
+            *system, "backend")
+    command("simulate", cmd_simulate, "kinetic Monte Carlo estimates",
+            *system, "seed", "reps", "t-burn", "t-measure", "init")
+    command("asymptotic", cmd_asymptotic,
+            "saddle-point data and KPZ constants", "rho", "q", "tol")
+    command("crossover", cmd_crossover, "EW-KPZ crossover prediction",
+            "rho", "alpha", "tol")
+    command("verify-tq", cmd_verify_tq,
+            "first-order functional-equation check",
+            *system, "backend", "prec")
+    sp = command("sweep", cmd_sweep, "CSV table over a grid of N",
+                 "p", "rho", "q", "alpha", "backend", "prec", "tol")
+    sp.add_argument("--n", help="comma-separated list of ring sizes")
     return parser
 
 

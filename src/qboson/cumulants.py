@@ -35,8 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import (Backend, InputError, PrecisionError,
-                       REGIME_GREATER_ONE, TruncSeries, geometric_factor)
+from .numerics import (Backend, InputError, REGIME_GREATER_ONE, TruncSeries,
+                       geometric_factor, negligible)
 from .stationary import (ModelParams, StationaryData, compute_stationary,
                          phi_coefficients)
 
@@ -51,11 +51,13 @@ class DeltaResult:
 
     method is "resummed" (exact geometric resummation) or "truncated"
     (partial i-sum up to i_max with a geometric tail bound, in Delta
-    units).  Delta = p*J + prefactor*(S1 + S2) with prefactor 2N^2/Z^2.
+    units).  Delta = p*J + prefactor*(S1 + S2) with prefactor 2N^2/Z^2,
+    Z = Z(N, p).
     """
 
     Delta: object
     J: object
+    Z: object
     pJ: object
     S1: object
     S2: object
@@ -78,25 +80,18 @@ def _a_coefficients(p: int, C, phi: TruncSeries, backend: Backend) -> list:
 
 def _check_a0(a0, p: int, C, phi: TruncSeries, backend: Backend):
     """A_0 vanishes identically; enforce before dropping its divergent branch."""
-    if backend.exact:
-        if a0 != 0:
-            raise ArithmeticError(
-                f"internal identity violated: A_0 = {a0} != 0 on the "
-                "rational backend")
-        return
     scale = sum(abs(C[p - 1 - b] * phi.coeff(b)) for b in range(p))
-    # 2^(-prec/2) leaves half the mantissa as safety margin
-    tol = scale * (backend.integer(2) ** (-(backend.prec_bits // 2)))
-    if abs(a0) > tol and scale != 0:
-        raise PrecisionError(
-            f"A_0 = {a0} is not negligible (scale {scale}); increase the "
-            "float precision")
+    if not negligible("A_0", a0, scale, backend):
+        raise ArithmeticError(
+            f"internal identity violated: A_0 = {a0} != 0 on the "
+            "rational backend")
 
 
 def _unity_result(params: ModelParams) -> DeltaResult:
     p = params.backend.integer(params.p)
     zero = params.backend.integer(0)
-    return DeltaResult(Delta=p, J=p, pJ=p * p, S1=zero, S2=zero,
+    Z = compute_stationary(params).Zvals[params.p]
+    return DeltaResult(Delta=p, J=p, Z=Z, pJ=p * p, S1=zero, S2=zero,
                        prefactor=zero, method="resummed")
 
 
@@ -113,14 +108,13 @@ class _Terms:
     prefactor: object  # 2 N^2 / Z(N,p)^2
 
 
-def _terms(params: ModelParams, stat: StationaryData | None) -> _Terms:
-    """Build (or reuse) F^N, then phi, the checked A_k, S1 and the prefactor.
+def _terms(params: ModelParams) -> _Terms:
+    """Build F^N, then phi, the checked A_k, S1 and the prefactor.
 
     Call inside the backend's working precision.
     """
     backend = params.backend
-    if stat is None:
-        stat = compute_stationary(params)
+    stat = compute_stationary(params)
     p, N = params.p, params.N
     Z = stat.Zvals
     C = stat.Fn.coeffs
@@ -142,18 +136,18 @@ def _result(params: ModelParams, t: _Terms, S2, method: str,
     S2 = t.sign * S2
     pJ = params.p * t.stat.J
     Delta = pJ + t.prefactor * (t.S1 + S2)
-    return DeltaResult(Delta=Delta, J=t.stat.J, pJ=pJ, S1=t.S1, S2=S2,
-                       prefactor=t.prefactor, method=method, **extra)
+    return DeltaResult(Delta=Delta, J=t.stat.J, Z=t.stat.Zvals[params.p],
+                       pJ=pJ, S1=t.S1, S2=S2, prefactor=t.prefactor,
+                       method=method, **extra)
 
 
-def delta_exact_resummed(params: ModelParams,
-                         stat: StationaryData | None = None) -> DeltaResult:
+def delta_exact_resummed(params: ModelParams) -> DeltaResult:
     """Exact Delta with the i-sum resummed in closed form per (k, b)."""
     if params.q.is_unity:
         return _unity_result(params)
     backend = params.backend
     with backend.workprec():
-        t = _terms(params, stat)
+        t = _terms(params)
         p = params.p
         Z, C, phi, A = t.stat.Zvals, t.C, t.phi.coeffs, t.A
         gf = {a: geometric_factor(params.q.r, a) for a in range(1, 2 * p)}
@@ -168,8 +162,7 @@ def delta_exact_resummed(params: ModelParams,
         return _result(params, t, S2, "resummed")
 
 
-def delta_exact_truncated(params: ModelParams, i_max: int,
-                          stat: StationaryData | None = None) -> DeltaResult:
+def delta_exact_truncated(params: ModelParams, i_max: int) -> DeltaResult:
     """Delta with the i-sum evaluated term by term up to i_max.
 
     Exists as a cross-check of the resummation; reports the geometric tail
@@ -181,7 +174,7 @@ def delta_exact_truncated(params: ModelParams, i_max: int,
         return _unity_result(params)
     backend = params.backend
     with backend.workprec():
-        t = _terms(params, stat)
+        t = _terms(params)
         p = params.p
         Z, C, phi, A = t.stat.Zvals, t.C, t.phi.coeffs, t.A
         r = params.q.r
@@ -209,8 +202,7 @@ def delta_exact_truncated(params: ModelParams, i_max: int,
                        tail_bound=tail)
 
 
-def delta_fss_estimate(params: ModelParams,
-                       stat: StationaryData | None = None):
+def delta_fss_estimate(params: ModelParams):
     """Finite-size estimate N^2 Z(2N,2p)/Z(N,p)^2 (j_N - j_{2N}).
 
     Agrees with the exact Delta up to a relative O(1/N) error in the
@@ -220,8 +212,7 @@ def delta_fss_estimate(params: ModelParams,
     params.q.require_series_regime("the finite-size-scaling estimate")
     backend = params.backend
     with backend.workprec():
-        if stat is None:
-            stat = compute_stationary(params)
+        stat = compute_stationary(params)
         p, N = params.p, params.N
         # F^(2N) at degree 2p is just (F^N)^2 at the degree already built
         F2n = stat.Fn.mul(stat.Fn)

@@ -15,6 +15,7 @@ Two interchangeable scalar backends are provided:
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -107,6 +108,33 @@ def rel_close(a, b, rtol) -> bool:
     return abs(a - b) <= rtol * scale
 
 
+def require_positive(name: str, value: float) -> float:
+    """value, if it is finite and > 0; InputError otherwise (NaN included)."""
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def negligible(what: str, x, scale, backend: Backend) -> bool:
+    """Whether x, a sum of terms that cancel identically, is zero.
+
+    On the rational backend x must be exactly zero and scale is not read.
+    On the float backend x counts as zero when |x| <= scale * 2^-(prec//2),
+    scale being the sum of the absolute values of the terms summed into x;
+    half the mantissa is the margin for rounding.  A larger |x| means the
+    working precision fell short, so it raises PrecisionError.
+    """
+    if backend.exact:
+        return x == 0
+    with backend.workprec():
+        if abs(x) <= scale * mpmath.mpf(2) ** -(backend.prec_bits // 2):
+            return True
+    raise PrecisionError(
+        f"{what} = {mpmath.nstr(x, 10)} is not negligible against the "
+        f"scale {mpmath.nstr(scale, 10)} at {backend.prec_bits} bits; "
+        "increase the float precision")
+
+
 def verify_at_double_precision(compute: Callable[[Backend], dict],
                                backend: FloatBackend,
                                rtol: float = DEFAULT_VERIFY_RTOL) -> dict:
@@ -117,6 +145,7 @@ def verify_at_double_precision(compute: Callable[[Backend], dict],
     Coefficient growth of F^N is hard to bound a priori, so acceptance by
     recomputation is the contract of the float backend.
     """
+    require_positive("rtol", rtol)
     with backend.workprec():
         base = compute(backend)
     doubled = backend.doubled()
@@ -282,17 +311,8 @@ class TruncSeries:
             out.append(coeff * power)
         return TruncSeries(out)
 
-    def __add__(self, other):
-        return self.add(other)
-
-    def __mul__(self, other):
-        return self.mul(other)
-
     def __eq__(self, other):
         return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:4])

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb
 
 from .numerics import Backend, InputError, SolverError
-from .stationary import ModelParams, rate_u, weight_f
+from .stationary import ModelParams, rate_u, weight_series
 
 STATE_SPACE_CAP = 20_000
 # the exact oracle's cost is fill and big-integer growth, not the state
@@ -137,7 +137,7 @@ def _generator_matrix(gen: GeneratorPair):
 def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
     """pi(n) proportional to prod_i f(n_i), normalized."""
     backend = gen.backend
-    ftab = [weight_f(m, params.q) for m in range(params.p + 1)]
+    ftab = weight_series(params.q, params.p).coeffs
     weights = []
     for cfg in gen.space.configs:
         w = backend.integer(1)

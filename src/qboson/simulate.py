@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .numerics import InputError, SolverError
-from .stationary import ModelParams, rate_u, weight_f
+from .numerics import InputError, SolverError, require_positive
+from .stationary import ModelParams, rate_u, weight_series
 from . import asymptotics
 
 if TYPE_CHECKING:
@@ -109,10 +109,9 @@ class SimConfig:
     init: str = "stationary-product-rejection"
 
     def __post_init__(self):
-        if self.t_measure <= 0:
-            raise InputError("t_measure must be positive")
-        if self.t_burn is not None and self.t_burn <= 0:
-            raise InputError("t_burn must be positive")
+        require_positive("t_measure", self.t_measure)
+        if self.t_burn is not None:
+            require_positive("t_burn", self.t_burn)
         if self.reps < 3:
             raise InputError(
                 "need reps >= 3: the jackknife error of the variance leaves "
@@ -177,7 +176,8 @@ def initial_config(params: ModelParams, mode: str,
     # product-measure rejection: i.i.d. site occupations with weights
     # f(m) z^m (truncated at p), accepted when the total is exactly p
     z = _stationary_fugacity(params)
-    w = np.array([float(weight_f(m, params.q)) * z ** m for m in range(p + 1)],
+    w = np.array([float(f) * z ** m for m, f in
+                  enumerate(weight_series(params.q, p).coeffs)],
                  dtype=np.float64)
     w /= w.sum()
     for _ in range(1_000_000):

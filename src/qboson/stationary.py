@@ -59,18 +59,11 @@ def rate_u(n: int, q: QValue):
     return (1 - q.q ** n) / (1 - q.q)
 
 
-def weight_f(m: int, q: QValue):
-    """One-site stationary weight f(m) = prod_{j=1}^m 1/u(j); f(0) = 1."""
-    if m < 0:
-        raise InputError(f"occupation must be >= 0, got {m}")
-    value = q.backend.integer(1)
-    for j in range(1, m + 1):
-        value = value / rate_u(j, q)
-    return value
-
-
 def weight_series(q: QValue, degree: int) -> TruncSeries:
-    """F(z) = sum_m f(m) z^m truncated at the given degree."""
+    """F(z) = sum_m f(m) z^m truncated at the given degree.
+
+    f(0) = 1 and f(m) = f(m-1)/u(m), the one-site stationary weights.
+    """
     backend = q.backend
     coeffs = [backend.integer(1)]
     for j in range(1, degree + 1):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import Backend, InputError, TruncSeries
+from .numerics import Backend, InputError, TruncSeries, negligible
 from .stationary import ModelParams, compute_stationary
 
 
@@ -79,6 +79,26 @@ def q1_polynomial(b1: TruncSeries, params: ModelParams) -> TruncSeries:
     return _series(out, params)
 
 
+def _abs(s: TruncSeries) -> TruncSeries:
+    return TruncSeries([abs(c) for c in s.coeffs])
+
+
+def _first_nonzero(what: str, value: TruncSeries, scale, count: int,
+                   backend: Backend) -> int | None:
+    """The first k < count whose coefficient of value is not zero, or None.
+
+    Each coefficient is tested by ``numerics.negligible``; scale() gives the
+    series of their scales and is only built on the float backend, the one
+    that reads it.
+    """
+    scales = value if backend.exact else scale()
+    for k in range(count):
+        if not negligible(f"{what} coefficient of x^{k}", value.coeff(k),
+                          scales.coeff(k), backend):
+            return k
+    return None
+
+
 def t1_polynomial(b1: TruncSeries, params: ModelParams) -> TruncSeries:
     """T_1 = N q^p + x^{-p} [ (1-x)^N B_1(x) - B_1(qx) ].
 
@@ -88,22 +108,19 @@ def t1_polynomial(b1: TruncSeries, params: ModelParams) -> TruncSeries:
     backend = params.backend
     q = params.q.q
     N, p = params.N, params.p
-    bracket = _series(one_minus_x_pow(N, backend), params).mul(b1).add(
-        b1.scale_arg(q).scale(backend.integer(-1)))
-    for k in range(p):
-        if not _is_negligible(bracket.coeff(k), backend):
-            raise ArithmeticError(
-                f"bracket coefficient of x^{k} is {bracket.coeff(k)}, "
-                "expected 0; B_1 construction is inconsistent")
+    onemx = _series(one_minus_x_pow(N, backend), params)
+    bracket = onemx.mul(b1).add(b1.scale_arg(q).scale(backend.integer(-1)))
+    k = _first_nonzero(
+        "bracket", bracket,
+        lambda: _abs(onemx).mul(_abs(b1)).add(_abs(b1).scale_arg(abs(q))),
+        p, backend)
+    if k is not None:
+        raise ArithmeticError(
+            f"bracket coefficient of x^{k} is {bracket.coeff(k)}, "
+            "expected 0; B_1 construction is inconsistent")
     t1 = list(bracket.coeffs[p:])
     t1[0] = t1[0] + N * q ** p
     return _series(t1, params)
-
-
-def _is_negligible(x, backend: Backend) -> bool:
-    if backend.exact:
-        return x == 0
-    return abs(x) <= backend.integer(2) ** (-(backend.prec_bits // 2))
 
 
 def build_first_order(params: ModelParams) -> TqFirstOrder:
@@ -126,21 +143,30 @@ def build_first_order(params: ModelParams) -> TqFirstOrder:
 def verify_first_order(tq: TqFirstOrder) -> tuple[bool, TruncSeries]:
     """Residual of T0 Q1 + T1 Q0 - Q1(qx) - N Q0(qx) - q^p (1-x)^N Q1(x/q).
 
-    Returns (success, residual); success means an identically zero
-    polynomial (exact backend) or all coefficients negligible (float).
+    Returns (success, residual); success means every coefficient is zero
+    by ``numerics.negligible``: exactly on the rational backend, to the
+    working precision on the float backend, which raises PrecisionError
+    where it falls short.
     """
     params = tq.params
     backend = params.backend
-    q = params.q.q
-    N, p = params.N, params.p
+    N = backend.integer(params.N)
+    onemx = _series(one_minus_x_pow(params.N, backend), params)
+
+    def sides(T0, T1, Q0, Q1, onemx, q):
+        lhs = T0.mul(Q1).add(T1.mul(Q0))
+        rhs = Q1.scale_arg(q).add(Q0.scale_arg(q).scale(N))
+        third = onemx.mul(Q1.scale_arg(backend.integer(1) / q))
+        return lhs, rhs.add(third.scale(q ** params.p))
+
     with backend.workprec():
-        lhs = tq.T0.mul(tq.Q1).add(tq.T1.mul(tq.Q0))
-        rhs = tq.Q1.scale_arg(q).add(
-            tq.Q0.scale_arg(q).scale(backend.integer(N)))
-        qinv = backend.integer(1) / q
-        third = _series(one_minus_x_pow(N, backend), params).mul(
-            tq.Q1.scale_arg(qinv))
-        rhs = rhs.add(third.scale(q ** p))
+        lhs, rhs = sides(tq.T0, tq.T1, tq.Q0, tq.Q1, onemx, params.q.q)
         residual = lhs.add(rhs.scale(backend.integer(-1)))
-        ok = all(_is_negligible(c, backend) for c in residual.coeffs)
+
+        def scale():
+            lhs, rhs = sides(*map(_abs, (tq.T0, tq.T1, tq.Q0, tq.Q1, onemx)),
+                             abs(params.q.q))
+            return lhs.add(rhs)
+        ok = _first_nonzero("residual", residual, scale,
+                            residual.degree + 1, backend) is None
     return ok, residual

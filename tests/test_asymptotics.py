@@ -259,6 +259,14 @@ class TestCrossover:
         assert cd.prediction == 2.0
         assert cd.Fg == 1.0
 
+    @pytest.mark.parametrize("alpha,tol", [
+        (float("nan"), 1e-10), (float("inf"), 1e-10), (float("-inf"), 1e-10),
+        (1.0, float("nan")), (1.0, 0.0), (1.0, -1.0),
+    ])
+    def test_prediction_rejects_nonfinite_input(self, alpha, tol):
+        with pytest.raises(InputError):
+            crossover_prediction(1.0, alpha, tol)
+
     def test_ew_constants(self):
         cd = crossover_prediction(1.5, 1.0)
         assert cd.D_ew == 1.5

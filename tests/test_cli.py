@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import qboson
 from qboson import stationary
-from qboson.cli import main
+from qboson.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -326,3 +327,108 @@ def test_import_loads_no_scipy():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+# one request per subcommand, each setting most of the flags it declares
+ONE_REQUEST = {
+    "exact": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float",
+              "--prec", "64", "--tol", "1e-10", "--imax", "30"],
+    "oracle": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float"],
+    "simulate": ["--n", "2", "--p", "2", "--q", "1/2", "--seed", "3",
+                 "--reps", "3", "--t-burn", "2", "--t-measure", "5",
+                 "--init", "all-equal"],
+    "asymptotic": ["--rho", "1", "--q", "1/2", "--tol", "1e-12"],
+    "crossover": ["--rho", "1", "--alpha", "1", "--tol", "1e-9"],
+    "verify-tq": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float",
+                  "--prec", "64"],
+    "sweep": ["--n", "2,3", "--p", "2", "--q", "1/2", "--backend", "float",
+              "--prec", "64", "--tol", "1e-10"],
+}
+
+# flags these subcommands do not read: a value would be ignored, or would
+# only set the precision of inputs that are rounded to float64
+DELETED_FLAGS = [
+    ("oracle", "--tol", "1e-10"), ("simulate", "--tol", "1e-10"),
+    ("verify-tq", "--tol", "1e-10"),
+    ("asymptotic", "--n", "4"), ("asymptotic", "--p", "4"),
+    ("asymptotic", "--backend", "float"), ("asymptotic", "--prec", "64"),
+    ("crossover", "--n", "4"), ("crossover", "--p", "4"),
+    ("crossover", "--q", "1/2"), ("crossover", "--backend", "float"),
+    ("crossover", "--prec", "64"),
+    ("oracle", "--prec", "64"), ("simulate", "--backend", "float"),
+    ("simulate", "--prec", "64"),
+]
+
+
+def declared_flags(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+
+class TestDeclaredFlags:
+    @pytest.mark.parametrize("command", sorted(ONE_REQUEST))
+    def test_request_echoes_only_declared_flags(self, capsys, command):
+        code, out = run_cli(capsys, command, *ONE_REQUEST[command])
+        assert code == 0
+        if command == "sweep":
+            assert out.startswith(TestSweep.HEADER + "\n")
+            return
+        request = json.loads(out)["request"]
+        assert request["command"] == command
+        assert set(request) <= declared_flags(command) | {"command"}
+
+    @pytest.mark.parametrize("command,flag,value", DELETED_FLAGS)
+    def test_deleted_flag_exits_2(self, capsys, command, flag, value):
+        assert flag.lstrip("-") not in declared_flags(command)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *ONE_REQUEST[command], flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["crossover", "--rho", "1", "--alpha", "nan"],
+    ["crossover", "--rho", "1", "--alpha", "inf"],
+    ["crossover", "--rho", "1", "--alpha", "1", "--tol", "nan"],
+    ["asymptotic", "--rho", "1", "--q", "1/2", "--tol", "-1"],
+    ["exact", "--n", "3", "--p", "3", "--q", "1/2", "--backend", "float",
+     "--tol", "nan"],
+    ["exact", "--n", "3", "--p", "3", "--q", "1/2", "--backend", "float",
+     "--tol", "-1"],
+    ["sweep", "--rho", "1", "--alpha", "nan", "--n", "4"],
+])
+def test_nonfinite_or_nonpositive_float_flag_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_exact_at_unity_prints_partition_function(capsys):
+    # Z(3, 2) at q = 1 is 3^2/2!
+    doc = run_json(capsys, "exact", "--n", "3", "--p", "2", "--q", "1")
+    assert doc["result"]["Z"] == "9/2"
+
+
+class TestVerifyTqFloat:
+    def test_lambda1_equals_J(self, capsys):
+        doc = run_json(capsys, "verify-tq", "--n", "7", "--p", "5",
+                       "--q", "3/10", "--backend", "float")
+        assert doc["result"]["lambda1_equals_J"] is True
+        assert doc["result"]["residual_zero"] is True
+
+    @pytest.mark.parametrize("n,p,q", [("16", "64", "3"), ("12", "48", "4")])
+    def test_large_coefficients_pass_relative_check(self, capsys, n, p, q):
+        doc = run_json(capsys, "verify-tq", "--n", n, "--p", p, "--q", q,
+                       "--backend", "float")
+        assert doc["result"]["residual_zero"] is True
+        assert doc["result"]["lambda1_equals_J"] is True
+
+    def test_precision_shortfall_exits_3(self, capsys):
+        argv = ["verify-tq", "--n", "8", "--p", "40", "--q", "5",
+                "--backend", "float"]
+        code = main(argv)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("precision failure: ")
+        assert main(argv + ["--prec", "512"]) == 0

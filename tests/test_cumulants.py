@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 from qboson.numerics import FloatBackend, InputError, qvalue
-from qboson.stationary import ModelParams, model
+from qboson.stationary import ModelParams, compute_stationary, model
 from qboson.cumulants import (delta_exact_resummed, delta_exact_truncated,
                               delta_fss_estimate)
 from qboson.oracle import lambda_derivatives
@@ -32,6 +32,13 @@ class TestClosedForms:
         for N in range(1, 12):
             res = delta_exact_resummed(model(N, 2, F(0)))
             assert res.Delta == F(4 * N * (2 * N + 1), 3 * (N + 1) ** 2)
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(3), F(1)])
+    def test_result_carries_partition_function(self, q):
+        m = model(4, 3, q)
+        Z = compute_stationary(m).Zvals[3]
+        assert delta_exact_resummed(m).Z == Z
+        assert delta_exact_truncated(m, 5).Z == Z
 
     def test_unity_degeneration(self):
         res = delta_exact_resummed(model(3, 4, F(1)))

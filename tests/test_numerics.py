@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qboson.numerics import (FloatBackend, InputError, PrecisionError,
-                             RATIONAL, TruncSeries, geometric_factor, qvalue,
-                             rel_close, verify_at_double_precision)
+                             RATIONAL, TruncSeries, geometric_factor,
+                             negligible, qvalue, rel_close,
+                             verify_at_double_precision)
 from qboson.stationary import compute_stationary, model, weight_series
 
 
@@ -204,6 +205,30 @@ class TestFloatBackend:
 
         with pytest.raises(PrecisionError):
             verify_at_double_precision(compute, be, rtol=1e-12)
+
+
+class TestNegligible:
+    def test_rational_means_exactly_zero(self):
+        assert negligible("x", F(0), F(1), RATIONAL)
+        assert not negligible("x", F(1, 10 ** 100), F(10 ** 100), RATIONAL)
+
+    def test_float_tolerance_scales_with_terms(self):
+        # 2^-(64 // 2) of the scale is the tolerance at 64 bits
+        be = FloatBackend(64)
+        with be.workprec():
+            tiny = mpmath.mpf(2) ** -33
+            big = mpmath.mpf(2) ** 100
+            assert negligible("x", tiny * big, big, be)
+            with pytest.raises(PrecisionError):
+                negligible("x", 4 * tiny * big, big, be)
+            with pytest.raises(PrecisionError):
+                negligible("x", tiny, mpmath.mpf(0), be)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_verify_rejects_bad_tolerance(self, value):
+        with pytest.raises(InputError):
+            verify_at_double_precision(lambda b: {"x": b.integer(1)},
+                                       FloatBackend(64), rtol=value)
 
 
 class TestRelClose:

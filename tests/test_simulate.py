@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qboson import asymptotics
+from qboson.numerics import InputError
 from qboson.stationary import model, site_marginal
 from qboson.cumulants import delta_exact_resummed
 from qboson.simulate import (SimConfig, estimate_cumulants, initial_config,
@@ -17,6 +18,17 @@ class TestConfigValidation:
             SimConfig(params=m, t_measure=0.0, reps=4, seed=1)
         with pytest.raises(Exception):
             SimConfig(params=m, t_measure=1.0, reps=1, seed=1)
+
+    @pytest.mark.parametrize("window", [
+        {"t_measure": float("nan")}, {"t_measure": float("inf")},
+        {"t_measure": 1.0, "t_burn": float("nan")},
+        {"t_measure": 1.0, "t_burn": float("inf")},
+        {"t_measure": 1.0, "t_burn": 0.0},
+    ])
+    def test_rejects_nonfinite_windows(self, window):
+        # a NaN window never ends: the kernel would run forever
+        with pytest.raises(InputError):
+            SimConfig(params=model(2, 2, F(1, 2)), reps=3, seed=1, **window)
 
     def test_default_burn_in(self):
         m = model(6, 3, F(1, 2))

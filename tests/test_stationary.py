@@ -7,7 +7,7 @@ from qboson.numerics import FloatBackend, InputError, qvalue
 from qboson.stationary import (ModelParams, compute_stationary,
                                intensive_quantities, model,
                                occupation_moments, phi_coefficients, rate_u,
-                               site_marginal, weight_f, weight_series)
+                               site_marginal, weight_series)
 
 
 def compositions(N, p):
@@ -23,7 +23,7 @@ def compositions(N, p):
 def brute_force_Z(N, p, q):
     """Independent enumeration oracle for the partition function."""
     qv = qvalue(q)
-    ftab = [weight_f(m, qv) for m in range(p + 1)]
+    ftab = weight_series(qv, p).coeffs
     total = F(0)
     for cfg in compositions(N, p):
         w = F(1)
@@ -56,23 +56,23 @@ class TestRates:
 
 class TestWeights:
     def test_f0(self):
-        assert weight_f(0, qvalue(F(1, 2))) == 1
+        assert weight_series(qvalue(F(1, 2)), 0).coeff(0) == 1
 
     def test_f2_half(self):
-        assert weight_f(2, qvalue(F(1, 2))) == F(2, 3)
+        assert weight_series(qvalue(F(1, 2)), 2).coeff(2) == F(2, 3)
 
     def test_q_zero_all_one(self):
-        for n in range(6):
-            assert weight_f(n, qvalue(F(0))) == 1
+        for f in weight_series(qvalue(F(0)), 5).coeffs:
+            assert f == 1
 
     def test_unity_factorial(self):
         import math
-        for m in range(6):
-            assert weight_f(m, qvalue(F(1))) == F(1, math.factorial(m))
+        for m, f in enumerate(weight_series(qvalue(F(1)), 5).coeffs):
+            assert f == F(1, math.factorial(m))
 
     def test_positive_for_negative_q(self):
-        for m in range(8):
-            assert weight_f(m, qvalue(F(-3, 4))) > 0
+        for f in weight_series(qvalue(F(-3, 4)), 7).coeffs:
+            assert f > 0
 
 
 class TestPartition:
@@ -93,7 +93,7 @@ class TestPartition:
         for p in range(1, 6):
             for q in (F(-1, 2), F(1, 2), F(3)):
                 assert compute_stationary(model(1, p, q)).Zvals[p] == \
-                    weight_f(p, qvalue(q))
+                    weight_series(qvalue(q), p).coeff(p)
 
     @pytest.mark.parametrize("N,p", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3),
                                      (5, 2), (2, 5), (4, 4)])
@@ -245,4 +245,7 @@ def test_weight_series_coefficients():
     qv = qvalue(F(1, 2))
     ser = weight_series(qv, 4)
     for m in range(5):
-        assert ser.coeff(m) == weight_f(m, qv)
+        f = F(1)
+        for j in range(1, m + 1):
+            f /= rate_u(j, qv)
+        assert ser.coeff(m) == f
