@@ -232,7 +232,7 @@ def cmd_crossover(args) -> int:
 def cmd_verify_tq(args) -> int:
     backend = _backend(args)
     first = tq.build_first_order(_model(*_system(args), backend))
-    ok, residual = tq.verify_first_order(first)
+    ok, residual, relative = tq.verify_first_order(first)
     with backend.workprec():
         max_resid = max(abs(c) for c in residual.coeffs)
         q1_at_1 = sum(first.Q1.coeffs)
@@ -241,6 +241,7 @@ def cmd_verify_tq(args) -> int:
     _emit(args, _describe(backend), {
         "residual_zero": ok,
         "max_residual": _scalar(max_resid, backend),
+        "max_relative_residual": _scalar(relative, backend),
         "lambda1": _scalar(first.lambda1, backend),
         "J": _scalar(first.J, backend),
         "lambda1_equals_J": lambda1_is_J,

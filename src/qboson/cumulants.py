@@ -69,13 +69,8 @@ class DeltaResult:
 
 def _a_coefficients(p: int, C, phi: TruncSeries, backend: Backend) -> list:
     """A_k = sum_{a+b=p-1-k} C_a phi_b for k = 0..p-1."""
-    out = []
-    for k in range(p):
-        acc = backend.integer(0)
-        for b in range(p - k):
-            acc += C[p - 1 - k - b] * phi.coeffs[b]
-        out.append(acc)
-    return out
+    return [backend.dot(C[p - 1 - k::-1], phi.coeffs[:p - k])
+            for k in range(p)]
 
 
 def _check_a0(a0, p: int, C, phi: TruncSeries, backend: Backend):
@@ -122,9 +117,7 @@ def _terms(params: ModelParams) -> _Terms:
     A = _a_coefficients(p, C, phi, backend)
     _check_a0(A[0], p, C, phi, backend)
     sign = _regime_sign(params)
-    S1 = backend.integer(0)
-    for k in range(p):
-        S1 += Z[p + k] * A[k]
+    S1 = backend.dot(Z[p:2 * p], A)
     prefactor = 2 * backend.integer(N) ** 2 / Z[p] ** 2
     return _Terms(stat=stat, C=C, phi=phi, A=A, sign=sign, S1=sign * S1,
                   prefactor=prefactor)
@@ -150,15 +143,15 @@ def delta_exact_resummed(params: ModelParams) -> DeltaResult:
         t = _terms(params)
         p = params.p
         Z, C, phi, A = t.stat.Zvals, t.C, t.phi.coeffs, t.A
-        gf = {a: geometric_factor(params.q.r, a) for a in range(1, 2 * p)}
-        S2 = backend.integer(0)
-        for k in range(p):
-            inner = backend.integer(0)
-            for b in range(p - k):
-                inner += C[p - 1 - k - b] * phi[b] * gf[k + 1 + b]
-            if k >= 1:
-                inner += A[k] * gf[k]
-            S2 += Z[p + k] * inner
+        # gf[a] = r^a / (1 - r^a) for a = 1..p
+        gf = [None] + [geometric_factor(params.q.r, a)
+                       for a in range(1, p + 1)]
+        inner = [backend.dot(C[p - 1 - k::-1], phi[:p - k], gf[k + 1:])
+                 for k in range(p)]
+        # A_0 = 0 carries the divergent i-independent branch; it is dropped
+        for k in range(1, p):
+            inner[k] = inner[k] + A[k] * gf[k]
+        S2 = backend.dot(Z[p:2 * p], inner)
         return _result(params, t, S2, "resummed")
 
 
@@ -178,24 +171,27 @@ def delta_exact_truncated(params: ModelParams, i_max: int) -> DeltaResult:
         p = params.p
         Z, C, phi, A = t.stat.Zvals, t.C, t.phi.coeffs, t.A
         r = params.q.r
-        S2 = backend.integer(0)
+        # S2 = sum_{i, k} r^(ik) Z(N, p+k) (sum_b C_{p-1-k-b} phi_b r^(i(b+1))
+        #                                    + A_k), one dot over (i, k)
+        rik, Zk, inner = [], [], []
         for i in range(1, i_max + 1):
             ri = r ** i
-            rik = backend.integer(1)
-            for k in range(p):
-                inner = backend.integer(0)
-                rib = ri
-                for b in range(p - k):
-                    inner += C[p - 1 - k - b] * phi[b] * rib
-                    rib = rib * ri
-                S2 += rik * Z[p + k] * (inner + A[k])
-                rik = rik * ri
+            powers = [backend.integer(1)]   # r^(i m) for m = 0..p
+            for _ in range(p):
+                powers.append(powers[-1] * ri)
+            rik += powers[:p]
+            Zk += Z[p:2 * p]
+            inner += [backend.dot(C[p - 1 - k::-1], phi[:p - k],
+                                  powers[1:p - k + 1]) + A[k]
+                      for k in range(p)]
+        S2 = backend.dot(rik, Zk, inner)
 
         # |i-th term| <= |r|^i * B, so the tail is <= B |r|^(i_max+1)/(1-|r|)
-        B = backend.integer(0)
-        for k in range(p):
-            bk = sum(abs(C[p - 1 - k - b] * phi[b]) for b in range(p - k))
-            B += Z[p + k] * (bk + abs(A[k]))
+        phi_abs = [abs(c) for c in phi]
+        C_abs = [abs(c) for c in C[:p]]
+        B = backend.dot(Z[p:2 * p], [
+            backend.dot(C_abs[p - 1 - k::-1], phi_abs[:p - k]) + abs(A[k])
+            for k in range(p)])
         r_abs = abs(r)
         tail = float(t.prefactor * B * r_abs ** (i_max + 1) / (1 - r_abs))
         return _result(params, t, S2, "truncated", i_max=i_max,
@@ -215,7 +211,7 @@ def delta_fss_estimate(params: ModelParams):
         stat = compute_stationary(params)
         p, N = params.p, params.N
         # F^(2N) at degree 2p is just (F^N)^2 at the degree already built
-        F2n = stat.Fn.mul(stat.Fn)
+        F2n = stat.Fn.mul(stat.Fn, backend)
         Z2 = F2n.coeffs
         jN = stat.Zvals[p - 1] / stat.Zvals[p]
         j2N = Z2[2 * p - 1] / Z2[2 * p]

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath
+from mpmath.libmp import from_man_exp
 
 
 class InputError(ValueError):
@@ -57,6 +59,18 @@ class RationalBackend:
     def workprec(self):
         return contextlib.nullcontext()
 
+    def dot(self, *vectors) -> Fraction:
+        """sum_i prod_v vectors[v][i] over vectors of equal length.
+
+        Each product is taken left to right and the sum runs in index
+        order from zero, so the Fraction operations are those of the
+        written-out loop.
+        """
+        terms = vectors[0]
+        for v in vectors[1:]:
+            terms = map(operator.mul, terms, v)
+        return sum(terms, Fraction(0))
+
     def __repr__(self):
         return "RationalBackend()"
 
@@ -86,6 +100,44 @@ class FloatBackend:
 
     def workprec(self):
         return mpmath.workprec(self.prec_bits)
+
+    def dot(self, *vectors) -> mpmath.mpf:
+        """sum_i prod_v vectors[v][i], rounded once to prec_bits.
+
+        Entries are mpf or Python ints; the vectors have equal length.  The
+        mantissas of each product are multiplied exactly as Python ints.
+        Every product is then floored to one exponent, 32 + log2(length)
+        bits more than prec_bits below the top bit of the largest product,
+        and the sum of those ints is rounded to nearest once.  Flooring
+        costs at most 2^-(prec_bits+31) of the largest product, so the
+        result is within 2^-(prec_bits-1) of the sum of |products|.  Zero
+        products are skipped; an infinite or NaN entry raises
+        PrecisionError.  mpmath's global precision is not read.
+        """
+        mans, exps = [], []
+        for entries in zip(*vectors):
+            man, exp = 1, 0
+            for x in entries:
+                if type(x) is int:
+                    man *= x
+                    continue
+                sign, m, e, bc = x._mpf_
+                if bc < 0:   # mpmath's inf and nan carry bc = -2, -1
+                    raise PrecisionError(f"non-finite entry {x} in a dot "
+                                         "product")
+                man *= -m if sign else m
+                exp += e
+            if man:
+                mans.append(man)
+                exps.append(exp)
+        if not mans:
+            return mpmath.mpf(0)
+        top = max([m.bit_length() + e for m, e in zip(mans, exps)])
+        floor = top - self.prec_bits - 32 - len(mans).bit_length()
+        total = sum([m << (e - floor) if e >= floor else m >> (floor - e)
+                     for m, e in zip(mans, exps)])
+        return mpmath.mp.make_mpf(
+            from_man_exp(total, floor, self.prec_bits, "n"))
 
     def doubled(self) -> "FloatBackend":
         return FloatBackend(2 * self.prec_bits)
@@ -254,16 +306,13 @@ class TruncSeries:
         self._check_degree(other)
         return TruncSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def mul(self, other: "TruncSeries") -> "TruncSeries":
+    def mul(self, other: "TruncSeries",
+            backend: Backend = RATIONAL) -> "TruncSeries":
+        """The Cauchy product truncated at D: one backend.dot per term."""
         self._check_degree(other)
         a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(len(a)):
-            acc = a[0] * b[k]
-            for i in range(1, k + 1):
-                acc += a[i] * b[k - i]
-            out.append(acc)
-        return TruncSeries(out)
+        return TruncSeries([backend.dot(a[:k + 1], b[k::-1])
+                            for k in range(len(a))])
 
     def pow(self, n: int, backend: Backend = RATIONAL) -> "TruncSeries":
         """The n-th power by J. C. P. Miller's recurrence (Knuth, TAOCP 4.7).
@@ -273,7 +322,8 @@ class TruncSeries:
 
             k a_0 g_k = sum_{j=1..k} ((n+1) j - k) a_j g_{k-j},
 
-        with g_0 = a_0^n.  That is O(D^2) scalar operations whatever n is.
+        with g_0 = a_0^n: one backend.dot per coefficient, so O(D^2) scalar
+        operations whatever n is.
         A series z^v b(z) with b_0 != 0 is raised as z^(v n) b^n, so the
         power is zero once v n > D.  Division is by backend scalars, so
         rational coefficients stay exact.
@@ -292,10 +342,10 @@ class TruncSeries:
         a0 = a[0]
         g = [a0 ** n]
         for k in range(1, top + 1):
-            acc = zero
-            for j in range(1, k + 1):
-                acc += a[j] * g[k - j] * ((n + 1) * j - k)
-            g.append(acc / (k * a0))
+            # the integer weights (n+1) j - k for j = 1..k
+            weights = range(n + 1 - k, n * k + 1, n + 1)
+            g.append(backend.dot(a[1:k + 1], g[k - 1::-1], weights)
+                     / (k * a0))
         return TruncSeries([zero] * (v * n) + g)
 
     def scale(self, c) -> "TruncSeries":

@@ -95,24 +95,26 @@ class GeneratorPair:
 
 
 def build_generator(params: ModelParams) -> GeneratorPair:
+    """Rates and jumps, computed at the backend's working precision."""
     space = enumerate_configs(params.N, params.p)
     backend = params.backend
-    utab = [rate_u(n, params.q) for n in range(params.p + 1)]
     R = []
     jumps = []
-    for src, cfg in enumerate(space.configs):
-        total = backend.integer(0)
-        for i, n in enumerate(cfg):
-            if n == 0:
-                continue
-            rate = utab[n]
-            total += rate
-            j = (i + 1) % params.N
-            moved = list(cfg)
-            moved[i] -= 1
-            moved[j] += 1
-            jumps.append((src, space.index[tuple(moved)], rate))
-        R.append(total)
+    with backend.workprec():
+        utab = [rate_u(n, params.q) for n in range(params.p + 1)]
+        for src, cfg in enumerate(space.configs):
+            total = backend.integer(0)
+            for i, n in enumerate(cfg):
+                if n == 0:
+                    continue
+                rate = utab[n]
+                total += rate
+                j = (i + 1) % params.N
+                moved = list(cfg)
+                moved[i] -= 1
+                moved[j] += 1
+                jumps.append((src, space.index[tuple(moved)], rate))
+            R.append(total)
     return GeneratorPair(space=space, R=tuple(R), jumps=tuple(jumps),
                          backend=backend)
 
@@ -135,17 +137,19 @@ def _generator_matrix(gen: GeneratorPair):
 
 
 def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
-    """pi(n) proportional to prod_i f(n_i), normalized."""
+    """pi(n) proportional to prod_i f(n_i), normalized, at the backend's
+    working precision."""
     backend = gen.backend
-    ftab = weight_series(params.q, params.p).coeffs
-    weights = []
-    for cfg in gen.space.configs:
-        w = backend.integer(1)
-        for n in cfg:
-            w = w * ftab[n]
-        weights.append(w)
-    Z = sum(weights)
-    return [w / Z for w in weights]
+    with backend.workprec():
+        ftab = weight_series(params.q, params.p).coeffs
+        weights = []
+        for cfg in gen.space.configs:
+            w = backend.integer(1)
+            for n in cfg:
+                w = w * ftab[n]
+            weights.append(w)
+        Z = sum(weights)
+        return [w / Z for w in weights]
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,7 @@ def _one_site_split(params: ModelParams):
     """
     F = weight_series(params.q, params.p)
     Fn1 = F.pow(params.N - 1, params.backend)
-    Zp = sum(F.coeff(m) * Fn1.coeff(params.p - m)
-             for m in range(params.p + 1))
+    Zp = params.backend.dot(F.coeffs, Fn1.coeffs[::-1])
     return F, Fn1, Zp
 
 
@@ -152,10 +151,8 @@ def occupation_moments(params: ModelParams, k: int):
         if params.N == 1:
             return backend.integer(0)
         F, Fn1, Zp = _one_site_split(params)
-        second = backend.integer(0)
-        for m in range(params.p + 1):
-            second += m * m * F.coeff(m) * Fn1.coeff(params.p - m)
-        second = second / Zp
+        second = backend.dot([m * m for m in range(params.p + 1)],
+                             F.coeffs, Fn1.coeffs[::-1]) / Zp
         return second - params.rho * params.rho
 
 

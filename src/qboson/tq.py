@@ -109,10 +109,12 @@ def t1_polynomial(b1: TruncSeries, params: ModelParams) -> TruncSeries:
     q = params.q.q
     N, p = params.N, params.p
     onemx = _series(one_minus_x_pow(N, backend), params)
-    bracket = onemx.mul(b1).add(b1.scale_arg(q).scale(backend.integer(-1)))
+    bracket = onemx.mul(b1, backend).add(
+        b1.scale_arg(q).scale(backend.integer(-1)))
     k = _first_nonzero(
         "bracket", bracket,
-        lambda: _abs(onemx).mul(_abs(b1)).add(_abs(b1).scale_arg(abs(q))),
+        lambda: _abs(onemx).mul(_abs(b1), backend).add(
+            _abs(b1).scale_arg(abs(q))),
         p, backend)
     if k is not None:
         raise ArithmeticError(
@@ -140,13 +142,16 @@ def build_first_order(params: ModelParams) -> TqFirstOrder:
                         lambda1=lambda1, J=stat.J)
 
 
-def verify_first_order(tq: TqFirstOrder) -> tuple[bool, TruncSeries]:
+def verify_first_order(tq: TqFirstOrder) -> tuple[bool, TruncSeries, object]:
     """Residual of T0 Q1 + T1 Q0 - Q1(qx) - N Q0(qx) - q^p (1-x)^N Q1(x/q).
 
-    Returns (success, residual); success means every coefficient is zero
-    by ``numerics.negligible``: exactly on the rational backend, to the
-    working precision on the float backend, which raises PrecisionError
-    where it falls short.
+    Returns (success, residual, relative); success means every coefficient
+    is zero by ``numerics.negligible``: exactly on the rational backend, to
+    the working precision on the float backend, which raises PrecisionError
+    where it falls short.  relative is the largest |residual_k| / scale_k,
+    scale_k being the sum of the absolute values of the terms of
+    coefficient k; an exactly zero residual has relative 0 without its
+    scales being built.
     """
     params = tq.params
     backend = params.backend
@@ -154,19 +159,22 @@ def verify_first_order(tq: TqFirstOrder) -> tuple[bool, TruncSeries]:
     onemx = _series(one_minus_x_pow(params.N, backend), params)
 
     def sides(T0, T1, Q0, Q1, onemx, q):
-        lhs = T0.mul(Q1).add(T1.mul(Q0))
+        lhs = T0.mul(Q1, backend).add(T1.mul(Q0, backend))
         rhs = Q1.scale_arg(q).add(Q0.scale_arg(q).scale(N))
-        third = onemx.mul(Q1.scale_arg(backend.integer(1) / q))
+        third = onemx.mul(Q1.scale_arg(backend.integer(1) / q), backend)
         return lhs, rhs.add(third.scale(q ** params.p))
 
     with backend.workprec():
         lhs, rhs = sides(tq.T0, tq.T1, tq.Q0, tq.Q1, onemx, params.q.q)
         residual = lhs.add(rhs.scale(backend.integer(-1)))
-
-        def scale():
-            lhs, rhs = sides(*map(_abs, (tq.T0, tq.T1, tq.Q0, tq.Q1, onemx)),
-                             abs(params.q.q))
-            return lhs.add(rhs)
-        ok = _first_nonzero("residual", residual, scale,
+        if backend.exact and not any(residual.coeffs):
+            return True, residual, backend.integer(0)
+        lhs, rhs = sides(*map(_abs, (tq.T0, tq.T1, tq.Q0, tq.Q1, onemx)),
+                         abs(params.q.q))
+        scales = lhs.add(rhs)
+        ok = _first_nonzero("residual", residual, lambda: scales,
                             residual.degree + 1, backend) is None
-    return ok, residual
+        relative = max((abs(x) / s for x, s in
+                        zip(residual.coeffs, scales.coeffs) if s),
+                       default=backend.integer(0))
+    return ok, residual, relative

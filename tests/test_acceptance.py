@@ -162,7 +162,7 @@ def test_criterion_10_tq_verification():
         for N in range(1, 7):
             for p in range(1, 7):
                 first = build_first_order(model(N, p, q))
-                ok, _ = verify_first_order(first)
+                ok, _, _ = verify_first_order(first)
                 assert ok
                 assert first.lambda1 == first.J
                 assert sum(first.Q1.coeffs) == p

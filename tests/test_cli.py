@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 import qboson
@@ -424,6 +425,15 @@ class TestVerifyTqFloat:
                        "--backend", "float")
         assert doc["result"]["residual_zero"] is True
         assert doc["result"]["lambda1_equals_J"] is True
+
+    def test_relative_residual_is_reported(self, capsys):
+        doc = run_json(capsys, "verify-tq", "--n", "16", "--p", "64",
+                       "--q", "3", "--backend", "float")
+        rel = mpmath.mpf(doc["result"]["max_relative_residual"])
+        assert 0 <= rel <= mpmath.mpf(2) ** -128
+        doc = run_json(capsys, "verify-tq", "--n", "5", "--p", "4",
+                       "--q", "1/2")
+        assert doc["result"]["max_relative_residual"] == "0/1"
 
     def test_precision_shortfall_exits_3(self, capsys):
         argv = ["verify-tq", "--n", "8", "--p", "40", "--q", "5",

@@ -1,9 +1,13 @@
 from fractions import Fraction as F
+from functools import partial
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qboson.numerics import FloatBackend, InputError, qvalue
+from qboson.cli import _evaluate, _model
+from qboson.numerics import FloatBackend, InputError, RATIONAL, qvalue
 from qboson.stationary import ModelParams, compute_stationary, model
 from qboson.cumulants import (delta_exact_resummed, delta_exact_truncated,
                               delta_fss_estimate)
@@ -169,3 +173,55 @@ class TestFloatBackend:
             a0 = sum(C[2 - b] * bad_phi.coeff(b) for b in range(3))
             with pytest.raises(PrecisionError):
                 _check_a0(a0, 3, C, bad_phi, be)
+
+
+def _rationals_in(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi,
+                        max_denominator=50).filter(lambda q: lo < q < hi)
+
+
+# q in (-1, 0), (0, 1), (1, 3) and within 1/100 of 1 on both sides
+Q_REGIMES = st.one_of(
+    _rationals_in(F(-1), F(0)), _rationals_in(F(0), F(1)),
+    _rationals_in(F(1), F(3)),
+    st.builds(lambda sign, d: 1 + sign * F(1, d), st.sampled_from((-1, 1)),
+              st.integers(101, 10_000)))
+
+
+def _float_and_exact(N, p, q, be):
+    """(value at be's precision, at twice it, exact) for F^N's coefficients
+    and for exact's J and Delta; the float run passes the 2P check."""
+    make = partial(_model, N, p, q)
+    values, _ = _evaluate(make, be, None)
+    exact, _ = _evaluate(make, RATIONAL, None)
+    check = delta_exact_resummed(make(be.doubled()))
+    return [(values["J"], check.J, exact["J"]),
+            (values["Delta"], check.Delta, exact["Delta"]),
+            *zip(*(compute_stationary(make(b)).Fn.coeffs
+                   for b in (be, be.doubled(), RATIONAL)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 12), Q_REGIMES)
+def test_float_series_equals_rational(N, p, q):
+    # Each 256-bit value lies within 2^-200 of the exact one, unless its
+    # 512-bit value differs from it by at least half its error, so that
+    # the doubled-precision check sees the loss; that happens only for
+    # q > 1 at small N (test_power_loses_bits_above_one).  Degree 2p <= 24
+    # bounds the cost of an example.
+    for x, x2, ref in _float_and_exact(N, p, q, FloatBackend(256)):
+        with mpmath.workprec(1024):
+            ref = mpmath.mpf(ref.numerator) / ref.denominator
+            err = abs(x - ref)
+            assert err <= abs(ref) * mpmath.mpf(2) ** -200 \
+                or abs(x - x2) >= err / 2, (N, p, q)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Miller's recurrence cancels for q > 1 at small "
+                   "N: F^1 loses about 380 bits at degree 24")
+def test_power_loses_bits_above_one():
+    for x, _, ref in _float_and_exact(1, 12, F(149, 50), FloatBackend(256)):
+        with mpmath.workprec(1024):
+            ref = mpmath.mpf(ref.numerator) / ref.denominator
+            assert abs(x - ref) <= abs(ref) * mpmath.mpf(2) ** -200

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction as F
 from math import comb
 
 import mpmath
 import pytest
+from mpmath.libmp import from_man_exp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -205,6 +207,74 @@ class TestFloatBackend:
 
         with pytest.raises(PrecisionError):
             verify_at_double_precision(compute, be, rtol=1e-12)
+
+
+def exact(x) -> F:
+    """An int or mpf as the Fraction it represents, with no rounding."""
+    if type(x) is int:
+        return F(x)
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * F(2) ** exp
+
+
+# mpf entries with up to 600-bit mantissas and exponents spread over 3000
+# bits, far wider than any precision drawn, and ints, as Miller's weights are
+FLOAT_ENTRIES = st.one_of(
+    st.builds(lambda man, exp: mpmath.mp.make_mpf(from_man_exp(man, exp)),
+              st.integers(-2 ** 600, 2 ** 600), st.integers(-1500, 1500)),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.just(0), st.just(mpmath.mpf(0)))
+
+
+@st.composite
+def dot_vectors(draw):
+    width = draw(st.integers(1, 3))
+    length = draw(st.integers(0, 12))
+    return [draw(st.lists(FLOAT_ENTRIES, min_size=length, max_size=length))
+            for _ in range(width)]
+
+
+class TestFloatDot:
+    @settings(max_examples=80, deadline=None)
+    @given(dot_vectors(), st.sampled_from((53, 256, 512)))
+    def test_one_rounding_bound(self, vectors, prec):
+        got = FloatBackend(prec).dot(*vectors)
+        terms = [math.prod(map(exact, entries)) for entries in zip(*vectors)]
+        want = sum(terms, F(0))
+        bound = sum(map(abs, terms), F(0)) / F(2) ** (prec - 1)
+        assert abs(exact(got) - want) <= bound
+        assert got._mpf_[3] <= prec
+
+    def test_zero_and_empty_vectors(self):
+        be = FloatBackend(256)
+        zeros = [mpmath.mpf(0), mpmath.mpf(0), 0]
+        assert be.dot(zeros, [mpmath.mpf(3), 5, mpmath.mpf(-7)]) == 0
+        assert be.dot([], []) == 0
+        assert be.dot([]) == 0
+
+    @pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
+    def test_nonfinite_entry_raises(self, bad):
+        with pytest.raises(PrecisionError):
+            FloatBackend(256).dot([mpmath.mpf(1), bad], [2, 0])
+
+    def test_ignores_global_precision(self):
+        be = FloatBackend(256)
+        with mpmath.workprec(600):
+            a = [mpmath.mpf(1) / k for k in range(1, 30)]
+            b = [mpmath.mpf(-1) ** k / (k + 1) for k in range(29)]
+        with mpmath.workprec(53):
+            low = be.dot(a, b, range(29))
+        with mpmath.workprec(1024):
+            high = be.dot(a, b, range(29))
+        assert low._mpf_ == high._mpf_
+        assert low._mpf_[3] > 53
+
+
+def test_rational_dot_is_the_written_out_sum():
+    a = [F(1, 3), F(-2, 5), F(7)]
+    b = [F(3, 2), 4, F(-1, 9)]
+    assert RATIONAL.dot(a, b, [1, 2, 3]) == F(1, 2) - F(16, 5) - F(7, 3)
+    assert RATIONAL.dot([], []) == 0
 
 
 class TestNegligible:

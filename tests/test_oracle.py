@@ -56,6 +56,15 @@ class TestGenerator:
         gen = build_generator(model(3, 3, F(-1, 2)))
         assert all(rate > 0 for _, _, rate in gen.jumps)
 
+    def test_float_rates_are_rounded_rational_rates(self):
+        # the 256-bit model rounds to the double nearest the exact rate
+        be = FloatBackend(256)
+        fgen = build_generator(model(3, 3, be.ratio(3, 10), be))
+        rgen = build_generator(model(3, 3, F(3, 10)))
+        assert ([float(rate) for _, _, rate in fgen.jumps]
+                == [float(rate) for _, _, rate in rgen.jumps])
+        assert [float(r) for r in fgen.R] == [float(r) for r in rgen.R]
+
 
 class TestStationaryVector:
     def test_product_form_solves_generator(self):

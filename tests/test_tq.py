@@ -90,7 +90,7 @@ class TestIdentity:
         for N in range(1, 7):
             for p in range(1, 7):
                 first = build_first_order(model(N, p, q))
-                ok, residual = verify_first_order(first)
+                ok, residual, _ = verify_first_order(first)
                 assert ok, (N, p, q, residual)
                 assert first.lambda1 == first.J
                 assert sum(first.Q1.coeffs) == p
@@ -98,6 +98,6 @@ class TestIdentity:
     def test_specific_cases(self):
         for N, p, q in ((2, 1, F(1, 2)), (4, 3, F(2)), (3, 2, F(-1, 2))):
             first = build_first_order(model(N, p, q))
-            ok, residual = verify_first_order(first)
+            ok, residual, _ = verify_first_order(first)
             assert ok
             assert all(c == 0 for c in residual.coeffs)
