@@ -35,7 +35,17 @@ SCHEMA = 1
 
 
 def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    # the program's own results may pass CPython's 4300-digit int-to-str
+    # limit (absent before 3.10.7), so it is lifted for the conversion
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return f"{x.numerator}/{x.denominator}"
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    finally:
+        set_limit(limit)
 
 
 def _mpf_str(x, prec_bits: int) -> str:

@@ -10,15 +10,26 @@ and 1^T the left null vector of L (so 1^T M = R^T):
     lambda_2 = J/2 + R . psi,   L psi = (lambda_1 I - M) pi,  1^T psi = 0
     Delta    = 2 lambda_2
 
-The singular solve is regularized by bordering L with the constraint row,
-[[L, 1], [1^T, 0]].  The rational backend builds the bordered rows straight
-from the jumps as sparse {column: Fraction} dicts and solves them by exact
-Gaussian elimination and back substitution (``_solve_fraction``), capped at
+Both backends fix the gauge of the singular solve the same way: pin
+psi_k = 0 at k = argmax pi, drop row and column k of L, solve the reduced
+system L_r, and project psi <- psi - (1^T psi) pi, which restores
+1^T psi = 0 because L pi = 0 and 1^T pi = 1.  The dropped row holds by
+itself, since the columns of L and the right-hand side both sum to zero.
+Pinning the most probable state keeps the multiple of pi that the
+projection removes, -psi_k / pi_k, small, and so the float rounding.
+The rational backend builds the reduced rows straight from the jumps as
+sparse {column: Fraction} dicts and solves them by exact Gaussian
+elimination and back substitution (``_solve_fraction``), capped at
 EXACT_STATE_CAP states.  The float backend builds L once as a scipy.sparse
-matrix (``_generator_matrix``) and solves the bordered system with
-``spsolve``; its cap is STATE_SPACE_CAP.  Ring translation symmetry is
-deliberately not exploited; the oracle stays simple and independently
-trustworthy.
+matrix (``_generator_matrix``) and factors L_r by sparse LU without
+pivoting; its cap is STATE_SPACE_CAP.  Elimination without pivoting is
+stable here: -L_r is a nonsingular M-matrix whose columns are diagonally
+dominant (the columns of L sum to zero, the chain is irreducible, and for
+N >= 2 there are no self-loops), any symmetric ordering keeps that, and
+Gaussian elimination on such a matrix grows its entries by at most a
+factor of 2.  The float solve's residual is checked against the full L,
+dropped row included.  Ring translation symmetry is deliberately not
+exploited; the oracle stays simple and independently trustworthy.
 """
 
 from __future__ import annotations
@@ -32,9 +43,10 @@ from .stationary import ModelParams, rate_u, weight_series
 
 STATE_SPACE_CAP = 20_000
 # the exact oracle's cost is fill and big-integer growth, not the state
-# count alone: 0.11 s at 84 states, 2.8 s at 252 (N = 6, p = 5),
-# 8.5 s at 286 (4, 10) and 18 s at 300 (2, 299), whose stationary weights
-# carry denominators of about 6700 digits (q = 1/2, 2-CPU host)
+# count alone: 0.1 s at 84 states, 2.6 s at 252 (N = 6, p = 5),
+# 6.6 s at 286 (4, 10) and 13 s at 300 (2, 299), whose stationary weights
+# carry denominators of about 6700 digits (q = 1/2, `oracle` end to end,
+# 2-CPU host)
 EXACT_STATE_CAP = 300
 
 
@@ -102,8 +114,9 @@ def build_generator(params: ModelParams) -> GeneratorPair:
     jumps = []
     with backend.workprec():
         utab = [rate_u(n, params.q) for n in range(params.p + 1)]
+        zero = backend.integer(0)
         for src, cfg in enumerate(space.configs):
-            total = backend.integer(0)
+            total = zero
             for i, n in enumerate(cfg):
                 if n == 0:
                     continue
@@ -142,9 +155,10 @@ def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
     backend = gen.backend
     with backend.workprec():
         ftab = weight_series(params.q, params.p).coeffs
+        one = backend.integer(1)
         weights = []
         for cfg in gen.space.configs:
-            w = backend.integer(1)
+            w = one
             for n in cfg:
                 w = w * ftab[n]
             weights.append(w)
@@ -220,36 +234,43 @@ def lambda_derivatives(params: ModelParams,
 
     if gen.backend.exact:
         lam1 = sum(r * w for r, w in zip(gen.R, pi))
-        # bordered rows [L | 1 | rhs], rhs = (lambda_1 I - M) pi
-        rows = [{i: -r, M: Fraction(1), M + 1: lam1 * w}
+        k = max(range(M), key=pi.__getitem__)
+        # reduced rows [L_r | rhs], rhs = (lambda_1 I - M) pi; state i sits
+        # in column col[i], the pinned state in column None, rhs in column n
+        n = M - 1
+        col = list(range(k)) + [None] + list(range(k, n))
+        rows = [{col[i]: -r, n: lam1 * w}
                 for i, (r, w) in enumerate(zip(gen.R, pi))]
         for src, dst, rate in gen.jumps:
             row = rows[dst]
-            row[src] = row.get(src, 0) + rate
-            row[M + 1] -= rate * pi[src]
-        rows = [{c: v for c, v in row.items() if v} for row in rows]
-        rows.append(dict.fromkeys(range(M), Fraction(1)))
-        sol = _solve_fraction(rows)
-        psi = sol[:M]
-        lam2 = lam1 / 2 + sum(r * x for r, x in zip(gen.R, psi))
+            row[col[src]] = row.get(col[src], 0) + rate
+            row[n] -= rate * pi[src]
+        del rows[k]
+        sol = _solve_fraction([{c: v for c, v in row.items()
+                                if v and c is not None} for row in rows])
+        # psi is sol with psi_k = 0, less (1^T sol) pi; as R . pi = lambda_1,
+        # that projection enters lambda_2 as one exact term
+        R = gen.R[:k] + gen.R[k + 1:]
+        lam2 = (lam1 / 2 + sum(r * x for r, x in zip(R, sol))
+                - lam1 * sum(sol))
         return OracleResult(J=lam1, Delta=2 * lam2, lambda1=lam1,
                             lambda2=lam2, size=M, residual=0.0)
 
     import numpy as np
-    from scipy import sparse
-    from scipy.sparse.linalg import spsolve
+    from scipy.sparse.linalg import splu
 
     L = _generator_matrix(gen)
     R = np.array([float(r) for r in gen.R])
     piv = np.array([float(w) for w in pi])
     lam1 = float(R @ piv)
     rhs = (lam1 - R) * piv - L @ piv  # (lambda_1 I - M) pi, M = L + diag(R)
-    ones = sparse.csc_matrix(np.ones((M, 1)))
-    A = sparse.bmat([[L, ones], [ones.T, None]], format="csc")
-    # minimum degree on A^T + A: the 3432-state ring factors in 0.6 s,
-    # against 1.1 s with the default COLAMD (2-CPU host)
-    sol = spsolve(A, np.append(rhs, 0.0), permc_spec="MMD_AT_PLUS_A")
-    psi = sol[:M]
+    k = int(np.argmax(piv))
+    keep = np.delete(np.arange(M), k)
+    lu = splu(L[keep][:, keep], permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0, options={"SymmetricMode": True})
+    psi = np.zeros(M)
+    psi[keep] = lu.solve(rhs[keep])
+    psi -= psi.sum() * piv
     residual = float(np.max(np.abs(L @ psi - rhs)))
     scale = max(1.0, float(np.max(np.abs(rhs))))
     if residual > tol * scale:
@@ -258,4 +279,3 @@ def lambda_derivatives(params: ModelParams,
     lam2 = lam1 / 2 + float(R @ psi)
     return OracleResult(J=lam1, Delta=2 * lam2, lambda1=lam1, lambda2=lam2,
                         size=M, residual=residual)
-

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import mpmath
 import pytest
 
 import qboson
-from qboson import stationary
+from qboson import cumulants, stationary
 from qboson.cli import build_parser, main
 
 
@@ -23,6 +24,21 @@ def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0, out
     return json.loads(out)
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift CPython's int/str conversion digit limit where it exists."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
 
 
 class TestExact:
@@ -63,6 +79,21 @@ class TestExact:
         exact = F(r["result"]["Delta"])
         assert float(f["result"]["Delta"]) == pytest.approx(
             float(exact), rel=1e-30)
+
+    def test_rational_output_of_any_size(self, capsys):
+        # S1 and S2 have about 7700 digits above and below the line, past
+        # CPython's default 4300-digit limit; the limit is left as it was
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        doc = run_json(capsys, "exact", "--n", "3", "--p", "24",
+                       "--q", "999983/1000003")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        want = cumulants.delta_exact_resummed(
+            stationary.model(3, 24, F(999983, 1000003)))
+        assert want.S1.denominator > 10 ** 4300
+        keys = ("Z", "J", "Delta", "pJ", "S1", "S2")
+        with unlimited_int_digits():
+            got = {key: F(doc["result"][key]) for key in keys}
+        assert got == {key: getattr(want, key) for key in keys}
 
     def test_truncated_method(self, capsys):
         doc = run_json(capsys, "exact", "--n", "2", "--p", "2", "--q", "1/2",

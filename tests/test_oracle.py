@@ -110,23 +110,31 @@ class TestLambdaDerivatives:
             res = lambda_derivatives(model(N, p, F(1)))
             assert res.J == p and res.Delta == p
 
+    @staticmethod
+    def _float_error(N, p, q):
+        """Relative errors of the float oracle's J and Delta against the
+        exact series."""
+        res = lambda_derivatives(
+            ModelParams(N=N, p=p, q=qvalue(float(q), FloatBackend(64))))
+        exact = delta_exact_resummed(model(N, p, q))
+        return (abs(res.J / float(exact.J) - 1),
+                abs(res.Delta / float(exact.Delta) - 1))
+
     def test_matches_formula_midsize(self):
-        # a state space in the hundreds, float solve
-        be = FloatBackend(64)
-        m = ModelParams(N=6, p=5, q=qvalue(0.5, be))
-        res = lambda_derivatives(m)
-        exact = delta_exact_resummed(model(6, 5, F(1, 2)))
-        assert abs(res.J - float(exact.J)) < 1e-10
-        assert abs(res.Delta - float(exact.Delta)) < 1e-8
+        # 252 states
+        assert max(self._float_error(6, 5, F(1, 2))) <= 1e-13
 
     def test_matches_formula_large(self):
-        # 1716 states: the biggest float solve exercised by the suite
-        be = FloatBackend(64)
-        m = ModelParams(N=8, p=6, q=qvalue(0.5, be))
-        res = lambda_derivatives(m)
-        exact = delta_exact_resummed(model(8, 6, F(1, 2)))
-        assert abs(res.J - float(exact.J)) < 1e-8
-        assert abs(res.Delta - float(exact.Delta)) < 1e-8
+        # 1716 states, and 3432: the benchmark's float oracle request
+        for N, p in ((8, 6), (8, 7)):
+            assert max(self._float_error(N, p, F(1, 2))) <= 1e-13
+
+    def test_pins_the_most_probable_state(self):
+        # 3432 states at q = 3, where pi spans many decades: pinning the
+        # most probable state leaves Delta within 4.4e-16 of the series;
+        # pinning the first, last, middle or least probable state instead
+        # leaves 9.8e-15 to 1.4e-14
+        assert self._float_error(8, 7, F(3))[1] <= 2e-15
 
     @pytest.mark.parametrize("N,p,q", [
         (1, 2, F(1, 2)),    # one state, self-loop cancelling R
@@ -178,6 +186,19 @@ def test_series_equals_rational_oracle(system, q):
     series = delta_exact_resummed(m)
     orc = lambda_derivatives(m)
     assert (series.J, series.Delta) == (orc.J, orc.Delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_SYSTEMS), Q_VALUES)
+@example((1, 3), F(1, 2))  # one state: the reduced system is empty
+def test_float_oracle_equals_rational_oracle(system, q):
+    N, p = system
+    exact = lambda_derivatives(model(N, p, q))
+    res = lambda_derivatives(
+        ModelParams(N=N, p=p, q=qvalue(float(q), FloatBackend(64))))
+    for got, want in ((res.J, exact.J), (res.Delta, exact.Delta),
+                      (res.lambda2, exact.lambda2)):
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 @st.composite
