@@ -10,9 +10,8 @@ from .numerics import (FloatBackend, InputError, PrecisionError, QValue,
                        RATIONAL, SolverError, TruncSeries, geometric_factor,
                        qvalue, verify_at_double_precision)
 from .stationary import (ModelParams, StationaryData, compute_stationary,
-                         intensive_quantities, model, occupation_moments,
-                         phi_coefficients, rate_u, site_marginal,
-                         weight_series)
+                         intensive_quantities, model, phi_coefficients,
+                         rate_u, weight_series)
 from .cumulants import (DeltaResult, delta_exact_resummed,
                         delta_exact_truncated, delta_fss_estimate)
 from .asymptotics import (CrossoverData, SaddleData, crossover_F,

@@ -20,6 +20,9 @@ from .numerics import (InputError, QValue, REGIME_GREATER_ONE, REGIME_UNITY,
                        SolverError, require_positive)
 
 SQRT_PI = math.sqrt(math.pi)
+# relative truncation bound of the product sum for ln F and its derivatives
+_PRODUCT_TOL = 1e-14
+_NEWTON_MAX_ITER = 400
 
 
 def _dlog1m(v: float, k: int) -> float:
@@ -52,13 +55,12 @@ def _product_params(q: QValue) -> tuple[float, float]:
     return 1.0 - qf, qf
 
 
-def log_f_log_derivative(z: float, q: QValue, k: int,
-                         tol: float = 1e-14) -> float:
+def log_f_log_derivative(z: float, q: QValue, k: int) -> float:
     """(z d/dz)^k ln F(z) by termwise differentiation of the product form.
 
     Truncates the product sum once the geometric tail bound drops below
-    tol.  z must lie inside the convergence domain: z (1-q) < 1 for
-    |q| < 1, any z > 0 for q > 1.
+    _PRODUCT_TOL relative to the sum.  z must lie inside the convergence
+    domain: z (1-q) < 1 for |q| < 1, any z > 0 for q > 1.
     """
     z = float(z)
     if z < 0:
@@ -80,14 +82,13 @@ def log_f_log_derivative(z: float, q: QValue, k: int,
         w *= t
         # once |w| < 1/2, |(w d/dw)^k ln(1 +- w)| <= 52 |w| for k <= 4, so
         # the remaining terms are bounded by 52 sum_{j>=0} |w| t^j
-        if abs(w) < 0.5 and \
-                52.0 * abs(w) / (1.0 - t_abs) <= tol * max(1.0, abs(acc)):
+        if abs(w) < 0.5 and 52.0 * abs(w) / (1.0 - t_abs) <= \
+                _PRODUCT_TOL * max(1.0, abs(acc)):
             return acc
     raise SolverError("product expansion of ln F did not converge")
 
 
-def saddle_point(rho: float, q: QValue, tol: float = 1e-13,
-                 max_iter: int = 400) -> float:
+def saddle_point(rho: float, q: QValue, tol: float = 1e-13) -> float:
     """Smallest positive root of z (ln F(z))' = rho.
 
     z (ln F)' is increasing in z with range (0, inf) on the admissible
@@ -118,7 +119,7 @@ def saddle_point(rho: float, q: QValue, tol: float = 1e-13,
         else:
             hi = mid
     z = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         g = L(z) - rho
         if abs(g) <= tol * max(1.0, rho):
             return z
@@ -172,26 +173,6 @@ def saddle_data(rho: float, q: QValue, tol: float = 1e-13) -> SaddleData:
     return SaddleData(rho=rho, q=q, zstar=zstar, h=tuple(h),
                       free_energy=-h[0], j_inf=zstar, lambda_nl=lam,
                       A=h2, current_fss=fss)
-
-
-def partition_asymp(N: int, saddle: SaddleData) -> float:
-    """Two-term saddle-point estimate of Z(N, rho N)."""
-    h0, _, h2, h3, h4 = saddle.h
-    correction = 1.0 + (h4 / (4 * h2 ** 2) - 5 * h3 ** 2 / (12 * h2 ** 3)) \
-        / (2 * N)
-    return math.exp(N * h0) / math.sqrt(2 * math.pi * N * h2) * correction
-
-
-def normalized_integral_expansion(g0: float, g1: float, g2: float,
-                                  saddle: SaddleData, N: int) -> float:
-    """First two orders of a Z-normalized coefficient ratio.
-
-    For integrand values g_k = (z d/dz)^k g at z*, the normalized integral
-    is g0 + (1/2N)(h3 g1/h2^2 - g2/h2) + O(N^-2); with g(z) = z this is
-    the two-term expansion of the bond current j_N.
-    """
-    _, _, h2, h3, _ = saddle.h
-    return g0 + (h3 * g1 / h2 ** 2 - g2 / h2) / (2 * N)
 
 
 def kpz_coefficient(saddle: SaddleData) -> float:

@@ -1,7 +1,7 @@
 """Exact group diffusion coefficient Delta of the q-boson ZRP.
 
-Delta = pJ + (2 N^2 / Z(N,p)^2) (S1 + S2), where with C_a the a-th
-coefficient of F^N, phi_b the phi-series coefficients, r the geometric
+Delta = pJ + (2 N^2 / Z(N,p)^2) (S1 + S2), where with C_a = Z(N, a) the
+a-th coefficient of F^N, phi_b the phi-series coefficients, r the geometric
 ratio (|r| < 1), and A_k = sum_{a+b=p-1-k} C_a phi_b:
 
     S1 = sum_{k=0}^{p-1} Z(N, p+k) A_k
@@ -92,10 +92,9 @@ def _unity_result(params: ModelParams) -> DeltaResult:
 
 @dataclass(frozen=True)
 class _Terms:
-    """What both evaluations of the i-sum share: C, phi, A_k, signed S1."""
+    """What both evaluations of the i-sum share: phi, A_k, signed S1."""
 
     stat: StationaryData
-    C: tuple          # coefficients of F^N
     phi: TruncSeries
     A: list
     sign: int
@@ -112,14 +111,13 @@ def _terms(params: ModelParams) -> _Terms:
     stat = compute_stationary(params)
     p, N = params.p, params.N
     Z = stat.Zvals
-    C = stat.Fn.coeffs
     phi = phi_coefficients(params, stat.J, p - 1)
-    A = _a_coefficients(p, C, phi, backend)
-    _check_a0(A[0], p, C, phi, backend)
+    A = _a_coefficients(p, Z, phi, backend)
+    _check_a0(A[0], p, Z, phi, backend)
     sign = _regime_sign(params)
     S1 = backend.dot(Z[p:2 * p], A)
     prefactor = 2 * backend.integer(N) ** 2 / Z[p] ** 2
-    return _Terms(stat=stat, C=C, phi=phi, A=A, sign=sign, S1=sign * S1,
+    return _Terms(stat=stat, phi=phi, A=A, sign=sign, S1=sign * S1,
                   prefactor=prefactor)
 
 
@@ -142,11 +140,11 @@ def delta_exact_resummed(params: ModelParams) -> DeltaResult:
     with backend.workprec():
         t = _terms(params)
         p = params.p
-        Z, C, phi, A = t.stat.Zvals, t.C, t.phi.coeffs, t.A
+        Z, phi, A = t.stat.Zvals, t.phi.coeffs, t.A
         # gf[a] = r^a / (1 - r^a) for a = 1..p
         gf = [None] + [geometric_factor(params.q.r, a)
                        for a in range(1, p + 1)]
-        inner = [backend.dot(C[p - 1 - k::-1], phi[:p - k], gf[k + 1:])
+        inner = [backend.dot(Z[p - 1 - k::-1], phi[:p - k], gf[k + 1:])
                  for k in range(p)]
         # A_0 = 0 carries the divergent i-independent branch; it is dropped
         for k in range(1, p):
@@ -169,7 +167,7 @@ def delta_exact_truncated(params: ModelParams, i_max: int) -> DeltaResult:
     with backend.workprec():
         t = _terms(params)
         p = params.p
-        Z, C, phi, A = t.stat.Zvals, t.C, t.phi.coeffs, t.A
+        Z, phi, A = t.stat.Zvals, t.phi.coeffs, t.A
         r = params.q.r
         # S2 = sum_{i, k} r^(ik) Z(N, p+k) (sum_b C_{p-1-k-b} phi_b r^(i(b+1))
         #                                    + A_k), one dot over (i, k)
@@ -181,14 +179,14 @@ def delta_exact_truncated(params: ModelParams, i_max: int) -> DeltaResult:
                 powers.append(powers[-1] * ri)
             rik += powers[:p]
             Zk += Z[p:2 * p]
-            inner += [backend.dot(C[p - 1 - k::-1], phi[:p - k],
+            inner += [backend.dot(Z[p - 1 - k::-1], phi[:p - k],
                                   powers[1:p - k + 1]) + A[k]
                       for k in range(p)]
         S2 = backend.dot(rik, Zk, inner)
 
         # |i-th term| <= |r|^i * B, so the tail is <= B |r|^(i_max+1)/(1-|r|)
         phi_abs = [abs(c) for c in phi]
-        C_abs = [abs(c) for c in C[:p]]
+        C_abs = [abs(c) for c in Z[:p]]
         B = backend.dot(Z[p:2 * p], [
             backend.dot(C_abs[p - 1 - k::-1], phi_abs[:p - k]) + abs(A[k])
             for k in range(p)])
@@ -211,8 +209,8 @@ def delta_fss_estimate(params: ModelParams):
         stat = compute_stationary(params)
         p, N = params.p, params.N
         # F^(2N) at degree 2p is just (F^N)^2 at the degree already built
-        F2n = stat.Fn.mul(stat.Fn, backend)
-        Z2 = F2n.coeffs
+        Fn = TruncSeries(stat.Zvals)
+        Z2 = Fn.mul(Fn, backend).coeffs
         jN = stat.Zvals[p - 1] / stat.Zvals[p]
         j2N = Z2[2 * p - 1] / Z2[2 * p]
         return (backend.integer(N) ** 2 * Z2[2 * p] / stat.Zvals[p] ** 2

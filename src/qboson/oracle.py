@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .numerics import Backend, InputError, SolverError
+from .numerics import InputError, SolverError
 from .stationary import ModelParams, rate_u, weight_series
 
 STATE_SPACE_CAP = 20_000
@@ -48,6 +48,9 @@ STATE_SPACE_CAP = 20_000
 # carry denominators of about 6700 digits (q = 1/2, `oracle` end to end,
 # 2-CPU host)
 EXACT_STATE_CAP = 300
+# the float solve's largest residual against the full L, relative to the
+# right-hand side's largest entry (at least 1)
+_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,6 @@ class GeneratorPair:
     space: ConfigSpace
     R: tuple
     jumps: tuple
-    backend: Backend
 
 
 def build_generator(params: ModelParams) -> GeneratorPair:
@@ -128,8 +130,7 @@ def build_generator(params: ModelParams) -> GeneratorPair:
                 moved[j] += 1
                 jumps.append((src, space.index[tuple(moved)], rate))
             R.append(total)
-    return GeneratorPair(space=space, R=tuple(R), jumps=tuple(jumps),
-                         backend=backend)
+    return GeneratorPair(space=space, R=tuple(R), jumps=tuple(jumps))
 
 
 def _generator_matrix(gen: GeneratorPair):
@@ -152,7 +153,7 @@ def _generator_matrix(gen: GeneratorPair):
 def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
     """pi(n) proportional to prod_i f(n_i), normalized, at the backend's
     working precision."""
-    backend = gen.backend
+    backend = params.backend
     with backend.workprec():
         ftab = weight_series(params.q, params.p).coeffs
         one = backend.integer(1)
@@ -220,19 +221,16 @@ class OracleResult:
     residual: float
 
 
-def lambda_derivatives(params: ModelParams,
-                       gen: GeneratorPair | None = None,
-                       tol: float = 1e-10) -> OracleResult:
+def lambda_derivatives(params: ModelParams) -> OracleResult:
     """First two scaled cumulants from Rayleigh-Schroedinger perturbation."""
     if params.backend.exact:
         _check_size(params.N, params.p, EXACT_STATE_CAP,
                     " of the exact rational solve; use the float backend")
-    if gen is None:
-        gen = build_generator(params)
+    gen = build_generator(params)
     M = gen.space.size
     pi = product_form_vector(params, gen)
 
-    if gen.backend.exact:
+    if params.backend.exact:
         lam1 = sum(r * w for r, w in zip(gen.R, pi))
         k = max(range(M), key=pi.__getitem__)
         # reduced rows [L_r | rhs], rhs = (lambda_1 I - M) pi; state i sits
@@ -273,9 +271,9 @@ def lambda_derivatives(params: ModelParams,
     psi -= psi.sum() * piv
     residual = float(np.max(np.abs(L @ psi - rhs)))
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    if residual > tol * scale:
+    if residual > _RESIDUAL_TOL * scale:
         raise SolverError(f"perturbation solve residual {residual} above "
-                          f"{tol} * {scale}")
+                          f"{_RESIDUAL_TOL} * {scale}")
     lam2 = lam1 / 2 + float(R @ psi)
     return OracleResult(J=lam1, Delta=2 * lam2, lambda1=lam1, lambda2=lam2,
                         size=M, residual=residual)

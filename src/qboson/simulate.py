@@ -112,6 +112,8 @@ class SimConfig:
         require_positive("t_measure", self.t_measure)
         if self.t_burn is not None:
             require_positive("t_burn", self.t_burn)
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.reps < 3:
             raise InputError(
                 "need reps >= 3: the jackknife error of the variance leaves "

@@ -3,7 +3,7 @@
 Rates u(n) = (1 - q^n)/(1 - q), one-site weights f(m) = 1/(u(1)...u(m)),
 the weight generating series F(z) = sum_m f(m) z^m, partition functions
 Z(N, k) read off as coefficients of F(z)^N, the mean integrated current
-J = N Z(N, p-1)/Z(N, p), site marginals, and the phi-series entering the
+J = N Z(N, p-1)/Z(N, p), and the phi-series entering the
 diffusion-coefficient formula.
 
 q = 1 is supported throughout this module (the weights degenerate to
@@ -73,11 +73,10 @@ def weight_series(q: QValue, degree: int) -> TruncSeries:
 
 @dataclass(frozen=True)
 class StationaryData:
-    """F^N, partition values Z(N, 0..2p) and the current J."""
+    """Partition values Z(N, 0..2p) and the current J."""
 
     params: ModelParams
-    Fn: TruncSeries           # F(z)^N to degree 2p
-    Zvals: tuple              # Z(N, k) for k = 0..2p
+    Zvals: tuple              # Z(N, k) = [z^k] F(z)^N for k = 0..2p
     J: object                 # mean integrated current, events per unit time
 
 
@@ -90,70 +89,19 @@ def compute_stationary(params: ModelParams) -> StationaryData:
     backend = params.backend
     D = 2 * params.p
     with backend.workprec():
-        F = weight_series(params.q, D)
-        Fn = F.pow(params.N, backend)
-        Zvals = tuple(Fn.coeffs)
+        Zvals = tuple(weight_series(params.q, D).pow(params.N, backend).coeffs)
         J = params.N * Zvals[params.p - 1] / Zvals[params.p]
-    return StationaryData(params=params, Fn=Fn, Zvals=Zvals, J=J)
+    return StationaryData(params=params, Zvals=Zvals, J=J)
 
 
-def intensive_quantities(params: ModelParams, J, Delta=None) -> dict:
-    """Per-bond and per-particle cumulants derived from J and Delta.
-
-    j_N = J/N and v^p = j_N/rho always; the Delta-type ratios only when
-    Delta is given.
-    """
+def intensive_quantities(params: ModelParams, J, Delta) -> dict:
+    """Per-bond and per-particle cumulants derived from J and Delta."""
     N = params.N
     rho = params.rho
     jN = J / N
-    out = {"j_N": jN, "v_p": jN / rho}
-    if Delta is not None:
-        Dj = Delta / (N * N)
-        out["Delta_j"] = Dj
-        out["Delta_p"] = Dj / (rho * rho)
-    return out
-
-
-def _one_site_split(params: ModelParams):
-    """F, F^(N-1) and Z(N, p) = sum_m f(m) Z(N-1, p-m), all at degree p.
-
-    Call inside the backend's working precision.
-    """
-    F = weight_series(params.q, params.p)
-    Fn1 = F.pow(params.N - 1, params.backend)
-    Zp = params.backend.dot(F.coeffs, Fn1.coeffs[::-1])
-    return F, Fn1, Zp
-
-
-def site_marginal(params: ModelParams, m: int):
-    """P(n_1 = m) = f(m) Z(N-1, p-m) / Z(N, p).
-
-    For N = 1 the marginal is the point mass at p.
-    """
-    if not 0 <= m <= params.p:
-        raise InputError(f"occupation {m} out of range 0..{params.p}")
-    backend = params.backend
-    if params.N == 1:
-        return backend.integer(1 if m == params.p else 0)
-    with backend.workprec():
-        F, Fn1, Zp = _one_site_split(params)
-        return F.coeff(m) * Fn1.coeff(params.p - m) / Zp
-
-
-def occupation_moments(params: ModelParams, k: int):
-    """Mean (k=1) or variance (k=2) of a single-site occupation number."""
-    if k not in (1, 2):
-        raise InputError(f"only moments k=1,2 are supported, got {k}")
-    backend = params.backend
-    if k == 1:
-        return params.rho
-    with backend.workprec():
-        if params.N == 1:
-            return backend.integer(0)
-        F, Fn1, Zp = _one_site_split(params)
-        second = backend.dot([m * m for m in range(params.p + 1)],
-                             F.coeffs, Fn1.coeffs[::-1]) / Zp
-        return second - params.rho * params.rho
+    Dj = Delta / (N * N)
+    return {"j_N": jN, "v_p": jN / rho, "Delta_j": Dj,
+            "Delta_p": Dj / (rho * rho)}
 
 
 def phi_coefficients(params: ModelParams, J, degree: int) -> TruncSeries:

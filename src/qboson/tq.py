@@ -52,15 +52,13 @@ class TqFirstOrder:
     J: object
 
 
-def b1_polynomial(params: ModelParams, stat=None) -> TruncSeries:
-    """b_i = -N (1-q)^{p-i} C_i / Z(N,p), i = 0..p-1, C_i = [z^i] F^N."""
+def b1_polynomial(params: ModelParams, stat) -> TruncSeries:
+    """b_i = -N (1-q)^{p-i} Z(N,i) / Z(N,p), i = 0..p-1."""
     params.q.require_series_regime("the first-order functional-equation step")
-    if stat is None:
-        stat = compute_stationary(params)
     q = params.q.q
     N, p = params.N, params.p
     Zp = stat.Zvals[p]
-    return _series([-N * (1 - q) ** (p - i) * stat.Fn.coeff(i) / Zp
+    return _series([-N * (1 - q) ** (p - i) * stat.Zvals[i] / Zp
                     for i in range(p)], params)
 
 

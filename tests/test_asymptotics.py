@@ -4,12 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from qboson.numerics import FloatBackend, InputError, qvalue
-from qboson.stationary import ModelParams, compute_stationary, model, \
-    occupation_moments
+from qboson.stationary import ModelParams, compute_stationary, model
 from qboson.asymptotics import (crossover_F, crossover_prediction,
                                 kpz_coefficient, log_f_log_derivative,
-                                normalized_integral_expansion,
-                                partition_asymp, saddle_data, saddle_point)
+                                saddle_data, saddle_point)
+from test_stationary import occupation_variance
 
 Q_HALF = qvalue(F(1, 2))
 Q_ZERO = qvalue(F(0))
@@ -141,9 +140,24 @@ class TestSaddleData:
         qf = qvalue(be.ratio(1, 2), be)
         gaps = []
         for N in (8, 16, 32):
-            var = occupation_moments(ModelParams(N=N, p=N, q=qf), 2)
+            var = occupation_variance(ModelParams(N=N, p=N, q=qf))
             gaps.append(abs(float(var) - sd.h[2]))
         assert gaps[2] < gaps[1] < gaps[0]
+
+    def test_current_fss_matches_series(self):
+        # j_N = j_inf + current_fss / N + O(N^-2); N^2 |gap| is 0.039
+        sd = saddle_data(1.0, Q_HALF)
+        for N in (8, 16, 32):
+            jN = float(compute_stationary(model(N, N, F(1, 2))).J) / N
+            assert abs(jN - (sd.j_inf + sd.current_fss / N)) < 0.1 / N ** 2
+
+
+def partition_asymp(N, saddle):
+    """Two-term saddle-point estimate of Z(N, rho N) from h_0, h_2..h_4."""
+    h0, _, h2, h3, h4 = saddle.h
+    correction = 1.0 + (h4 / (4 * h2 ** 2) - 5 * h3 ** 2 / (12 * h2 ** 3)) \
+        / (2 * N)
+    return math.exp(N * h0) / math.sqrt(2 * math.pi * N * h2) * correction
 
 
 class TestPartitionAsymp:
@@ -171,31 +185,6 @@ class TestPartitionAsymp:
         sd = saddle_data(1.0, Q_HALF)
         exact = float(compute_stationary(model(8, 8, F(1, 2))).Zvals[8])
         assert partition_asymp(8, sd) < exact
-
-
-class TestNormalizedIntegralExpansion:
-    def test_identity_integrand(self):
-        sd = saddle_data(1.0, Q_HALF)
-        assert normalized_integral_expansion(1.0, 0.0, 0.0, sd, 16) == 1.0
-
-    def test_current_expansion(self):
-        # g(z) = z reproduces the two-term j_N expansion with O(N^-2) error
-        sd = saddle_data(1.0, Q_HALF)
-        for N in (8, 16, 32):
-            jN = float(compute_stationary(model(N, N, F(1, 2))).J) / N
-            z = sd.zstar
-            pred = normalized_integral_expansion(z, z, z, sd, N)
-            assert abs(jN - pred) < 0.1 / N ** 2
-
-    def test_z_squared_at_q0(self):
-        # exact value of the normalized ratio is Z(N,p-2)/Z(N,p)
-        sd = saddle_data(1.0, Q_ZERO)
-        N = 32
-        stat = compute_stationary(model(N, N, F(0)))
-        exact = float(stat.Zvals[N - 2] / stat.Zvals[N])
-        z2 = sd.zstar ** 2
-        pred = normalized_integral_expansion(z2, 2 * z2, 4 * z2, sd, N)
-        assert abs(exact - pred) < 0.2 / N ** 2
 
 
 class TestKpzCoefficient:

@@ -223,6 +223,13 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_seed_exits_2(self, capsys):
+        # numpy's SeedSequence takes no negative entropy
+        code = main(["simulate", "--n", "3", "--p", "3", "--q", "1/2",
+                     "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: seed")
+
 
 class TestAsymptotic:
     def test_q0_reference_values(self, capsys):

@@ -169,7 +169,7 @@ class TestFloatBackend:
         stat = compute_stationary(m)
         with be.workprec():
             bad_phi = phi_coefficients(m, stat.J * (1 + be.ratio(1, 1000)), 2)
-            C = stat.Fn.coeffs
+            C = stat.Zvals
             a0 = sum(C[2 - b] * bad_phi.coeff(b) for b in range(3))
             with pytest.raises(PrecisionError):
                 _check_a0(a0, 3, C, bad_phi, be)
@@ -197,7 +197,7 @@ def _float_and_exact(N, p, q, be):
     check = delta_exact_resummed(make(be.doubled()))
     return [(values["J"], check.J, exact["J"]),
             (values["Delta"], check.Delta, exact["Delta"]),
-            *zip(*(compute_stationary(make(b)).Fn.coeffs
+            *zip(*(compute_stationary(make(b)).Zvals
                    for b in (be, be.doubled(), RATIONAL)))]
 
 

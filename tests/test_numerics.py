@@ -362,7 +362,7 @@ def test_float_series_roundtrip_matches_rational():
 def test_power_satisfies_q_difference_identity(q, N, p):
     # F(qz) = (1 - (1-q) z) F(z), so G = F^N has G(qz) = (1 - (1-q) z)^N G(z);
     # the binomial side is built without the series power under test
-    G = compute_stationary(model(N, p, q)).Fn
+    G = TruncSeries(compute_stationary(model(N, p, q)).Zvals)
     D = G.degree
     binom = TruncSeries([comb(N, k) * (q - 1) ** k for k in range(D + 1)])
     assert G.scale_arg(q) == binom.mul(G)

@@ -5,10 +5,11 @@ import pytest
 
 from qboson import asymptotics
 from qboson.numerics import InputError
-from qboson.stationary import model, site_marginal
+from qboson.stationary import model
 from qboson.cumulants import delta_exact_resummed
 from qboson.simulate import (SimConfig, estimate_cumulants, initial_config,
                              run_trajectory)
+from test_stationary import site_marginal
 
 
 class TestConfigValidation:
@@ -18,6 +19,11 @@ class TestConfigValidation:
             SimConfig(params=m, t_measure=0.0, reps=4, seed=1)
         with pytest.raises(Exception):
             SimConfig(params=m, t_measure=1.0, reps=1, seed=1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError):
+            SimConfig(params=model(2, 2, F(1, 2)), t_measure=1.0, reps=3,
+                      seed=-1)
 
     @pytest.mark.parametrize("window", [
         {"t_measure": float("nan")}, {"t_measure": float("inf")},
@@ -98,7 +104,7 @@ class TestTrajectories:
                         t_burn=200.0)
         traj = run_trajectory(cfg, 0)
         hist = traj.hist / traj.hist.sum()
-        exact = np.array([float(site_marginal(m, k)) for k in range(5)])
+        exact = np.array([float(x) for x in site_marginal(m)])
         chi2 = float(np.sum((hist - exact) ** 2 / exact))
         assert chi2 < 5e-4
         assert np.max(np.abs(hist - exact)) < 0.01

@@ -5,9 +5,8 @@ import pytest
 
 from qboson.numerics import FloatBackend, InputError, qvalue
 from qboson.stationary import (ModelParams, compute_stationary,
-                               intensive_quantities, model,
-                               occupation_moments, phi_coefficients, rate_u,
-                               site_marginal, weight_series)
+                               intensive_quantities, model, phi_coefficients,
+                               rate_u, weight_series)
 
 
 def compositions(N, p):
@@ -20,17 +19,37 @@ def compositions(N, p):
             yield (first,) + rest
 
 
-def brute_force_Z(N, p, q):
-    """Independent enumeration oracle for the partition function."""
+def brute_force_Z(N, p, q, observable=lambda cfg: 1):
+    """Independent enumeration oracle for the partition function, or for
+    the unnormalised sum of an observable over all configurations."""
     qv = qvalue(q)
     ftab = weight_series(qv, p).coeffs
     total = F(0)
     for cfg in compositions(N, p):
-        w = F(1)
+        w = F(observable(cfg))
         for n in cfg:
             w *= ftab[n]
         total += w
     return total
+
+
+def site_marginal(m):
+    """P(n_1 = k) = f(k) Z(N-1, p-k) / Z(N, p) for k = 0..p, N >= 2.
+
+    Built from the one-site weights and two compute_stationary calls.
+    """
+    f = weight_series(m.q, m.p).coeffs
+    rest = compute_stationary(ModelParams(N=m.N - 1, p=m.p, q=m.q)).Zvals
+    Z = compute_stationary(m).Zvals[m.p]
+    with m.backend.workprec():
+        return [f[k] * rest[m.p - k] / Z for k in range(m.p + 1)]
+
+
+def occupation_variance(m):
+    """Variance of n_1 under site_marginal."""
+    P = site_marginal(m)
+    with m.backend.workprec():
+        return sum(k * k * x for k, x in enumerate(P)) - m.rho * m.rho
 
 
 class TestRates:
@@ -138,12 +157,11 @@ class TestCurrent:
 
 class TestIntensive:
     def test_bond_current(self):
-        out = intensive_quantities(model(2, 2, F(1, 2)), F(12, 7))
+        out = intensive_quantities(model(2, 2, F(1, 2)), F(12, 7), F(1))
         assert out["j_N"] == F(6, 7)
-        assert "Delta_j" not in out
 
     def test_velocity_at_unit_density(self):
-        out = intensive_quantities(model(4, 4, F(1, 2)), F(4))
+        out = intensive_quantities(model(4, 4, F(1, 2)), F(4), F(1))
         assert out["v_p"] == 1
 
     def test_delta_ratios(self):
@@ -153,47 +171,35 @@ class TestIntensive:
 
 
 class TestSiteMarginal:
+    # sum_k f(k) Z(N-1, p-k) = Z(N, p) is F F^(N-1) = F^N read at degree p
     def test_normalization(self):
         for N, p, q in ((3, 4, F(1, 2)), (4, 3, F(2)), (2, 2, F(-1, 2))):
-            m = model(N, p, q)
-            assert sum(site_marginal(m, k) for k in range(p + 1)) == 1
+            assert sum(site_marginal(model(N, p, q))) == 1
 
     def test_symmetric_two_site(self):
-        m = model(2, 1, F(0))
-        assert site_marginal(m, 0) == F(1, 2)
-        assert site_marginal(m, 1) == F(1, 2)
+        assert site_marginal(model(2, 1, F(0))) == [F(1, 2), F(1, 2)]
 
     def test_enumerated_values(self):
-        m = model(2, 2, F(1, 2))
-        assert site_marginal(m, 1) == F(3, 7)
-        assert site_marginal(m, 0) == F(2, 7)
-        assert site_marginal(m, 2) == F(2, 7)
-
-    def test_single_site_delta(self):
-        m = model(1, 3, F(1, 2))
-        assert site_marginal(m, 3) == 1
-        assert site_marginal(m, 1) == 0
+        assert site_marginal(model(2, 2, F(1, 2))) == [F(2, 7), F(3, 7),
+                                                       F(2, 7)]
 
 
 class TestOccupationMoments:
     def test_mean_is_density(self):
+        # z (F^N)' = N z F' F^(N-1), read at degree p
         for N, p in ((2, 2), (3, 5), (4, 2)):
-            m = model(N, p, F(1, 2))
-            assert occupation_moments(m, 1) == F(p, N)
+            P = site_marginal(model(N, p, F(1, 2)))
+            assert sum(k * x for k, x in enumerate(P)) == F(p, N)
 
     def test_variance_enumerated(self):
-        m = model(2, 2, F(1, 2))
-        assert occupation_moments(m, 2) == F(4, 7)
+        assert occupation_variance(model(2, 2, F(1, 2))) == F(4, 7)
 
     def test_variance_from_marginal(self):
-        m = model(3, 4, F(2))
-        var = sum(k * k * site_marginal(m, k) for k in range(5)) - \
-            occupation_moments(m, 1) ** 2
-        assert occupation_moments(m, 2) == var
-
-    def test_higher_moments_rejected(self):
-        with pytest.raises(InputError):
-            occupation_moments(model(2, 2, F(1, 2)), 3)
+        # against the variance of n_1 over every configuration
+        N, p, q = 3, 4, F(2)
+        second = brute_force_Z(N, p, q, lambda cfg: cfg[0] ** 2)
+        var = second / brute_force_Z(N, p, q) - F(p, N) ** 2
+        assert occupation_variance(model(N, p, q)) == var
 
 
 class TestPhiSeries:
@@ -219,7 +225,7 @@ class TestPhiSeries:
         phi = phi_coefficients(m, stat.J, p - 1)
         acc = F(0)
         for b in range(p):
-            acc += stat.Fn.coeff(p - 1 - b) * phi.coeff(b)
+            acc += stat.Zvals[p - 1 - b] * phi.coeff(b)
         assert acc == 0
 
     def test_unity_rejected(self):

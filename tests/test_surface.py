@@ -1,0 +1,59 @@
+"""Every public module-level function and class of the package has a
+reference in the package outside its own definition.
+
+A reference is a Name, an Attribute or an imported name; the re-exports
+in ``__init__.py`` do not count, so a definition only tests call fails.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qboson"
+
+# public definitions kept without a caller in the package, with the reason
+ALLOWED = {
+    "delta_fss_estimate": "acceptance criterion 9 checks it as a route to "
+                          "Delta of its own",
+}
+
+
+def _referenced_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            for alias in sub.names:
+                yield alias.name
+
+
+def _scan():
+    """Public definitions as (module, name), and references as
+    (module, enclosing top-level definition or None, name)."""
+    definitions, references = [], []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = path.stem
+        for stmt in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                owner = stmt.name
+                if not owner.startswith("_"):
+                    definitions.append((module, owner))
+            references += [(module, owner, name)
+                           for name in _referenced_names(stmt)]
+    return definitions, references
+
+
+def test_every_public_definition_has_a_caller():
+    definitions, references = _scan()
+    uncalled = sorted(
+        f"{module}.{name}" for module, name in definitions
+        if name not in ALLOWED and not any(
+            ref == name and (ref_module, owner) != (module, name)
+            for ref_module, owner, ref in references))
+    assert uncalled == []
+    assert set(ALLOWED) <= {name for _, name in definitions}

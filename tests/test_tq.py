@@ -10,6 +10,10 @@ from qboson.tq import (b1_polynomial, build_first_order, q1_polynomial,
 Q_GRID = (F(-1, 2), F(1, 3), F(1, 2), F(2), F(3))
 
 
+def b1(m):
+    return b1_polynomial(m, compute_stationary(m))
+
+
 def padded(coeffs, m):
     """The polynomial with these coefficients at the degree N + p - 1."""
     return TruncSeries(list(coeffs) + [F(0)] * (m.N + m.p - len(coeffs)))
@@ -27,7 +31,7 @@ class TestB1:
         # p = 1: B_1 is the constant -N(1-q)/Z(N,1), Q_1 = 1, lambda_1 = 1
         for q in Q_GRID:
             m = model(4, 1, q)
-            b = b1_polynomial(m)
+            b = b1(m)
             # Z(N,1) = N cancels the N prefactor
             assert b == padded([-(1 - q)], m)
             q1 = q1_polynomial(b, m)
@@ -36,7 +40,7 @@ class TestB1:
     def test_b_q_relation(self):
         # b_i = (q^{p-i} - 1) q_i
         m = model(2, 3, F(1, 2))
-        b = b1_polynomial(m)
+        b = b1(m)
         q1 = q1_polynomial(b, m)
         q = F(1, 2)
         for i in range(3):
@@ -44,20 +48,20 @@ class TestB1:
 
     def test_unity_rejected(self):
         with pytest.raises(InputError):
-            b1_polynomial(model(2, 2, F(1)))
+            b1(model(2, 2, F(1)))
 
 
 class TestQ1:
     def test_sums_to_p(self):
         for N, p, q in ((3, 2, F(1, 2)), (2, 4, F(2)), (5, 3, F(-1, 2))):
             m = model(N, p, q)
-            q1 = q1_polynomial(b1_polynomial(m), m)
+            q1 = q1_polynomial(b1(m), m)
             assert sum(q1.coeffs) == p
 
     def test_top_coefficient_is_current(self):
         for N, p, q in ((4, 2, F(1, 3)), (3, 3, F(3)), (2, 5, F(1, 2))):
             m = model(N, p, q)
-            q1 = q1_polynomial(b1_polynomial(m), m)
+            q1 = q1_polynomial(b1(m), m)
             assert q1.coeff(p - 1) == compute_stationary(m).J
 
 
@@ -74,7 +78,7 @@ class TestT1:
     def test_bracket_divisibility_enforced(self):
         # corrupting B_1 must trip the divisibility check
         m = model(3, 2, F(1, 2))
-        b = b1_polynomial(m).add(TruncSeries.one(m.N + m.p - 1))
+        b = b1(m).add(TruncSeries.one(m.N + m.p - 1))
         with pytest.raises(ArithmeticError):
             t1_polynomial(b, m)
 
