@@ -22,26 +22,33 @@ sparse {column: Fraction} dicts and solves them by exact Gaussian
 elimination and back substitution (``_solve_fraction``), capped at
 EXACT_STATE_CAP states.  The float backend builds L once as a scipy.sparse
 matrix (``_generator_matrix``) and factors L_r by sparse LU without
-pivoting; its cap is STATE_SPACE_CAP.  Elimination without pivoting is
-stable here: -L_r is a nonsingular M-matrix whose columns are diagonally
-dominant (the columns of L sum to zero, the chain is irreducible, and for
-N >= 2 there are no self-loops), any symmetric ordering keeps that, and
-Gaussian elimination on such a matrix grows its entries by at most a
-factor of 2.  The float solve's residual is checked against the full L,
-dropped row included.  Ring translation symmetry is deliberately not
-exploited; the oracle stays simple and independently trustworthy.
+pivoting, capped at STATE_SPACE_CAP states; the LU's fill grows about as
+the square of the state count, and at the cap its L and U hold 1.14 M
+entries and ``oracle --backend float`` peaks at 83 MB.  Elimination
+without pivoting is stable here: -L_r is a nonsingular M-matrix whose
+columns are diagonally dominant (the columns of L sum to zero, the chain
+is irreducible, and for N >= 2 there are no self-loops), any symmetric
+ordering keeps that, and Gaussian elimination on such a matrix grows its
+entries by at most a factor of 2.  The float solve's residual is checked
+against the full L, dropped row included.  Ring translation symmetry is
+deliberately not exploited; the oracle stays simple and independently
+trustworthy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .numerics import InputError, SolverError
 from .stationary import ModelParams, rate_u, weight_series
 
-STATE_SPACE_CAP = 20_000
+# C(14, 7), the (N, p) = (8, 7) space of the largest float request in the
+# tests and the benchmark (fill 1.14 M, 83 MB peak); 12 870 states took
+# 16.6 M and 338 MB
+STATE_SPACE_CAP = 3432
 # the exact oracle's cost is fill and big-integer growth, not the state
 # count alone: 0.1 s at 84 states, 2.6 s at 252 (N = 6, p = 5),
 # 6.6 s at 286 (4, 10) and 13 s at 300 (2, 299), whose stationary weights
@@ -53,84 +60,66 @@ EXACT_STATE_CAP = 300
 _RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ConfigSpace:
-    """All occupation vectors (n_1..n_N) with sum p, lexicographic order."""
-
-    N: int
-    p: int
-    configs: tuple
-    index: dict
-
-    @property
-    def size(self) -> int:
-        return len(self.configs)
-
-
-def _check_size(N: int, p: int, cap: int, hint: str = "") -> int:
-    total = comb(N + p - 1, p)
-    if total > cap:
-        raise InputError(
-            f"configuration space C({N + p - 1},{p}) = {total} exceeds the "
-            f"cap {cap}{hint}")
-    return total
-
-
-def enumerate_configs(N: int, p: int) -> ConfigSpace:
-    total = _check_size(N, p, STATE_SPACE_CAP)
+def enumerate_configs(N: int, p: int) -> tuple:
+    """All occupation vectors (n_1..n_N) with sum p, in lexicographic order:
+    the gaps left by N - 1 bars among N + p - 1 slots (stars and bars),
+    taking the bar positions in lexicographic order."""
     configs = []
-
-    def fill(prefix, remaining, sites_left):
-        if sites_left == 1:
-            configs.append(tuple(prefix) + (remaining,))
-            return
-        for n in range(remaining + 1):
-            fill(prefix + [n], remaining - n, sites_left - 1)
-
-    fill([], p, N)
-    configs.sort()
-    index = {c: i for i, c in enumerate(configs)}
-    assert len(configs) == total
-    return ConfigSpace(N=N, p=p, configs=tuple(configs), index=index)
+    for bars in combinations(range(N + p - 1), N - 1):
+        cfg, prev = [], -1
+        for b in bars:
+            cfg.append(b - prev - 1)
+            prev = b
+        cfg.append(N + p - 2 - prev)
+        configs.append(tuple(cfg))
+    return tuple(configs)
 
 
 @dataclass(frozen=True)
 class GeneratorPair:
-    """Exit rates R and jump transitions of the generator.
+    """Configurations, exit rates R and jump transitions of the generator.
 
-    jumps is a tuple of (src, dst, rate) triples; every jump moves one
-    particle from site i to site i+1 (mod N) and increments the particle
-    displacement counter Y by 1.
+    jumps is a tuple of (src, dst, rate) triples indexing configs; every
+    jump moves one particle from site i to site i+1 (mod N) and increments
+    the particle displacement counter Y by 1.
     """
 
-    space: ConfigSpace
+    configs: tuple
     R: tuple
     jumps: tuple
 
 
 def build_generator(params: ModelParams) -> GeneratorPair:
-    """Rates and jumps, computed at the backend's working precision."""
-    space = enumerate_configs(params.N, params.p)
+    """Rates and jumps at the backend's working precision, once the state
+    count is within the cap of the backend's solve."""
+    N, p = params.N, params.p
     backend = params.backend
-    R = []
-    jumps = []
+    cap = EXACT_STATE_CAP if backend.exact else STATE_SPACE_CAP
+    size = comb(N + p - 1, p)
+    if size > cap:
+        solve = ("exact rational solve; use the float backend"
+                 if backend.exact else "float solve")
+        raise InputError(f"configuration space C({N + p - 1},{p}) = {size} "
+                         f"exceeds the cap {cap} of the {solve}")
+    configs = enumerate_configs(N, p)
+    index = {c: i for i, c in enumerate(configs)}
+    R, jumps = [], []
     with backend.workprec():
-        utab = [rate_u(n, params.q) for n in range(params.p + 1)]
+        utab = [rate_u(n, params.q) for n in range(p + 1)]
         zero = backend.integer(0)
-        for src, cfg in enumerate(space.configs):
+        for src, cfg in enumerate(configs):
             total = zero
             for i, n in enumerate(cfg):
                 if n == 0:
                     continue
                 rate = utab[n]
                 total += rate
-                j = (i + 1) % params.N
                 moved = list(cfg)
                 moved[i] -= 1
-                moved[j] += 1
-                jumps.append((src, space.index[tuple(moved)], rate))
+                moved[(i + 1) % N] += 1
+                jumps.append((src, index[tuple(moved)], rate))
             R.append(total)
-    return GeneratorPair(space=space, R=tuple(R), jumps=tuple(jumps))
+    return GeneratorPair(configs=configs, R=tuple(R), jumps=tuple(jumps))
 
 
 def _generator_matrix(gen: GeneratorPair):
@@ -141,7 +130,7 @@ def _generator_matrix(gen: GeneratorPair):
     """
     from scipy import sparse
 
-    size = gen.space.size
+    size = len(gen.R)
     rows = [dst for _, dst, _ in gen.jumps] + list(range(size))
     cols = [src for src, _, _ in gen.jumps] + list(range(size))
     vals = ([float(rate) for _, _, rate in gen.jumps]
@@ -158,7 +147,7 @@ def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
         ftab = weight_series(params.q, params.p).coeffs
         one = backend.integer(1)
         weights = []
-        for cfg in gen.space.configs:
+        for cfg in gen.configs:
             w = one
             for n in cfg:
                 w = w * ftab[n]
@@ -223,11 +212,8 @@ class OracleResult:
 
 def lambda_derivatives(params: ModelParams) -> OracleResult:
     """First two scaled cumulants from Rayleigh-Schroedinger perturbation."""
-    if params.backend.exact:
-        _check_size(params.N, params.p, EXACT_STATE_CAP,
-                    " of the exact rational solve; use the float backend")
     gen = build_generator(params)
-    M = gen.space.size
+    M = len(gen.configs)
     pi = product_form_vector(params, gen)
 
     if params.backend.exact:

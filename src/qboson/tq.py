@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import Backend, InputError, TruncSeries, negligible
+from .numerics import Backend, TruncSeries, negligible
 from .stationary import ModelParams, compute_stationary
 
 
@@ -45,7 +45,6 @@ class TqFirstOrder:
     params: ModelParams
     Q0: TruncSeries
     T0: TruncSeries
-    B1: TruncSeries
     Q1: TruncSeries
     T1: TruncSeries
     lambda1: object
@@ -63,18 +62,12 @@ def b1_polynomial(params: ModelParams, stat) -> TruncSeries:
 
 
 def q1_polynomial(b1: TruncSeries, params: ModelParams) -> TruncSeries:
-    """q_i = b_i / (q^{p-i} - 1)."""
+    """q_i = b_i / (q^{p-i} - 1); q^k = 1 has no real root besides q = 1
+    and q = -1, both rejected upstream."""
     q = params.q.q
     p = params.p
-    out = []
-    for i in range(p):
-        denom = q ** (p - i) - 1
-        if denom == 0:
-            raise InputError(
-                f"q^{p - i} = 1; the first-order construction is undefined "
-                "at roots of unity")
-        out.append(b1.coeff(i) / denom)
-    return _series(out, params)
+    return _series([b1.coeff(i) / (q ** (p - i) - 1) for i in range(p)],
+                   params)
 
 
 def _abs(s: TruncSeries) -> TruncSeries:
@@ -136,7 +129,7 @@ def build_first_order(params: ModelParams) -> TqFirstOrder:
         T0 = _series(one_minus_x_pow(N, backend), params).add(
             TruncSeries.constant(q ** p, N + p - 1, backend))
         lambda1 = q1.coeff(p - 1)
-    return TqFirstOrder(params=params, Q0=Q0, T0=T0, B1=b1, Q1=q1, T1=t1,
+    return TqFirstOrder(params=params, Q0=Q0, T0=T0, Q1=q1, T1=t1,
                         lambda1=lambda1, J=stat.J)
 
 
@@ -153,14 +146,16 @@ def verify_first_order(tq: TqFirstOrder) -> tuple[bool, TruncSeries, object]:
     """
     params = tq.params
     backend = params.backend
-    N = backend.integer(params.N)
+    N, p = backend.integer(params.N), params.p
     onemx = _series(one_minus_x_pow(params.N, backend), params)
 
     def sides(T0, T1, Q0, Q1, onemx, q):
         lhs = T0.mul(Q1, backend).add(T1.mul(Q0, backend))
         rhs = Q1.scale_arg(q).add(Q0.scale_arg(q).scale(N))
-        third = onemx.mul(Q1.scale_arg(backend.integer(1) / q), backend)
-        return lhs, rhs.add(third.scale(q ** params.p))
+        # q^p Q1(x/q) = sum_i q^{p-i} q_i x^i, defined at q = 0 as well
+        third = _series([q ** (p - i) * Q1.coeff(i) for i in range(p)],
+                        params)
+        return lhs, rhs.add(onemx.mul(third, backend))
 
     with backend.workprec():
         lhs, rhs = sides(tq.T0, tq.T1, tq.Q0, tq.Q1, onemx, params.q.q)

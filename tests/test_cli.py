@@ -185,6 +185,13 @@ class TestOracle:
         code, _ = run_cli(capsys, "oracle", "--n", "12", "--p", "12",
                           "--q", "1/2")
         assert code == 2
+        # 6435 states: above the float oracle's cap of 3432
+        assert main(["oracle", "--n", "9", "--p", "7", "--q", "1/2",
+                     "--backend", "float"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "cap 3432" in captured.err
 
     def test_float_reports_float64(self, capsys):
         doc = run_json(capsys, "oracle", "--n", "3", "--p", "3", "--q", "1/2",
@@ -286,6 +293,15 @@ class TestVerifyTq:
         assert res["max_residual"] == "0/1"
         assert res["lambda1_equals_J"] is True
         assert res["Q1_at_1"] == "3/1"
+
+    def test_q_zero(self, capsys):
+        # q^p Q_1(x/q) is a polynomial in q, so q = 0 needs no division
+        doc = run_json(capsys, "verify-tq", "--n", "5", "--p", "4",
+                       "--q", "0")
+        res = doc["result"]
+        assert res["max_residual"] == "0/1"
+        assert res["lambda1"] == res["J"] == "5/2"
+        assert res["Q1_at_1"] == "4/1"
 
 
 class TestSweep:

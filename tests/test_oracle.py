@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qboson.numerics import FloatBackend, InputError, SolverError, qvalue
 from qboson.stationary import ModelParams, model
 from qboson.cumulants import delta_exact_resummed
+from qboson import oracle
 from qboson.oracle import (_solve_fraction, build_generator,
                            enumerate_configs, lambda_derivatives,
                            product_form_vector)
@@ -16,36 +17,35 @@ from qboson.oracle import (_solve_fraction, build_generator,
 class TestConfigSpace:
     def test_counts(self):
         for N, p in ((2, 2), (3, 2), (4, 4), (5, 3)):
-            space = enumerate_configs(N, p)
-            assert space.size == comb(N + p - 1, p)
+            assert len(enumerate_configs(N, p)) == comb(N + p - 1, p)
 
-    def test_bijective_index(self):
-        space = enumerate_configs(3, 3)
-        for i, cfg in enumerate(space.configs):
-            assert space.index[cfg] == i
-            assert sum(cfg) == 3
+    def test_increasing_and_sum_to_p(self):
+        for N, p in ((1, 3), (3, 3), (4, 2), (5, 1)):
+            configs = enumerate_configs(N, p)
+            assert all(a < b for a, b in zip(configs, configs[1:]))
+            assert all(len(cfg) == N and sum(cfg) == p for cfg in configs)
 
     def test_cap(self):
         with pytest.raises(InputError):
-            enumerate_configs(30, 30)
+            build_generator(model(30, 30, F(1, 2)))
 
 
 class TestGenerator:
     def test_single_state_self_loop(self):
         gen = build_generator(model(1, 2, F(1, 2)))
-        assert gen.space.size == 1
+        assert len(gen.configs) == 1
         assert gen.R == (F(3, 2),)
         assert gen.jumps == ((0, 0, F(3, 2)),)
 
     def test_two_site_single_particle(self):
         gen = build_generator(model(2, 1, F(1, 2)))
-        assert gen.space.size == 2
+        assert len(gen.configs) == 2
         assert sorted((s, d) for s, d, _ in gen.jumps) == [(0, 1), (1, 0)]
         assert all(rate == 1 for _, _, rate in gen.jumps)
 
     def test_column_sums_zero(self):
         gen = build_generator(model(3, 2, F(1, 2)))
-        M = gen.space.size
+        M = len(gen.configs)
         colsum = [F(0)] * M
         for src, _, rate in gen.jumps:
             colsum[src] += rate
@@ -73,7 +73,7 @@ class TestStationaryVector:
             gen = build_generator(m)
             pi = product_form_vector(m, gen)
             # L pi = jump inflow - R pi = 0, componentwise
-            out = [-gen.R[i] * pi[i] for i in range(gen.space.size)]
+            out = [-gen.R[i] * pi[i] for i in range(len(gen.configs))]
             for src, dst, rate in gen.jumps:
                 out[dst] += rate * pi[src]
             assert all(x == 0 for x in out)
@@ -155,6 +155,17 @@ class TestLambdaDerivatives:
         # 462 states: above the exact elimination's cap of 300
         with pytest.raises(InputError):
             lambda_derivatives(model(7, 5, F(1, 2)))
+
+    def test_float_cap(self, monkeypatch):
+        # 6435 states: above the float cap of 3432, rejected before the
+        # space is enumerated
+        def enumerate_nothing(N, p):
+            raise AssertionError("enumerated a space above the cap")
+
+        monkeypatch.setattr(oracle, "enumerate_configs", enumerate_nothing)
+        with pytest.raises(InputError, match="cap 3432"):
+            lambda_derivatives(
+                ModelParams(N=9, p=7, q=qvalue(0.5, FloatBackend(64))))
 
 
 

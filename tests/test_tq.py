@@ -7,7 +7,7 @@ from qboson.stationary import compute_stationary, model
 from qboson.tq import (b1_polynomial, build_first_order, q1_polynomial,
                        t1_polynomial, verify_first_order)
 
-Q_GRID = (F(-1, 2), F(1, 3), F(1, 2), F(2), F(3))
+Q_GRID = (F(-1, 2), F(1, 3), F(1, 2), F(2), F(3), F(0))
 
 
 def b1(m):
@@ -71,7 +71,7 @@ class TestT1:
         # T_1 = N q + (b0 x - 2 b0) and T_1(0) = N q - 2 b0
         m = model(2, 1, F(1, 2))
         first = build_first_order(m)
-        b0 = first.B1.coeff(0)
+        b0 = b1(m).coeff(0)
         assert first.T1.coeff(0) == 2 * F(1, 2) - 2 * b0
         assert first.T1.coeff(1) == b0
 
