@@ -22,7 +22,6 @@ from .numerics import (InputError, QValue, REGIME_GREATER_ONE, REGIME_UNITY,
 SQRT_PI = math.sqrt(math.pi)
 # relative truncation bound of the product sum for ln F and its derivatives
 _PRODUCT_TOL = 1e-14
-_NEWTON_MAX_ITER = 400
 
 
 def _dlog1m(v: float, k: int) -> float:
@@ -83,57 +82,37 @@ def log_f_log_derivative(z: float, q: QValue, k: int) -> float:
         # once |w| < 1/2, |(w d/dw)^k ln(1 +- w)| <= 52 |w| for k <= 4, so
         # the remaining terms are bounded by 52 sum_{j>=0} |w| t^j
         if abs(w) < 0.5 and 52.0 * abs(w) / (1.0 - t_abs) <= \
-                _PRODUCT_TOL * max(1.0, abs(acc)):
+                _PRODUCT_TOL * abs(acc):
             return acc
     raise SolverError("product expansion of ln F did not converge")
 
 
-def saddle_point(rho: float, q: QValue, tol: float = 1e-13) -> float:
+def saddle_point(rho: float, q: QValue) -> float:
     """Smallest positive root of z (ln F(z))' = rho.
 
     z (ln F)' is increasing in z with range (0, inf) on the admissible
-    interval, so the root is unique: bisection brackets it, Newton
-    polishes.
+    interval, so the root is unique: bisection halves its bracket until
+    the ends are adjacent doubles and returns their midpoint.
     """
     rho = require_positive("density", float(rho))
-    require_positive("tol", tol)
 
     def L(z):
         return log_f_log_derivative(z, q, 1)
 
     c, _ = _product_params(q)
-    if q.regime == REGIME_GREATER_ONE:
-        hi = 1.0
-        while L(hi) < rho:
-            hi *= 2.0
-            if hi > 1e300:
-                raise SolverError("failed to bracket the saddle point")
-        lo = 0.0
-    else:
-        hi = (1.0 - 1e-15) / c
-        lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+    greater = q.regime == REGIME_GREATER_ONE
+    hi = 1.0 if greater else (1.0 - 1e-15) / c
+    while L(hi) < rho:
+        if not greater or hi > 1e300:
+            raise SolverError("failed to bracket the saddle point")
+        hi *= 2.0
+    lo = 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if L(mid) < rho:
             lo = mid
         else:
             hi = mid
-    z = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_MAX_ITER):
-        g = L(z) - rho
-        if abs(g) <= tol * max(1.0, rho):
-            return z
-        slope = log_f_log_derivative(z, q, 2) / z
-        step = g / slope
-        znew = z - step
-        if not lo < znew < hi:
-            znew = 0.5 * (lo + hi)
-        if g > 0:
-            hi = z
-        else:
-            lo = z
-        z = znew
-    raise SolverError(f"saddle-point iteration did not reach |residual| <= {tol}")
+    return mid
 
 
 @dataclass(frozen=True)
@@ -157,14 +136,16 @@ class SaddleData:
     current_fss: float
 
 
-def saddle_data(rho: float, q: QValue, tol: float = 1e-13) -> SaddleData:
+def saddle_data(rho: float, q: QValue) -> SaddleData:
     rho = float(rho)
-    zstar = saddle_point(rho, q, tol)
-    lnF = log_f_log_derivative(zstar, q, 0)
-    h = [lnF - rho * math.log(zstar)]
-    h.append(log_f_log_derivative(zstar, q, 1) - rho)
-    for k in (2, 3, 4):
-        h.append(log_f_log_derivative(zstar, q, k))
+    zstar = saddle_point(rho, q)
+    try:
+        h = [log_f_log_derivative(zstar, q, k) for k in range(5)]
+    except OverflowError:
+        raise SolverError(
+            f"the h_k at the saddle z* = {zstar} overflow float64") from None
+    h[0] -= rho * math.log(zstar)
+    h[1] -= rho
     h2, h3 = h[2], h[3]
     if h2 <= 0:
         raise SolverError(f"h_2 = {h2} <= 0 at the saddle; no valid expansion")
@@ -190,15 +171,18 @@ def kpz_coefficient(saddle: SaddleData) -> float:
 # ---------------------------------------------------------------------------
 
 _QUAD_UPPER = 10.0
+# absolute error bound of F(g, infinity): quadrature estimate plus tail
+_QUAD_TOL = 1e-10
 
 
-def crossover_F(g: float, quad_tol: float = 1e-10) -> float:
+def crossover_F(g: float) -> float:
     """Universal crossover value F(g, infinity).
 
     (sqrt(g)/(2 sqrt(2))) * integral_0^inf y^2 e^{-y^2} / tanh(c y) dy with
     c = sqrt(g)/sqrt(32); the integrand extends continuously by 0 at y = 0.
     Adaptive Gauss-Kronrod panels cover [0, 10]; beyond that the Gaussian
-    tail is bounded analytically and checked against the tolerance.
+    tail is bounded analytically.  The quadrature's error estimate plus
+    that bound, times the prefactor, must stay below _QUAD_TOL.
     """
     # scipy is the slowest import of the package and only this needs it
     from scipy.integrate import quad
@@ -215,15 +199,15 @@ def crossover_F(g: float, quad_tol: float = 1e-10) -> float:
         return y * y * math.exp(-y * y) / math.tanh(c * y)
 
     value, err = quad(integrand, 0.0, _QUAD_UPPER,
-                      epsabs=min(1e-12, quad_tol / (4 * max(prefactor, 1.0))),
+                      epsabs=min(1e-12, _QUAD_TOL / (4 * max(prefactor, 1.0))),
                       epsrel=1e-12, limit=200)
     T = _QUAD_UPPER
     gauss_tail = 0.5 * T * math.exp(-T * T) + SQRT_PI / 4 * math.erfc(T)
     tail = gauss_tail / math.tanh(c * T)
     total_err = prefactor * (err + tail)
-    if total_err > quad_tol:
+    if total_err > _QUAD_TOL:
         raise SolverError(
-            f"quadrature error estimate {total_err} above {quad_tol}")
+            f"quadrature error estimate {total_err} above {_QUAD_TOL}")
     return prefactor * value
 
 
@@ -244,14 +228,12 @@ class CrossoverData:
     prediction: float
 
 
-def crossover_prediction(rho: float, alpha: float,
-                         quad_tol: float = 1e-10) -> CrossoverData:
+def crossover_prediction(rho: float, alpha: float) -> CrossoverData:
     rho = require_positive("density", float(rho))
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise InputError(f"alpha must be finite, got {alpha}")
-    require_positive("tol", quad_tol)
     g = 8.0 * rho * alpha * alpha
-    Fg = 1.0 if g == 0.0 else crossover_F(g, quad_tol)
+    Fg = 1.0 if g == 0.0 else crossover_F(g)
     return CrossoverData(alpha=alpha, g=g, D_ew=rho, nu_ew=0.5, Fg=Fg,
                          prediction=rho * Fg)

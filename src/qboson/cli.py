@@ -198,15 +198,14 @@ def cmd_simulate(args) -> int:
     # exact rates and weights, rounded to float64 for the kernel
     cfg = simulate.SimConfig(params=_model(*_system(args), RATIONAL),
                              t_measure=args.t_measure, reps=args.reps,
-                             seed=args.seed, t_burn=args.t_burn,
-                             init=args.init)
+                             seed=args.seed, t_burn=args.t_burn)
     est = simulate.estimate_cumulants(cfg)
     _emit(args, {"kind": "float64-simulation"}, {
         "J_hat": est.J_hat, "se_J": est.se_J,
         "Delta_hat": est.Delta_hat, "se_D": est.se_D,
         "reps": est.reps, "total_events": est.total_events,
         "seed": cfg.seed, "t_burn": cfg.burn_time,
-        "t_measure": cfg.t_measure, "init": cfg.init,
+        "t_measure": cfg.t_measure,
     })
     return 0
 
@@ -214,8 +213,7 @@ def cmd_simulate(args) -> int:
 def cmd_asymptotic(args) -> int:
     rho = float(_parse_fraction("rho", args.rho))
     q = qvalue(_parse_fraction("q", args.q))
-    sd = asymptotics.saddle_data(rho, q,
-                                 args.tol if args.tol is not None else 1e-13)
+    sd = asymptotics.saddle_data(rho, q)
     _emit(args, {"kind": "float64"}, {
         "zstar": sd.zstar, "h0": sd.h[0], "h1": sd.h[1], "h2": sd.h[2],
         "h3": sd.h[3], "h4": sd.h[4], "free_energy": sd.free_energy,
@@ -230,8 +228,7 @@ def cmd_crossover(args) -> int:
     rho = float(_parse_fraction("rho", args.rho))
     if args.alpha is None:
         raise InputError("--alpha is required")
-    cd = asymptotics.crossover_prediction(
-        rho, args.alpha, args.tol if args.tol is not None else 1e-10)
+    cd = asymptotics.crossover_prediction(rho, args.alpha)
     _emit(args, {"kind": "float64"}, {
         "alpha": cd.alpha, "g": cd.g, "D_ew": cd.D_ew, "nu_ew": cd.nu_ew,
         "F": cd.Fg, "prediction": cd.prediction,
@@ -337,16 +334,12 @@ FLAGS = {
     "backend": dict(choices=("rational", "float"), default="rational"),
     "prec": dict(type=int, default=DEFAULT_PREC_BITS,
                  help="float backend mantissa bits"),
-    "tol": dict(type=float, help="tolerance of the 2P agreement (exact, "
-                "sweep), the saddle point (asymptotic) or the quadrature "
-                "(crossover)"),
+    "tol": dict(type=float, help="relative tolerance of the 2P agreement"),
     "imax": dict(type=int, help="truncate the i-sum instead of resumming"),
     "seed": dict(type=int, default=1),
     "reps": dict(type=int, default=50),
     "t-burn": dict(type=float),
     "t-measure": dict(type=float, default=1000.0),
-    "init": dict(choices=simulate.INIT_MODES,
-                 default="stationary-product-rejection"),
     "out": dict(help="write to this file instead of stdout"),
 }
 
@@ -370,11 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     command("oracle", cmd_oracle, "spectral perturbation ground truth",
             *system, "backend")
     command("simulate", cmd_simulate, "kinetic Monte Carlo estimates",
-            *system, "seed", "reps", "t-burn", "t-measure", "init")
+            *system, "seed", "reps", "t-burn", "t-measure")
     command("asymptotic", cmd_asymptotic,
-            "saddle-point data and KPZ constants", "rho", "q", "tol")
+            "saddle-point data and KPZ constants", "rho", "q")
     command("crossover", cmd_crossover, "EW-KPZ crossover prediction",
-            "rho", "alpha", "tol")
+            "rho", "alpha")
     command("verify-tq", cmd_verify_tq,
             "first-order functional-equation check",
             *system, "backend", "prec")

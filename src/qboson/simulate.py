@@ -10,6 +10,10 @@ loop over list state that draws its uniforms from its replica's own
 ``np.random.Generator`` in fixed blocks.  The ``monte-carlo`` workload of
 perfbench/ measures the kernel's events per second.
 
+Every replica starts from an exact draw of the stationary measure: i.i.d.
+site occupations at the saddle-point fugacity, redrawn until they hold
+exactly p particles.
+
 Estimation uses independent replicas: W_r = Y(t_burn + t_measure) -
 Y(t_burn), J_hat = mean(W)/t_measure, Delta_hat = var(W)/t_measure, with
 standard errors from the replica jackknife.  Each replica spawns two PCG64
@@ -96,9 +100,6 @@ def _gillespie(n, ut, t_burn, t_end, rng, hist):
             R = resynced
 
 
-INIT_MODES = ("stationary-product-rejection", "all-equal", "single-pile")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     params: ModelParams
@@ -106,7 +107,6 @@ class SimConfig:
     reps: int
     seed: int
     t_burn: float | None = None
-    init: str = "stationary-product-rejection"
 
     def __post_init__(self):
         require_positive("t_measure", self.t_measure)
@@ -118,8 +118,6 @@ class SimConfig:
             raise InputError(
                 "need reps >= 3: the jackknife error of the variance leaves "
                 "one replica out, and a variance needs two that remain")
-        if self.init not in INIT_MODES:
-            raise InputError(f"init must be one of {INIT_MODES}")
 
     @property
     def burn_time(self) -> float:
@@ -158,23 +156,14 @@ def _rate_table(params: ModelParams) -> list:
 def _stationary_fugacity(params: ModelParams) -> float:
     if params.q.is_unity:
         return float(params.rho)
-    return asymptotics.saddle_point(float(params.rho), params.q, tol=1e-10)
+    return asymptotics.saddle_point(float(params.rho), params.q)
 
 
-def initial_config(params: ModelParams, mode: str,
+def initial_config(params: ModelParams,
                    rng: np.random.Generator) -> np.ndarray:
     import numpy as np
 
     N, p = params.N, params.p
-    n = np.zeros(N, dtype=np.int64)
-    if mode == "single-pile":
-        n[0] = p
-        return n
-    if mode == "all-equal":
-        base, extra = divmod(p, N)
-        n[:] = base
-        n[:extra] += 1
-        return n
     # product-measure rejection: i.i.d. site occupations with weights
     # f(m) z^m (truncated at p), accepted when the total is exactly p
     z = _stationary_fugacity(params)
@@ -186,8 +175,7 @@ def initial_config(params: ModelParams, mode: str,
         sample = rng.choice(p + 1, size=N, p=w)
         if sample.sum() == p:
             return sample.astype(np.int64)
-    raise SolverError("product-measure rejection sampler failed to accept; "
-                      "use init='all-equal'")
+    raise SolverError("product-measure rejection sampler failed to accept")
 
 
 def run_trajectory(cfg: SimConfig, rep_index: int) -> TrajectoryResult:
@@ -197,7 +185,7 @@ def run_trajectory(cfg: SimConfig, rep_index: int) -> TrajectoryResult:
     init_rng, kernel_rng = (
         np.random.default_rng(s) for s in
         np.random.SeedSequence([int(cfg.seed), int(rep_index)]).spawn(2))
-    n = initial_config(params, cfg.init, init_rng).tolist()
+    n = initial_config(params, init_rng).tolist()
     hist = [0.0] * (params.p + 1)
     t_end = cfg.burn_time + cfg.t_measure
     Y_burn, Y_end, events, drift = _gillespie(n, _rate_table(params),

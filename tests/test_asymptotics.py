@@ -105,10 +105,29 @@ class TestSaddlePoint:
         # four-order expansion in alpha/sqrt(N) at alpha/sqrt(N) = 1e-3
         rho, eps = 2.0, 1e-3
         q = qvalue(math.exp(-eps))
-        z = saddle_point(rho, q, tol=1e-14)
+        z = saddle_point(rho, q)
         pred = rho - eps * rho ** 2 / 2 + eps ** 2 * rho ** 3 / 6 \
             - eps ** 3 * rho ** 2 * (rho ** 2 - 1) / 24
         assert z == pytest.approx(pred, abs=5e-12)
+
+    @pytest.mark.parametrize("rho,q", [
+        (1000.0, "-1/2"), (1000.0, "1/10"), (1e5, "1/2"), (1e5, "99/100"),
+        (1.0, "1/2"), (1.0, "2"), (100.0, "3/2"), (1e-20, "1/2"),
+    ])
+    def test_root_between_adjacent_doubles(self, rho, q):
+        # no tolerance: the neighbours of z* bracket the root of L - rho
+        q = qvalue(F(q))
+        z = saddle_point(rho, q)
+        assert log_f_log_derivative(math.nextafter(z, 0.0), q, 1) <= rho
+        assert log_f_log_derivative(math.nextafter(z, math.inf), q, 1) >= rho
+
+    def test_small_density(self):
+        # z (ln F)' = z + z^2/3 + O(z^3) at q = 1/2, so the truncation of
+        # the product sum must be relative where the sum is far below 1
+        rho = 1e-8
+        assert abs(saddle_point(rho, Q_HALF) - (rho - rho ** 2 / 3)) <= \
+            1e-15 * rho
+        assert saddle_point(1e-20, Q_HALF) == pytest.approx(1e-20, rel=1e-15)
 
 
 class TestSaddleData:
@@ -248,13 +267,14 @@ class TestCrossover:
         assert cd.prediction == 2.0
         assert cd.Fg == 1.0
 
-    @pytest.mark.parametrize("alpha,tol", [
+    @pytest.mark.parametrize("alpha,rho", [
         (float("nan"), 1e-10), (float("inf"), 1e-10), (float("-inf"), 1e-10),
         (1.0, float("nan")), (1.0, 0.0), (1.0, -1.0),
     ])
-    def test_prediction_rejects_nonfinite_input(self, alpha, tol):
+    def test_prediction_rejects_nonfinite_input(self, alpha, rho):
+        # each row spoils one of the two inputs, alpha or the density
         with pytest.raises(InputError):
-            crossover_prediction(1.0, alpha, tol)
+            crossover_prediction(rho, alpha)
 
     def test_ew_constants(self):
         cd = crossover_prediction(1.5, 1.0)

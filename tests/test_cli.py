@@ -11,7 +11,7 @@ import pytest
 
 import qboson
 from qboson import cumulants, stationary
-from qboson.cli import build_parser, main
+from qboson.cli import FLAGS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +260,19 @@ class TestAsymptotic:
         code, _ = run_cli(capsys, "asymptotic", "--rho", "1", "--q", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("rho,q", [("1000", "-1/2"), ("1000", "1/10"),
+                                       ("1e5", "1/2"), ("1e5", "99/100")])
+    def test_high_density(self, capsys, rho, q):
+        res = run_json(capsys, "asymptotic", "--rho", rho, "--q", q)["result"]
+        assert res["h2"] > 0 and res["kpz_coefficient"] > 0
+
+    def test_overflow_exits_4(self, capsys):
+        # z* = 3.0e176 here, and (1 + z*/3)^2 overflows in the terms of h_2
+        code = main(["asymptotic", "--rho", "1000", "--q", "3/2"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("solver failure: ") and "z* = 3.02" in err
+
 
 class TestCrossover:
     def test_g_and_prediction(self, capsys):
@@ -390,10 +403,9 @@ ONE_REQUEST = {
               "--prec", "64", "--tol", "1e-10", "--imax", "30"],
     "oracle": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float"],
     "simulate": ["--n", "2", "--p", "2", "--q", "1/2", "--seed", "3",
-                 "--reps", "3", "--t-burn", "2", "--t-measure", "5",
-                 "--init", "all-equal"],
-    "asymptotic": ["--rho", "1", "--q", "1/2", "--tol", "1e-12"],
-    "crossover": ["--rho", "1", "--alpha", "1", "--tol", "1e-9"],
+                 "--reps", "3", "--t-burn", "2", "--t-measure", "5"],
+    "asymptotic": ["--rho", "1", "--q", "1/2"],
+    "crossover": ["--rho", "1", "--alpha", "1"],
     "verify-tq": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float",
                   "--prec", "64"],
     "sweep": ["--n", "2,3", "--p", "2", "--q", "1/2", "--backend", "float",
@@ -404,7 +416,8 @@ ONE_REQUEST = {
 # only set the precision of inputs that are rounded to float64
 DELETED_FLAGS = [
     ("oracle", "--tol", "1e-10"), ("simulate", "--tol", "1e-10"),
-    ("verify-tq", "--tol", "1e-10"),
+    ("verify-tq", "--tol", "1e-10"), ("asymptotic", "--tol", "1e-12"),
+    ("crossover", "--tol", "1e-9"), ("simulate", "--init", "all-equal"),
     ("asymptotic", "--n", "4"), ("asymptotic", "--p", "4"),
     ("asymptotic", "--backend", "float"), ("asymptotic", "--prec", "64"),
     ("crossover", "--n", "4"), ("crossover", "--p", "4"),
@@ -422,6 +435,12 @@ def declared_flags(command):
 
 
 class TestDeclaredFlags:
+    def test_flag_table_holds_only_declared_flags(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = set().union(*map(declared_flags, sub.choices))
+        assert {flag.replace("-", "_") for flag in FLAGS} == declared
+
     @pytest.mark.parametrize("command", sorted(ONE_REQUEST))
     def test_request_echoes_only_declared_flags(self, capsys, command):
         code, out = run_cli(capsys, command, *ONE_REQUEST[command])
@@ -445,8 +464,8 @@ class TestDeclaredFlags:
 @pytest.mark.parametrize("argv", [
     ["crossover", "--rho", "1", "--alpha", "nan"],
     ["crossover", "--rho", "1", "--alpha", "inf"],
-    ["crossover", "--rho", "1", "--alpha", "1", "--tol", "nan"],
-    ["asymptotic", "--rho", "1", "--q", "1/2", "--tol", "-1"],
+    ["simulate", "--n", "3", "--p", "3", "--q", "1/2", "--t-measure", "nan"],
+    ["simulate", "--n", "3", "--p", "3", "--q", "1/2", "--t-burn", "-1"],
     ["exact", "--n", "3", "--p", "3", "--q", "1/2", "--backend", "float",
      "--tol", "nan"],
     ["exact", "--n", "3", "--p", "3", "--q", "1/2", "--backend", "float",

@@ -43,30 +43,11 @@ class TestConfigValidation:
 
 
 class TestInitialConfig:
-    def test_modes_conserve_particles(self):
-        m = model(5, 7, F(1, 2))
-        rng = np.random.default_rng(3)
-        for mode in ("stationary-product-rejection", "all-equal",
-                     "single-pile"):
-            n = initial_config(m, mode, rng)
-            assert n.sum() == 7
-            assert (n >= 0).all()
-
-    def test_single_pile(self):
-        m = model(4, 5, F(1, 2))
-        n = initial_config(m, "single-pile", np.random.default_rng(0))
-        assert list(n) == [5, 0, 0, 0]
-
-    def test_all_equal_spread(self):
-        m = model(4, 6, F(1, 2))
-        n = initial_config(m, "all-equal", np.random.default_rng(0))
-        assert sorted(n, reverse=True) == [2, 2, 1, 1]
-
-    def test_product_rejection_at_unity(self):
-        m = model(4, 4, F(1))
-        n = initial_config(m, "stationary-product-rejection",
-                           np.random.default_rng(5))
-        assert n.sum() == 4
+    @pytest.mark.parametrize("q", ["1/2", "1", "2", "-1/2"])
+    def test_stationary_start_conserves_particles(self, q):
+        n = initial_config(model(5, 7, F(q)), np.random.default_rng(3))
+        assert n.sum() == 7
+        assert (n >= 0).all()
 
 
 class TestTrajectories:
