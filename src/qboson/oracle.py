@@ -10,6 +10,11 @@ and 1^T the left null vector of L (so 1^T M = R^T):
     lambda_2 = J/2 + R . psi,   L psi = (lambda_1 I - M) pi,  1^T psi = 0
     Delta    = 2 lambda_2
 
+pi(n) is proportional to prod_i f(n_i) and R(n) = sum_i u(n_i), so both
+depend only on the multiset of occupations, the configuration's occupation
+class; each is computed once per class (15 classes for the 3432
+configurations of N = 8, p = 7).
+
 Both backends fix the gauge of the singular solve the same way: pin
 psi_k = 0 at k = argmax pi, drop row and column k of L, solve the reduced
 system L_r, and project psi <- psi - (1^T psi) pi, which restores
@@ -17,14 +22,19 @@ system L_r, and project psi <- psi - (1^T psi) pi, which restores
 itself, since the columns of L and the right-hand side both sum to zero.
 Pinning the most probable state keeps the multiple of pi that the
 projection removes, -psi_k / pi_k, small, and so the float rounding.
-The rational backend builds the reduced rows straight from the jumps as
-sparse {column: Fraction} dicts and solves them by exact Gaussian
-elimination and back substitution (``_solve_fraction``), capped at
-EXACT_STATE_CAP states.  The float backend builds L once as a scipy.sparse
-matrix (``_generator_matrix``) and factors L_r by sparse LU without
-pivoting, capped at STATE_SPACE_CAP states; the LU's fill grows about as
-the square of the state count, and at the cap its L and U hold 1.14 M
-entries and ``oracle --backend float`` peaks at 83 MB.  Elimination
+The rational backend works with integer weights W = Z pi, built without
+a gcd (``_integer_weights``), and divides by Z only in lambda_1 and
+lambda_2; as M pi = R pi for the stationary pi, its right-hand side is
+(lambda_1 - R) pi, one value per class.  It builds the reduced rows
+straight from the jumps, clears each row's denominators once, and solves
+by fraction-free Gaussian elimination on sparse {column: int} rows,
+dividing each updated row by the gcd of its entries; the right-hand side
+stays a column of Fractions beside them (``_solve_fraction``).  It is
+capped at EXACT_STATE_CAP states.  The float backend builds L once as a
+scipy.sparse matrix (``_generator_matrix``) and factors L_r by sparse LU
+without pivoting, capped at STATE_SPACE_CAP states; the LU's fill grows
+about as the square of the state count, and at the cap its L and U hold
+1.14 M entries and ``oracle --backend float`` peaks at 81 MB.  Elimination
 without pivoting is stable here: -L_r is a nonsingular M-matrix whose
 columns are diagonally dominant (the columns of L sum to zero, the chain
 is irreducible, and for N >= 2 there are no self-loops), any symmetric
@@ -40,20 +50,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm, prod
 
 from .numerics import InputError, SolverError
 from .stationary import ModelParams, rate_u, weight_series
 
 # C(14, 7), the (N, p) = (8, 7) space of the largest float request in the
-# tests and the benchmark (fill 1.14 M, 83 MB peak); 12 870 states took
+# tests and the benchmark (fill 1.14 M, 81 MB peak); 12 870 states took
 # 16.6 M and 338 MB
 STATE_SPACE_CAP = 3432
 # the exact oracle's cost is fill and big-integer growth, not the state
-# count alone: 0.1 s at 84 states, 2.6 s at 252 (N = 6, p = 5),
-# 6.6 s at 286 (4, 10) and 13 s at 300 (2, 299), whose stationary weights
-# carry denominators of about 6700 digits (q = 1/2, `oracle` end to end,
-# 2-CPU host)
+# count alone: at q = 1/2 one `oracle` request takes 0.03 s at 84 states
+# (N = 4, p = 6), 0.6 s at 252 (6, 5), 2.0 s at 286 (4, 10) and 3.0 s at
+# 300 (2, 299), whose integer weights have about 27 000 digits; at 300
+# states (3, 23) it takes 1.9 s at q = 1/2, 13 s at q = 9/10 and 52 s at
+# q = 99/101, as the rates' numerators and denominators grow (a warm
+# process on a 2-CPU host)
 EXACT_STATE_CAP = 300
 # the float solve's largest residual against the full L, relative to the
 # right-hand side's largest entry (at least 1)
@@ -79,14 +91,22 @@ def enumerate_configs(N: int, p: int) -> tuple:
 class GeneratorPair:
     """Configurations, exit rates R and jump transitions of the generator.
 
-    jumps is a tuple of (src, dst, rate) triples indexing configs; every
-    jump moves one particle from site i to site i+1 (mod N) and increments
-    the particle displacement counter Y by 1.
+    rates[n] = u(n) is the rate out of a site holding n particles, and jumps
+    is a tuple of (src, dst, n) triples indexing configs: a particle leaves
+    a site of configuration src holding n particles, at rate rates[n], for
+    the next site (mod N), which increments the particle displacement
+    counter Y by 1.  Configurations with the same sorted occupations form
+    an occupation class and share R and the stationary weight: classes[i]
+    is the class of configs[i], and leaders[c] the first configuration of
+    class c.
     """
 
     configs: tuple
     R: tuple
+    rates: tuple
     jumps: tuple
+    classes: tuple
+    leaders: tuple
 
 
 def build_generator(params: ModelParams) -> GeneratorPair:
@@ -103,57 +123,91 @@ def build_generator(params: ModelParams) -> GeneratorPair:
                          f"exceeds the cap {cap} of the {solve}")
     configs = enumerate_configs(N, p)
     index = {c: i for i, c in enumerate(configs)}
-    R, jumps = [], []
+    class_of, classes, leaders, totals, jumps = {}, [], [], [], []
     with backend.workprec():
-        utab = [rate_u(n, params.q) for n in range(p + 1)]
+        rates = tuple(rate_u(n, params.q) for n in range(p + 1))
         zero = backend.integer(0)
         for src, cfg in enumerate(configs):
-            total = zero
+            key = tuple(sorted(cfg))
+            if key not in class_of:
+                class_of[key] = len(leaders)
+                leaders.append(src)
+                totals.append(sum((rates[n] for n in cfg if n), zero))
+            classes.append(class_of[key])
             for i, n in enumerate(cfg):
                 if n == 0:
                     continue
-                rate = utab[n]
-                total += rate
                 moved = list(cfg)
                 moved[i] -= 1
                 moved[(i + 1) % N] += 1
-                jumps.append((src, index[tuple(moved)], rate))
-            R.append(total)
-    return GeneratorPair(configs=configs, R=tuple(R), jumps=tuple(jumps))
+                jumps.append((src, index[tuple(moved)], n))
+    return GeneratorPair(configs=configs,
+                         R=tuple(totals[c] for c in classes), rates=rates,
+                         jumps=tuple(jumps), classes=tuple(classes),
+                         leaders=tuple(leaders))
 
 
-def _generator_matrix(gen: GeneratorPair):
-    """The generator L = M - diag(R) in float64, as a scipy.sparse CSC matrix.
+def _generator_matrix(gen: GeneratorPair, R):
+    """The generator L = M - diag(R) in float64, as a scipy.sparse CSC
+    matrix, from the float64 exit rates R.
 
     Duplicate entries are summed, so the N = 1 self-loop cancels against R
     on the diagonal.
     """
+    import numpy as np
     from scipy import sparse
 
-    size = len(gen.R)
-    rows = [dst for _, dst, _ in gen.jumps] + list(range(size))
-    cols = [src for src, _, _ in gen.jumps] + list(range(size))
-    vals = ([float(rate) for _, _, rate in gen.jumps]
-            + [-float(r) for r in gen.R])
-    return sparse.coo_matrix((vals, (rows, cols)),
+    size = len(R)
+    src, dst, n = np.array(gen.jumps).T
+    u = np.array([float(r) for r in gen.rates])
+    diag = np.arange(size)
+    return sparse.coo_matrix((np.concatenate((u[n], -R)),
+                              (np.concatenate((dst, diag)),
+                               np.concatenate((src, diag)))),
                              shape=(size, size)).tocsc()
+
+
+def _class_sizes(gen: GeneratorPair) -> list:
+    """The number of configurations in each occupation class."""
+    sizes = [0] * len(gen.leaders)
+    for c in gen.classes:
+        sizes[c] += 1
+    return sizes
 
 
 def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
     """pi(n) proportional to prod_i f(n_i), normalized, at the backend's
-    working precision."""
+    working precision, computed once per occupation class."""
     backend = params.backend
     with backend.workprec():
         ftab = weight_series(params.q, params.p).coeffs
         one = backend.integer(1)
-        weights = []
-        for cfg in gen.configs:
-            w = one
-            for n in cfg:
-                w = w * ftab[n]
-            weights.append(w)
-        Z = sum(weights)
-        return [w / Z for w in weights]
+        weights = [prod((ftab[n] for n in gen.configs[i]), start=one)
+                   for i in gen.leaders]
+        Z = backend.dot(_class_sizes(gen), weights)
+        pi = [w / Z for w in weights]
+    return [pi[c] for c in gen.classes]
+
+
+def _integer_weights(gen: GeneratorPair) -> list:
+    """Integers proportional to prod_i f(n_i), one per occupation class.
+
+    With the rational rates u(k) = P_k / Q_k in lowest terms,
+    f(m) = prod_{k<=m} Q_k / P_k = h(m) / prod_{k<=p} P_k, where
+    h(m) = prod_{k<=m} Q_k prod_{m<k<=p} P_k, so the class weight times
+    (prod_k P_k)^N is the integer prod_i h(n_i).  No gcd is taken.
+    """
+    p = len(gen.rates) - 1
+    h = [1] * (p + 1)
+    acc = 1
+    for m in range(1, p + 1):
+        acc *= gen.rates[m].denominator
+        h[m] = acc
+    acc = 1
+    for m in range(p - 1, -1, -1):
+        acc *= gen.rates[m + 1].numerator
+        h[m] *= acc
+    return [prod(h[n] for n in gen.configs[i]) for i in gen.leaders]
 
 
 # ---------------------------------------------------------------------------
@@ -164,37 +218,59 @@ def _solve_fraction(rows: list) -> list:
     """Solve n sparse rational equations exactly; row i is {column: value}.
 
     Columns 0..n-1 hold the matrix's nonzero entries and column n the
-    right-hand side; absent entries are zero.  Gaussian elimination pivots on
-    the first row with a nonzero entry in the column and touches only the
-    pivot row's stored entries, then back substitution gives x.  The rows
-    are consumed.
+    right-hand side; absent entries are zero.  Each row is scaled once by
+    the lcm of its matrix entries' denominators to integers, and the
+    right-hand side by the same factor, as a separate column of Fractions.
+    Fraction-free Gaussian elimination then pivots on the first row with a
+    nonzero entry in the column and touches only the pivot row's stored
+    entries; it replaces a row by an integer combination of itself and the
+    pivot row, and divides the result by the gcd of its entries.  Back
+    substitution gives x.  The rows are consumed.
     """
     n = len(rows)
+    matrix, rhs = [], []
+    for row in rows:
+        b = row.pop(n, 0)
+        scale = lcm(*(v.denominator for v in row.values()))
+        matrix.append({c: v.numerator * (scale // v.denominator)
+                       for c, v in row.items()})
+        rhs.append(Fraction(b) * scale)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if col in rows[r]), None)
+        pivot = next((r for r in range(col, n) if col in matrix[r]), None)
         if pivot is None:
             raise SolverError("singular matrix in exact solve")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        prow = rows[col]
-        inv = 1 / prow[col]
+        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
+        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        prow, pb = matrix[col], rhs[col]
+        d = prow[col]
         for r in range(col + 1, n):
-            row = rows[r]
+            row = matrix[r]
             if col not in row:
                 continue
-            factor = row.pop(col) * inv
+            a = row.pop(col)
+            g = gcd(d, a)
+            dm, am = d // g, a // g
+            # row <- dm * row - am * prow, with the pivot column gone
+            row = {c: dm * v for c, v in row.items()}
             for c, y in prow.items():
                 if c != col:
-                    x = row.get(c, 0) - factor * y
+                    x = row.get(c, 0) - am * y
                     if x:
                         row[c] = x
                     else:
                         row.pop(c, None)
+            b = dm * rhs[r] - am * pb
+            g = gcd(*row.values())
+            if g > 1:
+                row = {c: v // g for c, v in row.items()}
+                b /= g
+            matrix[r], rhs[r] = row, b
     x = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
-        row = rows[i]
-        acc = row.get(n, Fraction(0))
+        row = matrix[i]
+        acc = rhs[i]
         for c, y in row.items():
-            if i < c < n:
+            if c > i:
                 acc -= y * x[c]
         x[i] = acc / row[i]
     return x
@@ -214,38 +290,50 @@ def lambda_derivatives(params: ModelParams) -> OracleResult:
     """First two scaled cumulants from Rayleigh-Schroedinger perturbation."""
     gen = build_generator(params)
     M = len(gen.configs)
-    pi = product_form_vector(params, gen)
 
-    if params.backend.exact:
-        lam1 = sum(r * w for r, w in zip(gen.R, pi))
-        k = max(range(M), key=pi.__getitem__)
-        # reduced rows [L_r | rhs], rhs = (lambda_1 I - M) pi; state i sits
-        # in column col[i], the pinned state in column None, rhs in column n
+    backend = params.backend
+    if backend.exact:
+        # integer weights W = Z pi, one per class, so that only the two
+        # quotients below divide by Z; S = Z lambda_1
+        W = _integer_weights(gen)
+        sizes = _class_sizes(gen)
+        Z = sum(s * w for s, w in zip(sizes, W))
+        Rc = [gen.R[i] for i in gen.leaders]
+        S = backend.dot(sizes, Rc, W)
+        lam1 = S / Z
+        k = max(range(M), key=lambda i: W[gen.classes[i]])
+        # reduced rows [L_r | Z^2 rhs]; M pi = R pi as pi is stationary, so
+        # Z^2 (lambda_1 I - M) pi = (S - Z R) W, one value per class.  State
+        # i sits in column col[i], the pinned state in column None, rhs in
+        # column n
         n = M - 1
         col = list(range(k)) + [None] + list(range(k, n))
-        rows = [{col[i]: -r, n: lam1 * w}
-                for i, (r, w) in enumerate(zip(gen.R, pi))]
-        for src, dst, rate in gen.jumps:
+        rhs = [(S - Z * r) * w for r, w in zip(Rc, W)]
+        rows = [{col[i]: -r, n: rhs[c]}
+                for i, (r, c) in enumerate(zip(gen.R, gen.classes))]
+        for src, dst, occ in gen.jumps:
             row = rows[dst]
-            row[col[src]] = row.get(col[src], 0) + rate
-            row[n] -= rate * pi[src]
+            row[col[src]] = row.get(col[src], 0) + gen.rates[occ]
         del rows[k]
         sol = _solve_fraction([{c: v for c, v in row.items()
                                 if v and c is not None} for row in rows])
-        # psi is sol with psi_k = 0, less (1^T sol) pi; as R . pi = lambda_1,
-        # that projection enters lambda_2 as one exact term
+        # psi is sol / Z^2 with psi_k = 0, less (1^T sol / Z^2) pi; as
+        # R . pi = lambda_1, that projection enters lambda_2 as one exact
+        # term
         R = gen.R[:k] + gen.R[k + 1:]
-        lam2 = (lam1 / 2 + sum(r * x for r, x in zip(R, sol))
-                - lam1 * sum(sol))
+        lam2 = lam1 / 2 + (backend.dot(R, sol) - lam1 * sum(sol)) / Z ** 2
         return OracleResult(J=lam1, Delta=2 * lam2, lambda1=lam1,
                             lambda2=lam2, size=M, residual=0.0)
 
     import numpy as np
     from scipy.sparse.linalg import splu
 
-    L = _generator_matrix(gen)
-    R = np.array([float(r) for r in gen.R])
-    piv = np.array([float(w) for w in pi])
+    # each class's exit rate and stationary probability converted once
+    pi = product_form_vector(params, gen)
+    classes = np.array(gen.classes)
+    R = np.array([float(gen.R[i]) for i in gen.leaders])[classes]
+    piv = np.array([float(pi[i]) for i in gen.leaders])[classes]
+    L = _generator_matrix(gen, R)
     lam1 = float(R @ piv)
     rhs = (lam1 - R) * piv - L @ piv  # (lambda_1 I - M) pi, M = L + diag(R)
     k = int(np.argmax(piv))

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,9 +9,10 @@ from qboson.numerics import FloatBackend, InputError, SolverError, qvalue
 from qboson.stationary import ModelParams, model
 from qboson.cumulants import delta_exact_resummed
 from qboson import oracle
-from qboson.oracle import (_solve_fraction, build_generator,
-                           enumerate_configs, lambda_derivatives,
-                           product_form_vector)
+from qboson.oracle import (_integer_weights, _solve_fraction,
+                           build_generator, enumerate_configs,
+                           lambda_derivatives, product_form_vector)
+from qboson.tq import build_first_order
 
 
 class TestConfigSpace:
@@ -35,34 +36,36 @@ class TestGenerator:
         gen = build_generator(model(1, 2, F(1, 2)))
         assert len(gen.configs) == 1
         assert gen.R == (F(3, 2),)
-        assert gen.jumps == ((0, 0, F(3, 2)),)
+        assert gen.jumps == ((0, 0, 2),)
+        assert gen.rates[2] == F(3, 2)
 
     def test_two_site_single_particle(self):
         gen = build_generator(model(2, 1, F(1, 2)))
         assert len(gen.configs) == 2
         assert sorted((s, d) for s, d, _ in gen.jumps) == [(0, 1), (1, 0)]
-        assert all(rate == 1 for _, _, rate in gen.jumps)
+        assert all(gen.rates[n] == 1 for _, _, n in gen.jumps)
 
     def test_column_sums_zero(self):
         gen = build_generator(model(3, 2, F(1, 2)))
         M = len(gen.configs)
         colsum = [F(0)] * M
-        for src, _, rate in gen.jumps:
-            colsum[src] += rate
+        for src, _, n in gen.jumps:
+            colsum[src] += gen.rates[n]
         for i in range(M):
             assert colsum[i] == gen.R[i]
 
     def test_rates_nonnegative(self):
         gen = build_generator(model(3, 3, F(-1, 2)))
-        assert all(rate > 0 for _, _, rate in gen.jumps)
+        assert all(gen.rates[n] > 0 for _, _, n in gen.jumps)
 
     def test_float_rates_are_rounded_rational_rates(self):
         # the 256-bit model rounds to the double nearest the exact rate
         be = FloatBackend(256)
         fgen = build_generator(model(3, 3, be.ratio(3, 10), be))
         rgen = build_generator(model(3, 3, F(3, 10)))
-        assert ([float(rate) for _, _, rate in fgen.jumps]
-                == [float(rate) for _, _, rate in rgen.jumps])
+        assert fgen.jumps == rgen.jumps
+        assert ([float(u) for u in fgen.rates]
+                == [float(u) for u in rgen.rates])
         assert [float(r) for r in fgen.R] == [float(r) for r in rgen.R]
 
 
@@ -74,8 +77,8 @@ class TestStationaryVector:
             pi = product_form_vector(m, gen)
             # L pi = jump inflow - R pi = 0, componentwise
             out = [-gen.R[i] * pi[i] for i in range(len(gen.configs))]
-            for src, dst, rate in gen.jumps:
-                out[dst] += rate * pi[src]
+            for src, dst, n in gen.jumps:
+                out[dst] += gen.rates[n] * pi[src]
             assert all(x == 0 for x in out)
             assert sum(pi) == 1
 
@@ -212,10 +215,54 @@ def test_float_oracle_equals_rational_oracle(system, q):
         assert got == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
+def _rate(n, q):
+    """[n]_q = 1 + q + ... + q^(n-1), written out."""
+    return sum((q ** j for j in range(n)), F(0))
+
+
+def _weight(m, q):
+    """f(m) = 1 / ([1]_q [2]_q ... [m]_q), written out."""
+    return 1 / prod((_rate(k, q) for k in range(1, m + 1)), start=F(1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_SYSTEMS),
+       st.one_of(Q_VALUES, st.sampled_from((F(0), F(1)))))
+def test_class_values_equal_per_configuration_values(system, q):
+    # R, pi and the exact path's integer weights are computed once per
+    # occupation class; each must equal its per-configuration value
+    N, p = system
+    m = model(N, p, q)
+    gen = build_generator(m)
+    weights = [prod((_weight(n, q) for n in cfg), start=F(1))
+               for cfg in gen.configs]
+    Z = sum(weights)
+    assert gen.R == tuple(sum(_rate(n, q) for n in cfg)
+                          for cfg in gen.configs)
+    assert product_form_vector(m, gen) == [w / Z for w in weights]
+    W = [_integer_weights(gen)[c] for c in gen.classes]
+    assert [F(x, sum(W)) for x in W] == [w / Z for w in weights]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_SYSTEMS), st.one_of(Q_VALUES, st.just(F(0))))
+def test_lambda1_equals_tq_current(system, q):
+    # the oracle's lambda_1 against the first-order T-Q route's q_(p-1)
+    # and its J
+    N, p = system
+    m = model(N, p, q)
+    first = build_first_order(m)
+    assert lambda_derivatives(m).lambda1 == first.lambda1 == first.J
+
+
 @st.composite
 def sparse_systems(draw):
     """Row-permuted, strictly diagonally dominant (so nonsingular) sparse
-    systems with a known solution x, in _solve_fraction's row format."""
+    systems with a known solution x, in _solve_fraction's row format.
+
+    Each row is scaled by its own rational factor, so rows carry different
+    denominators, and x may hold entries with denominators of 2^200 and
+    more, which the right-hand side then carries."""
     n = draw(st.integers(1, 7))
     entry = st.one_of(st.just(F(0)), st.just(F(0)),
                       st.fractions(-5, 5, max_denominator=9))
@@ -224,7 +271,14 @@ def sparse_systems(draw):
         off = sum(abs(v) for j, v in enumerate(row) if j != i)
         margin = draw(st.fractions(F(1, 9), 3, max_denominator=9))
         row[i] = draw(st.sampled_from((-1, 1))) * (off + margin)
-    x = [draw(st.fractions(-10, 10, max_denominator=20)) for _ in range(n)]
+        scale = draw(st.builds(F, st.integers(1, 10**6),
+                               st.integers(1, 10**6)))
+        row[:] = [scale * v for v in row]
+    x = [draw(st.one_of(
+        st.fractions(-10, 10, max_denominator=20),
+        st.builds(F, st.integers(-2**210, 2**210),
+                  st.integers(2**200, 2**210))))
+         for _ in range(n)]
     rows = []
     for i in draw(st.permutations(range(n))):
         row = {j: v for j, v in enumerate(A[i]) if v}
