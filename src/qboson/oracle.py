@@ -1,48 +1,50 @@
 """Ground-truth J and Delta for small systems by exact perturbation theory.
 
+Ring rotations commute with the generator and with the particle
+displacement counter Y, so the top eigenvector of the deformed generator is
+rotation invariant, and the chain lumped onto rotation orbits has the same
+top eigenvalue lambda(gamma).  The oracle works on that chain: one state
+per orbit, represented by its least rotation in lexicographic order.  A
+jump goes to the orbit of the moved configuration; a jump into its own
+orbit is a self-loop, which still increments Y.
+
 The deformed generator is L_gamma = L + (e^gamma - 1) M, where M is the
-off-diagonal jump matrix (column n' holds the rates out of configuration n',
-self-transitions of the N = 1 ring stored explicitly) and
-L = M - diag(R) with R the total exit rates.  With pi the stationary vector
-and 1^T the left null vector of L (so 1^T M = R^T):
+jump matrix (column a holds the rates out of orbit a, self-loops included)
+and L = M - diag(R) with R the total exit rates.  With pi the stationary
+vector and 1^T the left null vector of L (so 1^T M = R^T):
 
     lambda_1 = 1^T M pi = J
     lambda_2 = J/2 + R . psi,   L psi = (lambda_1 I - M) pi,  1^T psi = 0
     Delta    = 2 lambda_2
 
-pi(n) is proportional to prod_i f(n_i) and R(n) = sum_i u(n_i), so both
-depend only on the multiset of occupations, the configuration's occupation
-class; each is computed once per class (15 classes for the 3432
-configurations of N = 8, p = 7).
+pi(a) is proportional to the orbit's size times prod_i f(n_i), and
+R(a) = sum_i u(n_i).
 
 Both backends fix the gauge of the singular solve the same way: pin
 psi_k = 0 at k = argmax pi, drop row and column k of L, solve the reduced
 system L_r, and project psi <- psi - (1^T psi) pi, which restores
 1^T psi = 0 because L pi = 0 and 1^T pi = 1.  The dropped row holds by
 itself, since the columns of L and the right-hand side both sum to zero.
-Pinning the most probable state keeps the multiple of pi that the
+Pinning the most probable orbit keeps the multiple of pi that the
 projection removes, -psi_k / pi_k, small, and so the float rounding.
 The rational backend works with integer weights W = Z pi, built without
 a gcd (``_integer_weights``), and divides by Z only in lambda_1 and
 lambda_2; as M pi = R pi for the stationary pi, its right-hand side is
-(lambda_1 - R) pi, one value per class.  It builds the reduced rows
-straight from the jumps, clears each row's denominators once, and solves
-by fraction-free Gaussian elimination on sparse {column: int} rows,
-dividing each updated row by the gcd of its entries; the right-hand side
-stays a column of Fractions beside them (``_solve_fraction``).  It is
-capped at EXACT_STATE_CAP states.  The float backend builds L once as a
+(lambda_1 - R) pi.  It builds the reduced rows straight from the jumps,
+clears each row's denominators once, and solves by fraction-free Gaussian
+elimination on sparse {column: int} rows, dividing each updated row by the
+gcd of its entries; the right-hand side stays a column of Fractions beside
+them (``_solve_fraction``).  The float backend builds L once as a
 scipy.sparse matrix (``_generator_matrix``) and factors L_r by sparse LU
-without pivoting, capped at STATE_SPACE_CAP states; the LU's fill grows
-about as the square of the state count, and at the cap its L and U hold
-1.14 M entries and ``oracle --backend float`` peaks at 81 MB.  Elimination
-without pivoting is stable here: -L_r is a nonsingular M-matrix whose
-columns are diagonally dominant (the columns of L sum to zero, the chain
-is irreducible, and for N >= 2 there are no self-loops), any symmetric
+without pivoting.  That is stable here: -L_r is a nonsingular M-matrix
+whose columns are diagonally dominant.  Its off-diagonal entries are minus
+jump rates; a self-loop cancels against R on the diagonal, so the columns
+of L still sum to zero; and the chain is irreducible.  Any symmetric
 ordering keeps that, and Gaussian elimination on such a matrix grows its
 entries by at most a factor of 2.  The float solve's residual is checked
-against the full L, dropped row included.  Ring translation symmetry is
-deliberately not exploited; the oracle stays simple and independently
-trustworthy.
+against the full L, dropped row included.  Both backends cap the number of
+configurations, not orbits, before any is enumerated, and report it as the
+result's size.
 """
 
 from __future__ import annotations
@@ -56,15 +58,17 @@ from .numerics import InputError, SolverError
 from .stationary import ModelParams, rate_u, weight_series
 
 # C(14, 7), the (N, p) = (8, 7) space of the largest float request in the
-# tests and the benchmark (fill 1.14 M, 81 MB peak); 12 870 states took
-# 16.6 M and 338 MB
+# tests and the benchmark: 429 orbits, whose reduced LU holds 31 000
+# entries, and `oracle --backend float` peaks at 67 MB; C(16, 8) = 12 870
+# configurations (1430 orbits) fill 325 000 entries and peak at 77 MB
 STATE_SPACE_CAP = 3432
-# the exact oracle's cost is fill and big-integer growth, not the state
-# count alone: at q = 1/2 one `oracle` request takes 0.03 s at 84 states
-# (N = 4, p = 6), 0.6 s at 252 (6, 5), 2.0 s at 286 (4, 10) and 3.0 s at
-# 300 (2, 299), whose integer weights have about 27 000 digits; at 300
-# states (3, 23) it takes 1.9 s at q = 1/2, 13 s at q = 9/10 and 52 s at
-# q = 99/101, as the rates' numerators and denominators grow (a warm
+# the exact oracle's cost is fill and big-integer growth, not the
+# configuration count alone: at q = 1/2 one request takes 0.002 s at 84
+# configurations (N = 4, p = 6), 0.007 s at 252 (6, 5), 0.03 s at 286
+# (4, 10) and 0.7 s at 300 (2, 299, 150 orbits), whose integer weights have
+# about 27 000 digits; at 300 configurations (3, 23; 100 orbits) it takes
+# 0.16 s at q = 1/2, 0.8 s at q = 9/10, 2.6 s at q = 99/101 and 9 s at
+# q = 9999/10001, as the rates' numerators and denominators grow (a warm
 # process on a 2-CPU host)
 EXACT_STATE_CAP = 300
 # the float solve's largest residual against the full L, relative to the
@@ -89,29 +93,28 @@ def enumerate_configs(N: int, p: int) -> tuple:
 
 @dataclass(frozen=True)
 class GeneratorPair:
-    """Configurations, exit rates R and jump transitions of the generator.
+    """Rotation orbits, exit rates R and jump transitions of the lumped
+    generator.
 
-    rates[n] = u(n) is the rate out of a site holding n particles, and jumps
-    is a tuple of (src, dst, n) triples indexing configs: a particle leaves
-    a site of configuration src holding n particles, at rate rates[n], for
-    the next site (mod N), which increments the particle displacement
-    counter Y by 1.  Configurations with the same sorted occupations form
-    an occupation class and share R and the stationary weight: classes[i]
-    is the class of configs[i], and leaders[c] the first configuration of
-    class c.
+    configs[i] is the least rotation of orbit i and sizes[i] the number of
+    configurations in the orbit.  rates[n] = u(n) is the rate out of a site
+    holding n particles, and jumps is a tuple of (src, dst, n) triples
+    indexing configs: a particle leaves a site of configs[src] holding n
+    particles, at rate rates[n], for the next site (mod N), which lands in
+    orbit dst (a self-loop when dst == src) and increments the particle
+    displacement counter Y by 1.
     """
 
     configs: tuple
+    sizes: tuple
     R: tuple
     rates: tuple
     jumps: tuple
-    classes: tuple
-    leaders: tuple
 
 
 def build_generator(params: ModelParams) -> GeneratorPair:
-    """Rates and jumps at the backend's working precision, once the state
-    count is within the cap of the backend's solve."""
+    """Rates and jumps at the backend's working precision, once the
+    configuration count is within the cap of the backend's solve."""
     N, p = params.N, params.p
     backend = params.backend
     cap = EXACT_STATE_CAP if backend.exact else STATE_SPACE_CAP
@@ -121,38 +124,38 @@ def build_generator(params: ModelParams) -> GeneratorPair:
                  if backend.exact else "float solve")
         raise InputError(f"configuration space C({N + p - 1},{p}) = {size} "
                          f"exceeds the cap {cap} of the {solve}")
-    configs = enumerate_configs(N, p)
-    index = {c: i for i, c in enumerate(configs)}
-    class_of, classes, leaders, totals, jumps = {}, [], [], [], []
+    # in lexicographic order the first member met of each orbit is its
+    # least rotation
+    orbit, reps, sizes = {}, [], []
+    for cfg in enumerate_configs(N, p):
+        if cfg not in orbit:
+            turns = {cfg[s:] + cfg[:s] for s in range(N)}
+            orbit.update(dict.fromkeys(turns, len(reps)))
+            reps.append(cfg)
+            sizes.append(len(turns))
+    totals, jumps = [], []
     with backend.workprec():
         rates = tuple(rate_u(n, params.q) for n in range(p + 1))
         zero = backend.integer(0)
-        for src, cfg in enumerate(configs):
-            key = tuple(sorted(cfg))
-            if key not in class_of:
-                class_of[key] = len(leaders)
-                leaders.append(src)
-                totals.append(sum((rates[n] for n in cfg if n), zero))
-            classes.append(class_of[key])
+        for src, cfg in enumerate(reps):
+            totals.append(sum((rates[n] for n in cfg if n), zero))
             for i, n in enumerate(cfg):
                 if n == 0:
                     continue
                 moved = list(cfg)
                 moved[i] -= 1
                 moved[(i + 1) % N] += 1
-                jumps.append((src, index[tuple(moved)], n))
-    return GeneratorPair(configs=configs,
-                         R=tuple(totals[c] for c in classes), rates=rates,
-                         jumps=tuple(jumps), classes=tuple(classes),
-                         leaders=tuple(leaders))
+                jumps.append((src, orbit[tuple(moved)], n))
+    return GeneratorPair(configs=tuple(reps), sizes=tuple(sizes),
+                         R=tuple(totals), rates=rates, jumps=tuple(jumps))
 
 
 def _generator_matrix(gen: GeneratorPair, R):
     """The generator L = M - diag(R) in float64, as a scipy.sparse CSC
     matrix, from the float64 exit rates R.
 
-    Duplicate entries are summed, so the N = 1 self-loop cancels against R
-    on the diagonal.
+    Duplicate entries are summed, so a self-loop cancels against R on the
+    diagonal.
     """
     import numpy as np
     from scipy import sparse
@@ -167,35 +170,26 @@ def _generator_matrix(gen: GeneratorPair, R):
                              shape=(size, size)).tocsc()
 
 
-def _class_sizes(gen: GeneratorPair) -> list:
-    """The number of configurations in each occupation class."""
-    sizes = [0] * len(gen.leaders)
-    for c in gen.classes:
-        sizes[c] += 1
-    return sizes
-
-
 def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
-    """pi(n) proportional to prod_i f(n_i), normalized, at the backend's
-    working precision, computed once per occupation class."""
+    """pi(orbit) proportional to size * prod_i f(n_i), normalized, at the
+    backend's working precision."""
     backend = params.backend
     with backend.workprec():
         ftab = weight_series(params.q, params.p).coeffs
         one = backend.integer(1)
-        weights = [prod((ftab[n] for n in gen.configs[i]), start=one)
-                   for i in gen.leaders]
-        Z = backend.dot(_class_sizes(gen), weights)
-        pi = [w / Z for w in weights]
-    return [pi[c] for c in gen.classes]
+        weights = [prod((ftab[n] for n in cfg), start=one)
+                   for cfg in gen.configs]
+        Z = backend.dot(gen.sizes, weights)
+        return [s * w / Z for s, w in zip(gen.sizes, weights)]
 
 
 def _integer_weights(gen: GeneratorPair) -> list:
-    """Integers proportional to prod_i f(n_i), one per occupation class.
+    """Integers proportional to size * prod_i f(n_i), one per orbit.
 
     With the rational rates u(k) = P_k / Q_k in lowest terms,
     f(m) = prod_{k<=m} Q_k / P_k = h(m) / prod_{k<=p} P_k, where
-    h(m) = prod_{k<=m} Q_k prod_{m<k<=p} P_k, so the class weight times
-    (prod_k P_k)^N is the integer prod_i h(n_i).  No gcd is taken.
+    h(m) = prod_{k<=m} Q_k prod_{m<k<=p} P_k, so the configuration weight
+    times (prod_k P_k)^N is the integer prod_i h(n_i).  No gcd is taken.
     """
     p = len(gen.rates) - 1
     h = [1] * (p + 1)
@@ -207,7 +201,8 @@ def _integer_weights(gen: GeneratorPair) -> list:
     for m in range(p - 1, -1, -1):
         acc *= gen.rates[m + 1].numerator
         h[m] *= acc
-    return [prod(h[n] for n in gen.configs[i]) for i in gen.leaders]
+    return [s * prod(h[n] for n in cfg)
+            for s, cfg in zip(gen.sizes, gen.configs)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +285,24 @@ def lambda_derivatives(params: ModelParams) -> OracleResult:
     """First two scaled cumulants from Rayleigh-Schroedinger perturbation."""
     gen = build_generator(params)
     M = len(gen.configs)
+    size = sum(gen.sizes)
 
     backend = params.backend
     if backend.exact:
-        # integer weights W = Z pi, one per class, so that only the two
-        # quotients below divide by Z; S = Z lambda_1
+        # integer weights W = Z pi, so that only the two quotients below
+        # divide by Z; S = Z lambda_1
         W = _integer_weights(gen)
-        sizes = _class_sizes(gen)
-        Z = sum(s * w for s, w in zip(sizes, W))
-        Rc = [gen.R[i] for i in gen.leaders]
-        S = backend.dot(sizes, Rc, W)
+        Z = sum(W)
+        S = backend.dot(gen.R, W)
         lam1 = S / Z
-        k = max(range(M), key=lambda i: W[gen.classes[i]])
+        k = max(range(M), key=W.__getitem__)
         # reduced rows [L_r | Z^2 rhs]; M pi = R pi as pi is stationary, so
-        # Z^2 (lambda_1 I - M) pi = (S - Z R) W, one value per class.  State
-        # i sits in column col[i], the pinned state in column None, rhs in
-        # column n
+        # Z^2 (lambda_1 I - M) pi = (S - Z R) W.  Orbit i sits in column
+        # col[i], the pinned orbit in column None, rhs in column n
         n = M - 1
         col = list(range(k)) + [None] + list(range(k, n))
-        rhs = [(S - Z * r) * w for r, w in zip(Rc, W)]
-        rows = [{col[i]: -r, n: rhs[c]}
-                for i, (r, c) in enumerate(zip(gen.R, gen.classes))]
+        rows = [{col[i]: -r, n: (S - Z * r) * w}
+                for i, (r, w) in enumerate(zip(gen.R, W))]
         for src, dst, occ in gen.jumps:
             row = rows[dst]
             row[col[src]] = row.get(col[src], 0) + gen.rates[occ]
@@ -323,16 +315,13 @@ def lambda_derivatives(params: ModelParams) -> OracleResult:
         R = gen.R[:k] + gen.R[k + 1:]
         lam2 = lam1 / 2 + (backend.dot(R, sol) - lam1 * sum(sol)) / Z ** 2
         return OracleResult(J=lam1, Delta=2 * lam2, lambda1=lam1,
-                            lambda2=lam2, size=M, residual=0.0)
+                            lambda2=lam2, size=size, residual=0.0)
 
     import numpy as np
     from scipy.sparse.linalg import splu
 
-    # each class's exit rate and stationary probability converted once
-    pi = product_form_vector(params, gen)
-    classes = np.array(gen.classes)
-    R = np.array([float(gen.R[i]) for i in gen.leaders])[classes]
-    piv = np.array([float(pi[i]) for i in gen.leaders])[classes]
+    piv = np.array([float(x) for x in product_form_vector(params, gen)])
+    R = np.array([float(r) for r in gen.R])
     L = _generator_matrix(gen, R)
     lam1 = float(R @ piv)
     rhs = (lam1 - R) * piv - L @ piv  # (lambda_1 I - M) pi, M = L + diag(R)
@@ -350,4 +339,4 @@ def lambda_derivatives(params: ModelParams) -> OracleResult:
                           f"{_RESIDUAL_TOL} * {scale}")
     lam2 = lam1 / 2 + float(R @ psi)
     return OracleResult(J=lam1, Delta=2 * lam2, lambda1=lam1, lambda2=lam2,
-                        size=M, residual=residual)
+                        size=size, residual=residual)

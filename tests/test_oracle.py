@@ -1,5 +1,9 @@
+import contextlib
+import io
+from collections import Counter
 from fractions import Fraction as F
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +13,7 @@ from qboson.numerics import FloatBackend, InputError, SolverError, qvalue
 from qboson.stationary import ModelParams, model
 from qboson.cumulants import delta_exact_resummed
 from qboson import oracle
+from qboson.cli import main
 from qboson.oracle import (_integer_weights, _solve_fraction,
                            build_generator, enumerate_configs,
                            lambda_derivatives, product_form_vector)
@@ -40,10 +45,12 @@ class TestGenerator:
         assert gen.rates[2] == F(3, 2)
 
     def test_two_site_single_particle(self):
+        # (0, 1) and (1, 0) are one orbit, and each jump stays inside it
         gen = build_generator(model(2, 1, F(1, 2)))
-        assert len(gen.configs) == 2
-        assert sorted((s, d) for s, d, _ in gen.jumps) == [(0, 1), (1, 0)]
-        assert all(gen.rates[n] == 1 for _, _, n in gen.jumps)
+        assert gen.configs == ((0, 1),)
+        assert gen.sizes == (2,)
+        assert gen.jumps == ((0, 0, 1),)
+        assert gen.R == (1,) and gen.rates[1] == 1
 
     def test_column_sums_zero(self):
         gen = build_generator(model(3, 2, F(1, 2)))
@@ -86,14 +93,19 @@ class TestStationaryVector:
         m = model(2, 2, F(1, 2))
         gen = build_generator(m)
         pi = product_form_vector(m, gen)
-        # states (0,2), (1,1), (2,0) with weights 2/3, 1, 2/3
-        assert pi == [F(2, 7), F(3, 7), F(2, 7)]
+        # configurations (0,2), (1,1), (2,0) with weights 2/3, 1, 2/3; the
+        # orbits are {(0,2), (2,0)} and {(1,1)}
+        assert gen.configs == ((0, 2), (1, 1))
+        assert pi == [F(4, 7), F(3, 7)]
 
     def test_uniform_at_q0(self):
+        # each of the 6 configurations has weight 1/6, and each of the two
+        # orbits holds 3 of them
         m = model(3, 2, F(0))
         gen = build_generator(m)
         pi = product_form_vector(m, gen)
-        assert all(x == F(1, 6) for x in pi)
+        assert gen.sizes == (3, 3)
+        assert pi == [F(1, 2), F(1, 2)]
 
 
 class TestLambdaDerivatives:
@@ -124,19 +136,20 @@ class TestLambdaDerivatives:
                 abs(res.Delta / float(exact.Delta) - 1))
 
     def test_matches_formula_midsize(self):
-        # 252 states
+        # 252 configurations
         assert max(self._float_error(6, 5, F(1, 2))) <= 1e-13
 
     def test_matches_formula_large(self):
-        # 1716 states, and 3432: the benchmark's float oracle request
+        # 1716 configurations, and 3432: the benchmark's float oracle request
         for N, p in ((8, 6), (8, 7)):
             assert max(self._float_error(N, p, F(1, 2))) <= 1e-13
 
     def test_pins_the_most_probable_state(self):
-        # 3432 states at q = 3, where pi spans many decades: pinning the
-        # most probable state leaves Delta within 4.4e-16 of the series;
-        # pinning the first, last, middle or least probable state instead
-        # leaves 9.8e-15 to 1.4e-14
+        # 3432 configurations (429 orbits) at q = 3, where pi spans 11
+        # decades: pinning the most probable orbit (here the last) leaves
+        # Delta within 6.7e-16 of the series; pinning the middle one
+        # instead leaves 1.3e-15, and the first (here the least probable)
+        # 4.2e-15
         assert self._float_error(8, 7, F(3))[1] <= 2e-15
 
     @pytest.mark.parametrize("N,p,q", [
@@ -155,13 +168,13 @@ class TestLambdaDerivatives:
             assert got == pytest.approx(float(want), rel=1e-12, abs=0)
 
     def test_rational_cap(self):
-        # 462 states: above the exact elimination's cap of 300
+        # 462 configurations: above the exact elimination's cap of 300
         with pytest.raises(InputError):
             lambda_derivatives(model(7, 5, F(1, 2)))
 
     def test_float_cap(self, monkeypatch):
-        # 6435 states: above the float cap of 3432, rejected before the
-        # space is enumerated
+        # 6435 configurations: above the float cap of 3432, rejected before
+        # the space is enumerated
         def enumerate_nothing(N, p):
             raise AssertionError("enumerated a space above the cap")
 
@@ -172,9 +185,9 @@ class TestLambdaDerivatives:
 
 
 
-# (N, p) with at most 84 states; the 40 examples take about 1 s
+# (N, p) with at most 300 configurations, the exact oracle's cap
 SMALL_SYSTEMS = [(N, p) for N in range(1, 9) for p in range(1, 9)
-                 if comb(N + p - 1, p) <= 84]
+                 if comb(N + p - 1, p) <= oracle.EXACT_STATE_CAP]
 
 
 def _rationals_in(lo, hi):
@@ -192,8 +205,8 @@ Q_VALUES = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SMALL_SYSTEMS), Q_VALUES)
-@example((5, 5), F(1, 2))  # 126 states, above the drawn bound
-@example((5, 5), F(2))
+@example((6, 5), F(1, 2))  # 252 configurations, the largest drawn
+@example((6, 5), F(2))
 def test_series_equals_rational_oracle(system, q):
     N, p = system
     m = model(N, p, q)
@@ -225,23 +238,108 @@ def _weight(m, q):
     return 1 / prod((_rate(k, q) for k in range(1, m + 1)), start=F(1))
 
 
+def _configuration_generator(N, p, q):
+    """The generator on single configurations, by brute force.
+
+    Returns the configurations in lexicographic order, their exit rates R,
+    their stationary weights prod_i f(n_i) normalized to sum 1, and the
+    jumps as (src, dst, rate) triples indexing the configurations: a
+    particle leaves site i for site i + 1 (mod N).
+    """
+    configs = enumerate_configs(N, p)
+    index = {c: i for i, c in enumerate(configs)}
+    R = [sum((_rate(n, q) for n in cfg), F(0)) for cfg in configs]
+    weights = [prod((_weight(n, q) for n in cfg), start=F(1))
+               for cfg in configs]
+    Z = sum(weights)
+    jumps = []
+    for src, cfg in enumerate(configs):
+        for i, n in enumerate(cfg):
+            if n:
+                moved = list(cfg)
+                moved[i] -= 1
+                moved[(i + 1) % N] += 1
+                jumps.append((src, index[tuple(moved)], _rate(n, q)))
+    return configs, R, [w / Z for w in weights], jumps
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SMALL_SYSTEMS),
        st.one_of(Q_VALUES, st.sampled_from((F(0), F(1)))))
-def test_class_values_equal_per_configuration_values(system, q):
-    # R, pi and the exact path's integer weights are computed once per
-    # occupation class; each must equal its per-configuration value
+def test_orbit_values_equal_summed_configuration_values(system, q):
+    # the lumped chain against the configuration chain: R per member, jump
+    # rates into each orbit per member, and weights summed over members
     N, p = system
     m = model(N, p, q)
     gen = build_generator(m)
-    weights = [prod((_weight(n, q) for n in cfg), start=F(1))
-               for cfg in gen.configs]
-    Z = sum(weights)
-    assert gen.R == tuple(sum(_rate(n, q) for n in cfg)
-                          for cfg in gen.configs)
-    assert product_form_vector(m, gen) == [w / Z for w in weights]
-    W = [_integer_weights(gen)[c] for c in gen.classes]
-    assert [F(x, sum(W)) for x in W] == [w / Z for w in weights]
+    configs, R, pi, jumps = _configuration_generator(N, p, q)
+    reps = {c: i for i, c in enumerate(gen.configs)}
+    orbit = [reps[min(c[s:] + c[:s] for s in range(N))] for c in configs]
+    assert list(gen.sizes) == [orbit.count(i) for i in range(len(reps))]
+    assert [gen.R[i] for i in orbit] == R
+    lumped = [Counter() for _ in gen.configs]
+    for src, dst, n in gen.jumps:
+        lumped[src][dst] += gen.rates[n]
+    flows = [Counter() for _ in configs]
+    for src, dst, rate in jumps:
+        flows[src][orbit[dst]] += rate
+    assert flows == [lumped[i] for i in orbit]
+    summed = [F(0)] * len(gen.configs)
+    for i, x in zip(orbit, pi):
+        summed[i] += x
+    assert product_form_vector(m, gen) == summed
+    W = _integer_weights(gen)
+    assert [F(w, sum(W)) for w in W] == summed
+
+
+def _configuration_chain_cumulants(N, p, q):
+    """J and Delta from the configuration chain by exact perturbation
+    theory, fixing the gauge by 1^T psi = 0 in place of the first row."""
+    configs, R, pi, jumps = _configuration_generator(N, p, q)
+    n = len(configs)
+    lam1 = sum(r * x for r, x in zip(R, pi))
+    # rows of L psi = (lambda_1 I - M) pi, column n the right-hand side
+    rows = [{i: -R[i], n: lam1 * pi[i]} for i in range(n)]
+    for src, dst, rate in jumps:
+        rows[dst][src] = rows[dst].get(src, 0) + rate
+        rows[dst][n] -= rate * pi[src]
+    rows[0] = {i: F(1) for i in range(n)}
+    psi = _solve_fraction([{c: v for c, v in row.items() if v}
+                           for row in rows])
+    lam2 = lam1 / 2 + sum(r * x for r, x in zip(R, psi))
+    return lam1, 2 * lam2
+
+
+@pytest.mark.parametrize("N,p,q", [
+    (2, 1, F(1, 2)),    # one orbit: the reduced system is empty
+    (3, 3, F(2)),
+    (4, 4, F(-1, 2)),
+    (5, 3, F(9, 10)),
+    (2, 6, F(1, 3)),
+])
+def test_lumped_oracle_equals_configuration_chain(N, p, q):
+    res = lambda_derivatives(model(N, p, q))
+    assert (res.J, res.Delta) == _configuration_chain_cumulants(N, p, q)
+    assert res.size == comb(N + p - 1, p)
+
+
+# rational `oracle` requests whose stdout is pinned byte for byte in
+# oracle_rational.stdout
+PINNED_ORACLE_REQUESTS = [
+    (1, 3, "1/2"), (6, 3, "-1/2"), (2, 40, "3/2"), (5, 4, "1"),
+    (6, 5, "1/2"), (4, 6, "1/2"), (3, 5, "2"), (5, 4, "0"), (2, 2, "1/2"),
+    (3, 23, "1/2"), (4, 6, "-9/10"),
+]
+
+
+def test_rational_oracle_stdout_is_pinned():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for N, p, q in PINNED_ORACLE_REQUESTS:
+            assert main(["oracle", "--n", str(N), "--p", str(p),
+                         "--q", q]) == 0
+    pinned = Path(__file__).with_name("oracle_rational.stdout")
+    assert out.getvalue().encode() == pinned.read_bytes()
 
 
 @settings(max_examples=40, deadline=None)
