@@ -320,10 +320,12 @@ def lambda_derivatives(params: ModelParams) -> OracleResult:
     import numpy as np
     from scipy.sparse.linalg import splu
 
-    piv = np.array([float(x) for x in product_form_vector(params, gen)])
+    pi = product_form_vector(params, gen)
+    piv = np.array([float(x) for x in pi])
     R = np.array([float(r) for r in gen.R])
     L = _generator_matrix(gen, R)
-    lam1 = float(R @ piv)
+    # at working precision: R @ piv sums float64 roundings, several ulp off
+    lam1 = float(backend.dot(gen.R, pi))
     rhs = (lam1 - R) * piv - L @ piv  # (lambda_1 I - M) pi, M = L + diag(R)
     k = int(np.argmax(piv))
     keep = np.delete(np.arange(M), k)

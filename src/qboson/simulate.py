@@ -20,11 +20,22 @@ standard errors from the replica jackknife.  Each replica spawns two PCG64
 streams, one for its initial configuration and one for its kernel, from
 SeedSequence([seed, rep_index]), whose spawning contract guarantees
 stream independence; numpy's global random state is never touched.
+
+Replicas are independent, so ``estimate_cumulants`` runs them in
+min(reps, usable CPUs) processes: the caller runs the first contiguous
+share of the replicas and forked workers the others, each returning its
+windows through a pipe.  The windows are put back in replica order, so the
+estimate is the serial one, byte for byte.  The workers are forked rather
+than spawned because a fresh interpreter's imports cost about as much as a
+share of the benchmark's replicas.  The fork is safe because the program
+starts no Python threads, and the workers call no BLAS routine, whose
+threads a fork would leave behind.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -38,6 +49,7 @@ if TYPE_CHECKING:
 
 _RESYNC_EVERY = 1 << 20
 _DRAW_BLOCK = 1024   # events per block of uniforms drawn from the stream
+_LEAST_POSITIVE = 5e-324   # the least positive double
 
 
 def _gillespie(n, ut, t_burn, t_end, rng, hist):
@@ -48,8 +60,11 @@ def _gillespie(n, ut, t_burn, t_end, rng, hist):
     count.  hist accumulates the time-weighted occupation of site 0 over
     [t_burn, t_end).  max_drift is the largest deviation between the
     incrementally maintained total rate and its from-scratch recomputation
-    (the rate is resynced each time).  Each event takes two uniforms from
-    rng, drawn _DRAW_BLOCK events at a time.
+    (the rate is resynced each time, after every _RESYNC_EVERY events).
+    Each event takes two uniforms from rng, drawn _DRAW_BLOCK events at a
+    time: the first sets the waiting time, the second picks the first site
+    whose cumulative rate reaches it times R.  The site picked always has
+    a positive rate.
     """
     N = len(n)
     rates = [ut[m] for m in n]
@@ -59,41 +74,43 @@ def _gillespie(n, ut, t_burn, t_end, rng, hist):
     Y_burn = 0
     events = 0
     max_drift = 0.0
-    draws = []
-    k = 0
     while True:
-        if k == len(draws):
-            draws = rng.random(2 * _DRAW_BLOCK).tolist()
-            k = 0
-        tn = t - log(1.0 - draws[k]) / R
-        lo = t if t > t_burn else t_burn
-        hi = tn if tn < t_end else t_end
-        if hi > lo:
-            hist[n[0]] += hi - lo
-        if t < t_burn <= tn:
-            Y_burn = events
-        if tn >= t_end:
-            return Y_burn, events, events, max_drift
-        t = tn
-        u = draws[k + 1] * R
-        k += 2
-        acc = 0.0
-        site = N - 1
-        for i in range(N):
-            acc += rates[i]
-            if acc >= u:
-                site = i
-                break
-        j = site + 1
-        if j == N:
-            j = 0
-        if j != site:
-            n[site] -= 1
-            n[j] += 1
-            R += ut[n[site]] - rates[site] + ut[n[j]] - rates[j]
-            rates[site] = ut[n[site]]
-            rates[j] = ut[n[j]]
-        events += 1
+        draws = rng.random(2 * _DRAW_BLOCK).tolist()
+        for w, v in zip([log(1.0 - d) for d in draws[0::2]], draws[1::2]):
+            tn = t - w / R
+            lo = t if t > t_burn else t_burn
+            hi = tn if tn < t_end else t_end
+            if hi > lo:
+                hist[n[0]] += hi - lo
+            if t < t_burn <= tn:
+                Y_burn = events
+            if tn >= t_end:
+                return Y_burn, events, events, max_drift
+            t = tn
+            # a zero uniform would pick site 0 even when it is empty
+            u = v * R or _LEAST_POSITIVE
+            acc = 0.0
+            for site, r in enumerate(rates):
+                acc += r
+                if acc >= u:
+                    break
+            else:   # rounding left the sum below u: the last occupied site
+                site = max(i for i, r in enumerate(rates) if r)
+            j = site + 1
+            if j == N:
+                j = 0
+            if j != site:
+                a = n[site] - 1
+                b = n[j] + 1
+                n[site] = a
+                n[j] = b
+                ra = ut[a]
+                rb = ut[b]
+                R += ra - rates[site] + rb - rates[j]
+                rates[site] = ra
+                rates[j] = rb
+            events += 1
+        # blocks hold _DRAW_BLOCK events, which divides _RESYNC_EVERY
         if events % _RESYNC_EVERY == 0:
             resynced = sum(rates)
             max_drift = max(max_drift, abs(R - resynced))
@@ -206,14 +223,96 @@ def _jackknife_se(values: list, statistic) -> float:
     return math.sqrt(var)
 
 
-def estimate_cumulants(cfg: SimConfig) -> SimEstimate:
-    t = cfg.t_measure
-    windows = []
-    total_events = 0
-    for rep in range(cfg.reps):
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _replica_windows(cfg: SimConfig, reps: range) -> list:
+    """(Y_end - Y_burn, events) of each replica in reps, in order."""
+    out = []
+    for rep in reps:
         traj = run_trajectory(cfg, rep)
-        windows.append(float(traj.Y_end - traj.Y_burn))
-        total_events += traj.events
+        out.append((traj.Y_end - traj.Y_burn, traj.events))
+    return out
+
+
+def _fork_share(cfg: SimConfig, share: range) -> tuple:
+    """Fork a worker that runs share and writes its windows, or the
+    exception it raised, pickled to a pipe.  Returns (pid, read end).
+
+    A bare fork and pipe, not multiprocessing: importing multiprocessing
+    and concurrent.futures adds about 2 MB to the caller's peak memory.
+    """
+    import pickle
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    try:   # the worker never returns to the caller's stack
+        os.close(read)
+        try:
+            result = _replica_windows(cfg, share)
+        except BaseException as exc:   # re-raised by _worker_result
+            result = exc
+        data = pickle.dumps(result)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _worker_result(pid: int, read: int) -> list:
+    """Read a worker's pipe to its end; re-raise what the worker raised."""
+    import pickle
+
+    chunks = []
+    while chunk := os.read(read, 1 << 16):
+        chunks.append(chunk)
+    if not chunks:
+        raise SolverError(f"replica worker {pid} exited without a result")
+    result = pickle.loads(b"".join(chunks))
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def estimate_cumulants(cfg: SimConfig) -> SimEstimate:
+    # contiguous shares of the replicas, one per usable CPU; the caller
+    # runs the first and forked workers the rest, in replica order, so the
+    # result is the serial one
+    procs = min(cfg.reps, _usable_cpus()) if hasattr(os, "fork") else 1
+    bounds = [cfg.reps * w // procs for w in range(procs + 1)]
+    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    _stationary_fugacity(cfg.params)   # cached before the workers fork
+    workers = []
+    try:
+        for share in shares[1:]:
+            workers.append(_fork_share(cfg, share))
+        results = _replica_windows(cfg, shares[0])
+        for worker in workers:
+            results += _worker_result(*worker)
+    finally:
+        import signal
+
+        # a worker whose pipe was read to its end is exiting; after a
+        # failure the others are stopped rather than waited for
+        for pid, read in workers:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    t = cfg.t_measure
+    windows = [float(w) for w, _ in results]
+    total_events = sum(events for _, events in results)
 
     def mean_stat(vals):
         return math.fsum(vals) / len(vals)

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -515,3 +517,39 @@ class TestVerifyTqFloat:
         assert code == 3
         assert capsys.readouterr().err.startswith("precision failure: ")
         assert main(argv + ["--prec", "512"]) == 0
+
+
+# The stdout corpus: each request's argv and exit code on a "$" line, then
+# its stdout byte for byte.  The first line records the numpy version,
+# since simulate's bytes depend on numpy's random streams; a numpy upgrade
+# shows as a diff of the corpus like any other output change.  After a
+# deliberate change, rewrite the corpus with
+#     PYTHONPATH=src python tests/test_cli.py
+CORPUS = Path(__file__).with_name("stdout.corpus")
+
+
+def corpus_text(requests: list) -> str:
+    import numpy
+
+    parts = [f"numpy {numpy.__version__}\n"]
+    for argv in requests:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        parts.append(f"$ {' '.join(argv)} # exit {code}\n{out.getvalue()}")
+    return "".join(parts)
+
+
+def corpus_requests(text: str) -> list:
+    return [line[2:].rsplit(" # exit ", 1)[0].split()
+            for line in text.splitlines() if line.startswith("$ ")]
+
+
+def test_stdout_corpus_is_pinned():
+    pinned = CORPUS.read_bytes().decode()
+    assert corpus_text(corpus_requests(pinned)) == pinned
+
+
+if __name__ == "__main__":
+    CORPUS.write_bytes(corpus_text(
+        corpus_requests(CORPUS.read_bytes().decode())).encode())

@@ -1,9 +1,6 @@
-import contextlib
-import io
 from collections import Counter
 from fractions import Fraction as F
 from math import comb, prod
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +10,6 @@ from qboson.numerics import FloatBackend, InputError, SolverError, qvalue
 from qboson.stationary import ModelParams, model
 from qboson.cumulants import delta_exact_resummed
 from qboson import oracle
-from qboson.cli import main
 from qboson.oracle import (_integer_weights, _solve_fraction,
                            build_generator, enumerate_configs,
                            lambda_derivatives, product_form_vector)
@@ -151,6 +147,15 @@ class TestLambdaDerivatives:
         # instead leaves 1.3e-15, and the first (here the least probable)
         # 4.2e-15
         assert self._float_error(8, 7, F(3))[1] <= 2e-15
+
+    @pytest.mark.parametrize("N,p,q", [
+        (8, 7, F(1, 2)), (7, 7, F(-1, 2)), (6, 5, F(1, 2)),
+    ])
+    def test_float_j_is_the_rounded_series_j(self, N, p, q):
+        # J summed in float64 from rounded pi was 4 ulp off at (8, 7, 1/2)
+        res = lambda_derivatives(model(N, p, q, FloatBackend()))
+        assert res.J == res.lambda1 == float(delta_exact_resummed(
+            model(N, p, q)).J)
 
     @pytest.mark.parametrize("N,p,q", [
         (1, 2, F(1, 2)),    # one state, self-loop cancelling R
@@ -321,25 +326,6 @@ def test_lumped_oracle_equals_configuration_chain(N, p, q):
     res = lambda_derivatives(model(N, p, q))
     assert (res.J, res.Delta) == _configuration_chain_cumulants(N, p, q)
     assert res.size == comb(N + p - 1, p)
-
-
-# rational `oracle` requests whose stdout is pinned byte for byte in
-# oracle_rational.stdout
-PINNED_ORACLE_REQUESTS = [
-    (1, 3, "1/2"), (6, 3, "-1/2"), (2, 40, "3/2"), (5, 4, "1"),
-    (6, 5, "1/2"), (4, 6, "1/2"), (3, 5, "2"), (5, 4, "0"), (2, 2, "1/2"),
-    (3, 23, "1/2"), (4, 6, "-9/10"),
-]
-
-
-def test_rational_oracle_stdout_is_pinned():
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        for N, p, q in PINNED_ORACLE_REQUESTS:
-            assert main(["oracle", "--n", str(N), "--p", str(p),
-                         "--q", q]) == 0
-    pinned = Path(__file__).with_name("oracle_rational.stdout")
-    assert out.getvalue().encode() == pinned.read_bytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,13 +1,17 @@
+import math
+import os
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from qboson import asymptotics
-from qboson.numerics import InputError
+from qboson import asymptotics, simulate
+from qboson.cli import main
+from qboson.numerics import InputError, SolverError
 from qboson.stationary import model
 from qboson.cumulants import delta_exact_resummed
-from qboson.simulate import (SimConfig, estimate_cumulants, initial_config,
+from qboson.simulate import (SimConfig, _gillespie, _rate_table,
+                             estimate_cumulants, initial_config,
                              run_trajectory)
 from test_stationary import site_marginal
 
@@ -89,6 +93,123 @@ class TestTrajectories:
         chi2 = float(np.sum((hist - exact) ** 2 / exact))
         assert chi2 < 5e-4
         assert np.max(np.abs(hist - exact)) < 0.01
+
+
+class SiteUniforms:
+    """A stand-in for np.random.Generator whose site uniforms all equal
+    one value; 0.0 and 1 - 2^-53 are the ends of rng.random's range."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        draws = np.full(size, 0.5)
+        draws[1::2] = self.value
+        return draws
+
+
+class TestKernel:
+    def test_zero_uniform_moves_from_an_occupied_site(self):
+        # R = u(2) + u(1) = 5/2 and each wait is log(2)/R = 0.277, so
+        # t_end = 0.4 allows one event; site 0 is empty
+        n = [0, 2, 1]
+        hist = [0.0] * 4
+        events = _gillespie(n, _rate_table(model(3, 3, F(1, 2))), 0.1, 0.4,
+                            SiteUniforms(0.0), hist)[2]
+        assert events == 1
+        assert n == [0, 1, 2]
+
+    @pytest.mark.parametrize("value,n,q", [
+        (0.0, [0, 0, 3, 0, 1], F(2)),
+        # the incrementally kept R can drift above the summed rates, so
+        # u = v R can exceed every cumulative rate; the site picked then
+        # must be an occupied one, not the last site, which may be empty
+        (1 - 2.0 ** -53, [2, 2, 2, 0], F(3, 10)),
+    ])
+    def test_extreme_uniforms_keep_occupations_nonnegative(self, value, n,
+                                                           q):
+        p = sum(n)
+        _gillespie(n, _rate_table(model(len(n), p, q)), 1.0, 300.0,
+                   SiteUniforms(value), [0.0] * (p + 1))
+        assert sum(n) == p and min(n) >= 0
+
+
+class TestReplicaPool:
+    # three usable CPUs on any host: two forked workers and the caller
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(2), F(-1, 2)])
+    def test_equals_serial_loop(self, q, monkeypatch):
+        cfg = SimConfig(params=model(5, 6, q), t_measure=30.0, reps=8,
+                        seed=13, t_burn=2.0)
+        est = estimate_cumulants(cfg)
+        trajs = [run_trajectory(cfg, rep) for rep in range(cfg.reps)]
+        windows = [float(tr.Y_end - tr.Y_burn) for tr in trajs]
+        assert est.total_events == sum(tr.events for tr in trajs)
+        assert est.J_hat == math.fsum(windows) / cfg.reps / cfg.t_measure
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        assert est == estimate_cumulants(cfg)
+
+    @pytest.mark.parametrize("reps,cpus,forks", [
+        (8, 3, 2), (3, 5, 2), (4, 2, 1), (4, 1, 0),
+    ])
+    def test_worker_count(self, reps, cpus, forks, monkeypatch):
+        made = []
+        fork = os.fork
+
+        def counted():
+            made.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        estimate_cumulants(SimConfig(params=model(3, 3, F(1, 2)),
+                                     t_measure=5.0, reps=reps, seed=1))
+        assert len(made) == forks
+
+    @staticmethod
+    def assert_no_child_process():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_process_remains(self):
+        estimate_cumulants(SimConfig(params=model(4, 4, F(1, 2)),
+                                     t_measure=10.0, reps=6, seed=2))
+        self.assert_no_child_process()
+
+    def test_worker_error_surfaces(self, monkeypatch):
+        caller = os.getpid()
+
+        def fails_in_workers(params, rng):
+            if os.getpid() != caller:
+                raise SolverError("initialiser failed in a worker")
+            return initial_config(params, rng)
+
+        monkeypatch.setattr(simulate, "initial_config", fails_in_workers)
+        cfg = SimConfig(params=model(4, 4, F(1, 2)), t_measure=10.0, reps=6,
+                        seed=3)
+        with pytest.raises(SolverError, match="in a worker"):
+            estimate_cumulants(cfg)
+        assert main(["simulate", "--n", "4", "--p", "4", "--q", "1/2",
+                     "--reps", "6", "--t-measure", "10"]) == 4
+        self.assert_no_child_process()
+
+    def test_local_closure_as_run_trajectory(self, monkeypatch):
+        # as perfbench's tracer wraps it: a closure cannot be pickled
+        cfg = SimConfig(params=model(4, 4, F(1, 2)), t_measure=10.0, reps=6,
+                        seed=4)
+        expected = estimate_cumulants(cfg)
+        calls = []
+
+        def wrapper(*args):
+            calls.append(args[1])
+            return run_trajectory(*args)
+
+        monkeypatch.setattr(simulate, "run_trajectory", wrapper)
+        assert estimate_cumulants(cfg) == expected
+        assert calls == [0, 1]   # the caller's share
 
 
 class TestEstimates:
