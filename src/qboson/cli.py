@@ -10,8 +10,8 @@ together with the precision in bits, except the float oracle's, which are
 float64 and print as the shortest string that reads back as the same
 double.
 
-Exit codes: 0 ok, 2 invalid input, 3 precision-verification failure,
-4 solver failure.
+Exit codes: 0 ok, 2 invalid input, 3 precision-verification failure at
+every float precision up to ``numerics.MAX_PREC_BITS``, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from functools import partial
 
 import mpmath
 
-from .numerics import (DEFAULT_PREC_BITS, DEFAULT_VERIFY_RTOL, FloatBackend,
-                       InputError, PrecisionError, RATIONAL, SolverError,
-                       negligible, qvalue, require_positive,
+from .numerics import (FloatBackend, InputError, PrecisionError, RATIONAL,
+                       SolverError, escalate_precision, negligible, qvalue,
                        verify_at_double_precision)
 from . import asymptotics, cumulants, oracle, simulate, stationary, tq
 
@@ -79,12 +78,14 @@ def _parse_fraction(name: str, text) -> Fraction:
 def _backend(args):
     """The backend of --backend and --q.
 
-    --backend float or a decimal q selects the float backend, at --prec bits
-    where the command declares --prec and at the default precision elsewhere.
+    --backend float or a decimal q selects the float backend, at the
+    default precision.  oracle computes at that precision, since it rounds
+    to float64; exact, verify-tq and sweep raise it until their checks pass
+    (``numerics.escalate_precision``).
     """
     q = args.q or ""
     if args.backend == "float" or "." in q or "e" in q.lower():
-        return FloatBackend(getattr(args, "prec", DEFAULT_PREC_BITS))
+        return FloatBackend()
     return RATIONAL
 
 
@@ -130,16 +131,18 @@ def _emit(args, kind: dict, result: dict) -> None:
     _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
 
 
-def _evaluate(make_params, backend, rtol, imax=None):
-    """exact's values and the DeltaResult they come from.
+def _evaluate(make_params, backend, imax=None):
+    """exact's values, the DeltaResult they come from, and their backend.
 
-    The rational backend runs the series once.  The float backend runs it
-    at P and 2P bits and keeps the P-bit values only if every one agrees
-    (``verify_at_double_precision``); make_params builds the model afresh
-    for each backend, so a q like exp(-alpha/sqrt(N)) is recomputed at 2P
-    too.  The DeltaResult (method, i_max, tail_bound) is the P-bit run's.
+    The rational backend runs the series once.  On the float backend each
+    precision P runs it at P and 2P bits and keeps the P-bit values only if
+    every one agrees (``verify_at_double_precision``); P starts at 256 bits
+    and doubles until they do (``escalate_precision``).  make_params builds
+    the model afresh for each backend, so a q like exp(-alpha/sqrt(N)) is
+    recomputed at 2P too.  The returned backend and DeltaResult (method,
+    i_max, tail_bound) are the accepted P-bit run's.
     """
-    runs = []
+    runs = {}
 
     def payload(be):
         params = make_params(be)
@@ -147,18 +150,17 @@ def _evaluate(make_params, backend, rtol, imax=None):
             res = cumulants.delta_exact_resummed(params)
         else:
             res = cumulants.delta_exact_truncated(params, imax)
-        runs.append(res)
+        runs[be] = res
         return {"Z": res.Z, "J": res.J, "Delta": res.Delta, "pJ": res.pJ,
                 "S1": res.S1, "S2": res.S2,
                 **stationary.intensive_quantities(params, res.J, res.Delta)}
 
-    rtol = DEFAULT_VERIFY_RTOL if rtol is None else \
-        require_positive("tol", rtol)
     if backend.exact:
         values = payload(backend)
     else:
-        values = verify_at_double_precision(payload, backend, rtol)
-    return values, runs[0]
+        backend, values = escalate_precision(
+            lambda be: verify_at_double_precision(payload, be))
+    return backend, values, runs[backend]
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +169,8 @@ def _evaluate(make_params, backend, rtol, imax=None):
 
 def cmd_exact(args) -> int:
     N, p, qfrac = _system(args)
-    backend = _backend(args)
-    values, res = _evaluate(partial(_model, N, p, qfrac), backend, args.tol,
-                            args.imax)
+    backend, values, res = _evaluate(partial(_model, N, p, qfrac),
+                                     _backend(args), args.imax)
     result = {key: _scalar(val, backend) for key, val in values.items()}
     result.update(N=N, p=p, q=_fraction_str(qfrac), method=res.method)
     if res.method == "truncated":
@@ -237,23 +238,34 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_verify_tq(args) -> int:
+    make_params = partial(_model, *_system(args))
+
+    def check(backend):
+        """(ok, result) at one backend; PrecisionError where it falls short."""
+        first = tq.build_first_order(make_params(backend))
+        ok, residual, relative = tq.verify_first_order(first)
+        with backend.workprec():
+            max_resid = max(abs(c) for c in residual.coeffs)
+            q1_at_1 = sum(first.Q1.coeffs)
+            lambda1_is_J = negligible(
+                "lambda1 - J", first.lambda1 - first.J,
+                abs(first.lambda1) + abs(first.J), backend)
+        return ok, {
+            "residual_zero": ok,
+            "max_residual": _scalar(max_resid, backend),
+            "max_relative_residual": _scalar(relative, backend),
+            "lambda1": _scalar(first.lambda1, backend),
+            "J": _scalar(first.J, backend),
+            "lambda1_equals_J": lambda1_is_J,
+            "Q1_at_1": _scalar(q1_at_1, backend),
+        }
+
     backend = _backend(args)
-    first = tq.build_first_order(_model(*_system(args), backend))
-    ok, residual, relative = tq.verify_first_order(first)
-    with backend.workprec():
-        max_resid = max(abs(c) for c in residual.coeffs)
-        q1_at_1 = sum(first.Q1.coeffs)
-        lambda1_is_J = negligible("lambda1 - J", first.lambda1 - first.J,
-                                  abs(first.lambda1) + abs(first.J), backend)
-    _emit(args, _describe(backend), {
-        "residual_zero": ok,
-        "max_residual": _scalar(max_resid, backend),
-        "max_relative_residual": _scalar(relative, backend),
-        "lambda1": _scalar(first.lambda1, backend),
-        "J": _scalar(first.J, backend),
-        "lambda1_equals_J": lambda1_is_J,
-        "Q1_at_1": _scalar(q1_at_1, backend),
-    })
+    if backend.exact:
+        ok, result = check(backend)
+    else:
+        backend, (ok, result) = escalate_precision(check)
+    _emit(args, _describe(backend), result)
     return 0 if ok else 4
 
 
@@ -281,7 +293,7 @@ def _sweep_rows(args):
         qfrac = _parse_fraction("q", args.q)
         backend = _backend(args)
     else:
-        backend = FloatBackend(args.prec)
+        backend = FloatBackend()
 
     rows = []
     predictions: dict = {}
@@ -305,7 +317,7 @@ def _sweep_rows(args):
                 predictions[rho] = asymptotics.crossover_prediction(
                     rho, args.alpha).prediction
             qcol = float(make_params(backend).q.q)
-        values, _ = _evaluate(make_params, backend, args.tol)
+        _, values, _ = _evaluate(make_params, backend)
         J, Delta = float(values["J"]), float(values["Delta"])
         d32, d1 = Delta / N ** 1.5, Delta / N
         gap = (d32 if kpz else d1) - predictions[rho]
@@ -332,9 +344,6 @@ FLAGS = {
     "q": dict(help="deformation parameter, 'a/b' or decimal"),
     "alpha": dict(type=float, help="q = exp(-alpha/sqrt(N))"),
     "backend": dict(choices=("rational", "float"), default="rational"),
-    "prec": dict(type=int, default=DEFAULT_PREC_BITS,
-                 help="float backend mantissa bits"),
-    "tol": dict(type=float, help="relative tolerance of the 2P agreement"),
     "imax": dict(type=int, help="truncate the i-sum instead of resumming"),
     "seed": dict(type=int, default=1),
     "reps": dict(type=int, default=50),
@@ -359,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     system = ("n", "p", "rho", "q")
     command("exact", cmd_exact, "exact J and Delta from the series formula",
-            *system, "backend", "prec", "tol", "imax")
+            *system, "backend", "imax")
     command("oracle", cmd_oracle, "spectral perturbation ground truth",
             *system, "backend")
     command("simulate", cmd_simulate, "kinetic Monte Carlo estimates",
@@ -370,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
             "rho", "alpha")
     command("verify-tq", cmd_verify_tq,
             "first-order functional-equation check",
-            *system, "backend", "prec")
+            *system, "backend")
     sp = command("sweep", cmd_sweep, "CSV table over a grid of N",
-                 "p", "rho", "q", "alpha", "backend", "prec", "tol")
+                 "p", "rho", "q", "alpha", "backend")
     sp.add_argument("--n", help="comma-separated list of ring sizes")
     return parser
 

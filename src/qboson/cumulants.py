@@ -167,22 +167,24 @@ def delta_exact_truncated(params: ModelParams, i_max: int) -> DeltaResult:
     with backend.workprec():
         t = _terms(params)
         p = params.p
-        Z, phi, A = t.stat.Zvals, t.phi.coeffs, t.A
+        Z, phi = t.stat.Zvals, t.phi.coeffs
+        # A_0 = 0 carries the i-independent branch; as in the resummation
+        # it is dropped, or its float rounding would add up i_max times
+        A = [backend.integer(0)] + t.A[1:]
         r = params.q.r
         # S2 = sum_{i, k} r^(ik) Z(N, p+k) (sum_b C_{p-1-k-b} phi_b r^(i(b+1))
-        #                                    + A_k), one dot over (i, k)
-        rik, Zk, inner = [], [], []
+        #                                    + A_k), one dot per i in order
+        # of i, so that only the powers of one i are held at a time
+        S2 = backend.integer(0)
         for i in range(1, i_max + 1):
             ri = r ** i
             powers = [backend.integer(1)]   # r^(i m) for m = 0..p
             for _ in range(p):
                 powers.append(powers[-1] * ri)
-            rik += powers[:p]
-            Zk += Z[p:2 * p]
-            inner += [backend.dot(Z[p - 1 - k::-1], phi[:p - k],
-                                  powers[1:p - k + 1]) + A[k]
-                      for k in range(p)]
-        S2 = backend.dot(rik, Zk, inner)
+            inner = [backend.dot(Z[p - 1 - k::-1], phi[:p - k],
+                                 powers[1:p - k + 1]) + A[k]
+                     for k in range(p)]
+            S2 = S2 + backend.dot(powers[:p], Z[p:2 * p], inner)
 
         # |i-th term| <= |r|^i * B, so the tail is <= B |r|^(i_max+1)/(1-|r|)
         phi_abs = [abs(c) for c in phi]

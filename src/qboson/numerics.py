@@ -6,10 +6,12 @@ Two interchangeable scalar backends are provided:
 
 * rational -- ``fractions.Fraction``; arithmetic is exact and equality is
   decidable.  Default for small and moderate systems.
-* float    -- ``mpmath.mpf`` at a configurable mantissa precision (default
-  256 bits).  Used for large-N scaling sweeps.  Results computed on this
-  backend are accepted only after recomputation at doubled precision
-  agrees to a relative tolerance (see ``verify_at_double_precision``).
+* float    -- ``mpmath.mpf`` at a mantissa precision of P bits.  Used for
+  large-N scaling sweeps.  Results computed on this backend are accepted
+  only after recomputation at 2P bits agrees to a relative tolerance (see
+  ``verify_at_double_precision``).  P is not an input: it starts at 256
+  bits and doubles until the computation passes, up to ``MAX_PREC_BITS``
+  (see ``escalate_precision``).
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ class SolverError(RuntimeError):
 
 DEFAULT_PREC_BITS = 256
 DEFAULT_VERIFY_RTOL = 1e-12
+# the precision escalate_precision gives up at: the least that passes
+# `exact --n 1 --p 40 --q 3`.  A request failing at every level pays for
+# all of them: 35 s at N = p = 256 on a 2-CPU host, 22 s of it at 4096 bits
+MAX_PREC_BITS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +189,19 @@ def negligible(what: str, x, scale, backend: Backend) -> bool:
             return True
     raise PrecisionError(
         f"{what} = {mpmath.nstr(x, 10)} is not negligible against the "
-        f"scale {mpmath.nstr(scale, 10)} at {backend.prec_bits} bits; "
-        "increase the float precision")
+        f"scale {mpmath.nstr(scale, 10)} at {backend.prec_bits} bits")
 
 
 def verify_at_double_precision(compute: Callable[[Backend], dict],
-                               backend: FloatBackend,
-                               rtol: float = DEFAULT_VERIFY_RTOL) -> dict:
+                               backend: FloatBackend) -> dict:
     """Run ``compute`` at P and 2P bits; accept only if all values agree.
 
     ``compute`` maps a backend to a flat dict of scalar values.  Returns the
-    P-bit result.  Raises PrecisionError naming the first offending key.
-    Coefficient growth of F^N is hard to bound a priori, so acceptance by
-    recomputation is the contract of the float backend.
+    P-bit result.  Raises PrecisionError naming the first key whose values
+    differ by more than DEFAULT_VERIFY_RTOL relative.  Coefficient growth
+    of F^N is hard to bound a priori, so acceptance by recomputation is the
+    contract of the float backend.
     """
-    require_positive("rtol", rtol)
     with backend.workprec():
         base = compute(backend)
     doubled = backend.doubled()
@@ -206,12 +210,34 @@ def verify_at_double_precision(compute: Callable[[Backend], dict],
     with doubled.workprec():
         for key, val in base.items():
             ref = check[key]
-            if not rel_close(mpmath.mpf(val), mpmath.mpf(ref), rtol):
+            if not rel_close(mpmath.mpf(val), mpmath.mpf(ref),
+                             DEFAULT_VERIFY_RTOL):
                 raise PrecisionError(
-                    f"value {key!r} changed under doubled precision: "
+                    f"value {key!r} changed from {backend.prec_bits} to "
+                    f"{doubled.prec_bits} bits: "
                     f"{mpmath.nstr(mpmath.mpf(val), 20)} vs "
-                    f"{mpmath.nstr(mpmath.mpf(ref), 20)} (rtol={rtol})")
+                    f"{mpmath.nstr(mpmath.mpf(ref), 20)} "
+                    f"(rtol={DEFAULT_VERIFY_RTOL})")
     return base
+
+
+def escalate_precision(compute: Callable[[FloatBackend], object]) -> tuple:
+    """(backend, compute(backend)) at the least precision that passes.
+
+    compute runs on a FloatBackend of DEFAULT_PREC_BITS bits, and again at
+    twice the bits each time it raises PrecisionError.  At MAX_PREC_BITS
+    the PrecisionError propagates, its message naming that precision.
+    """
+    prec = DEFAULT_PREC_BITS
+    while True:
+        backend = FloatBackend(prec)
+        try:
+            return backend, compute(backend)
+        except PrecisionError as exc:
+            if prec >= MAX_PREC_BITS:
+                raise PrecisionError(
+                    f"no precision up to {prec} bits passed: {exc}") from None
+        prec *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,10 @@ _LEAST_POSITIVE = 5e-324   # the least positive double
 def _gillespie(n, ut, t_burn, t_end, rng, hist):
     """Run one trajectory to t_end; the lists n and hist are modified in place.
 
-    Returns (Y_burn, Y_end, events, max_drift).  Every event moves one
-    particle one site forward, so the displacement Y equals the event
-    count.  hist accumulates the time-weighted occupation of site 0 over
+    Returns (Y_burn, events, max_drift).  Every event moves one particle
+    one site forward, so the displacement equals the event count: Y_burn
+    is the count at t_burn, and events the count, and the displacement, at
+    t_end.  hist accumulates the time-weighted occupation of site 0 over
     [t_burn, t_end).  max_drift is the largest deviation between the
     incrementally maintained total rate and its from-scratch recomputation
     (the rate is resynced each time, after every _RESYNC_EVERY events).
@@ -85,7 +86,7 @@ def _gillespie(n, ut, t_burn, t_end, rng, hist):
             if t < t_burn <= tn:
                 Y_burn = events
             if tn >= t_end:
-                return Y_burn, events, events, max_drift
+                return Y_burn, events, max_drift
             t = tn
             # a zero uniform would pick site 0 even when it is empty
             u = v * R or _LEAST_POSITIVE
@@ -147,7 +148,6 @@ class SimConfig:
 @dataclass(frozen=True)
 class TrajectoryResult:
     Y_burn: int
-    Y_end: int
     events: int
     max_rate_drift: float
     hist: np.ndarray = field(repr=False)
@@ -205,10 +205,9 @@ def run_trajectory(cfg: SimConfig, rep_index: int) -> TrajectoryResult:
     n = initial_config(params, init_rng).tolist()
     hist = [0.0] * (params.p + 1)
     t_end = cfg.burn_time + cfg.t_measure
-    Y_burn, Y_end, events, drift = _gillespie(n, _rate_table(params),
-                                              cfg.burn_time, t_end,
-                                              kernel_rng, hist)
-    return TrajectoryResult(Y_burn=Y_burn, Y_end=Y_end, events=events,
+    Y_burn, events, drift = _gillespie(n, _rate_table(params),
+                                       cfg.burn_time, t_end, kernel_rng, hist)
+    return TrajectoryResult(Y_burn=Y_burn, events=events,
                             max_rate_drift=drift, hist=np.array(hist))
 
 
@@ -231,11 +230,12 @@ def _usable_cpus() -> int:
 
 
 def _replica_windows(cfg: SimConfig, reps: range) -> list:
-    """(Y_end - Y_burn, events) of each replica in reps, in order."""
+    """(events - Y_burn, events) of each replica in reps, in order: the
+    displacement over the measuring window, and the event count."""
     out = []
     for rep in reps:
         traj = run_trajectory(cfg, rep)
-        out.append((traj.Y_end - traj.Y_burn, traj.events))
+        out.append((traj.events - traj.Y_burn, traj.events))
     return out
 
 

@@ -1,8 +1,10 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,9 +12,11 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qboson
-from qboson import cumulants, stationary
+from qboson import cumulants, numerics, stationary
 from qboson.cli import FLAGS, build_parser, main
 
 
@@ -26,6 +30,14 @@ def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0, out
     return json.loads(out)
+
+
+def stdout_of(argv):
+    """The stdout of one request that exits 0, without a pytest fixture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
 
 
 @contextlib.contextmanager
@@ -96,6 +108,20 @@ class TestExact:
         with unlimited_int_digits():
             got = {key: F(doc["result"][key]) for key in keys}
         assert got == {key: getattr(want, key) for key in keys}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 30), st.integers(2, 60),
+           st.data())
+    def test_float_above_one_matches_rational(self, N, p, den, data):
+        # small N, high density and q > 1 is where Miller's recurrence
+        # cancels most; the float run must find a precision that passes
+        q = F(data.draw(st.integers(den + 1, 3 * den - 1)), den)
+        argv = ["exact", "--n", str(N), "--p", str(p), "--q", str(q)]
+        got, want = (json.loads(stdout_of(argv + extra))["result"]
+                     for extra in (["--backend", "float"], []))
+        for key in ("J", "Delta"):
+            assert float(got[key]) == pytest.approx(float(F(want[key])),
+                                                    rel=1e-12)
 
     def test_truncated_method(self, capsys):
         doc = run_json(capsys, "exact", "--n", "2", "--p", "2", "--q", "1/2",
@@ -168,13 +194,29 @@ class TestExact:
         assert code == 0
         assert json.loads(out.read_text())["result"]["J"] == "12/7"
 
-    def test_precision_failure_exits_3(self, capsys):
-        # a tolerance below the doubled-precision agreement level must
-        # trip the acceptance check (relative rounding gap ~ 2^-256)
-        code, _ = run_cli(capsys, "exact", "--n", "3", "--p", "3",
-                          "--q", "3/10", "--backend", "float",
-                          "--tol", "1e-100")
-        assert code == 3
+    def test_precision_failure_exits_3(self, capsys, monkeypatch):
+        # passes at 1024 bits only, so a cap of 256 bits must trip the
+        # acceptance check and name the cap
+        monkeypatch.setattr(numerics, "MAX_PREC_BITS", 256)
+        code = main(["exact", "--n", "1", "--p", "24", "--q", "149/50",
+                     "--backend", "float"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("precision failure: no precision up "
+                                       "to 256 bits passed")
+
+    @pytest.mark.parametrize("n,p,q,bits", [("1", "24", "149/50", 1024),
+                                            ("1", "40", "3", 4096)])
+    def test_precision_escalates(self, capsys, n, p, q, bits):
+        # Miller's recurrence cancels at q > 1 and small N: each request
+        # fails at 256 bits and passes once the precision has doubled
+        got = run_json(capsys, "exact", "--n", n, "--p", p, "--q", q,
+                       "--backend", "float")
+        want = run_json(capsys, "exact", "--n", n, "--p", p, "--q", q)
+        assert got["backend"] == {"kind": "float", "prec_bits": bits}
+        for key in ("J", "Delta"):
+            assert float(got["result"][key]) == pytest.approx(
+                float(F(want["result"][key])), rel=1e-12)
 
 
 class TestOracle:
@@ -402,20 +444,19 @@ def test_import_loads_no_scipy():
 # one request per subcommand, each setting most of the flags it declares
 ONE_REQUEST = {
     "exact": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float",
-              "--prec", "64", "--tol", "1e-10", "--imax", "30"],
+              "--imax", "30"],
     "oracle": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float"],
     "simulate": ["--n", "2", "--p", "2", "--q", "1/2", "--seed", "3",
                  "--reps", "3", "--t-burn", "2", "--t-measure", "5"],
     "asymptotic": ["--rho", "1", "--q", "1/2"],
     "crossover": ["--rho", "1", "--alpha", "1"],
-    "verify-tq": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float",
-                  "--prec", "64"],
-    "sweep": ["--n", "2,3", "--p", "2", "--q", "1/2", "--backend", "float",
-              "--prec", "64", "--tol", "1e-10"],
+    "verify-tq": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float"],
+    "sweep": ["--n", "2,3", "--p", "2", "--q", "1/2", "--backend", "float"],
 }
 
 # flags these subcommands do not read: a value would be ignored, or would
-# only set the precision of inputs that are rounded to float64
+# only set the precision of inputs that are rounded to float64, or a
+# precision and tolerance the float backend now finds itself
 DELETED_FLAGS = [
     ("oracle", "--tol", "1e-10"), ("simulate", "--tol", "1e-10"),
     ("verify-tq", "--tol", "1e-10"), ("asymptotic", "--tol", "1e-12"),
@@ -427,6 +468,10 @@ DELETED_FLAGS = [
     ("crossover", "--prec", "64"),
     ("oracle", "--prec", "64"), ("simulate", "--backend", "float"),
     ("simulate", "--prec", "64"),
+    ("exact", "--prec", "64"), ("exact", "--tol", "1e-10"),
+    ("exact", "--tol", "nan"), ("exact", "--tol", "-1"),
+    ("verify-tq", "--prec", "64"),
+    ("sweep", "--prec", "64"), ("sweep", "--tol", "1e-10"),
 ]
 
 
@@ -454,6 +499,23 @@ class TestDeclaredFlags:
         assert request["command"] == command
         assert set(request) <= declared_flags(command) | {"command"}
 
+    def test_readme_flag_table_lists_declared_flags(self):
+        # each row of README's "| command | flags |" table, --out aside
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().splitlines()
+        start = lines.index("| command | flags |") + 2
+        rows = {}
+        for line in itertools.takewhile(lambda row: row.startswith("|"),
+                                        lines[start:]):
+            command, flags = line.strip("|").split("|")
+            rows[command.strip().strip("`")] = {
+                flag.replace("-", "_")
+                for flag in re.findall(r"`--([a-z-]+)`", flags)}
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert rows == {command: declared_flags(command) - {"out"}
+                        for command in sub.choices}
+
     @pytest.mark.parametrize("command,flag,value", DELETED_FLAGS)
     def test_deleted_flag_exits_2(self, capsys, command, flag, value):
         assert flag.lstrip("-") not in declared_flags(command)
@@ -468,10 +530,8 @@ class TestDeclaredFlags:
     ["crossover", "--rho", "1", "--alpha", "inf"],
     ["simulate", "--n", "3", "--p", "3", "--q", "1/2", "--t-measure", "nan"],
     ["simulate", "--n", "3", "--p", "3", "--q", "1/2", "--t-burn", "-1"],
-    ["exact", "--n", "3", "--p", "3", "--q", "1/2", "--backend", "float",
-     "--tol", "nan"],
-    ["exact", "--n", "3", "--p", "3", "--q", "1/2", "--backend", "float",
-     "--tol", "-1"],
+    ["simulate", "--n", "3", "--p", "3", "--q", "1/2", "--t-measure", "0"],
+    ["sweep", "--rho", "1", "--alpha", "inf", "--n", "4"],
     ["sweep", "--rho", "1", "--alpha", "nan", "--n", "4"],
 ])
 def test_nonfinite_or_nonpositive_float_flag_exits_2(capsys, argv):
@@ -510,13 +570,20 @@ class TestVerifyTqFloat:
                        "--q", "1/2")
         assert doc["result"]["max_relative_residual"] == "0/1"
 
-    def test_precision_shortfall_exits_3(self, capsys):
+    def test_precision_shortfall_exits_3(self, capsys, monkeypatch):
+        # the bracket of T_1 is not negligible at 256 bits; at 512 it is
         argv = ["verify-tq", "--n", "8", "--p", "40", "--q", "5",
                 "--backend", "float"]
+        doc = run_json(capsys, *argv)
+        assert doc["backend"] == {"kind": "float", "prec_bits": 512}
+        assert doc["result"]["residual_zero"] is True
+        monkeypatch.setattr(numerics, "MAX_PREC_BITS", 256)
         code = main(argv)
-        assert code == 3
-        assert capsys.readouterr().err.startswith("precision failure: ")
-        assert main(argv + ["--prec", "512"]) == 0
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("precision failure: no precision up "
+                                       "to 256 bits passed")
+        assert "at 256 bits" in captured.err
 
 
 # The stdout corpus: each request's argv and exit code on a "$" line, then

@@ -188,12 +188,12 @@ Q_REGIMES = st.one_of(
               st.integers(101, 10_000)))
 
 
-def _float_and_exact(N, p, q, be):
-    """(value at be's precision, at twice it, exact) for F^N's coefficients
-    and for exact's J and Delta; the float run passes the 2P check."""
+def _float_and_exact(N, p, q):
+    """(value at the precision P exact's float run accepts, at 2P, exact)
+    for F^N's coefficients and for exact's J and Delta."""
     make = partial(_model, N, p, q)
-    values, _ = _evaluate(make, be, None)
-    exact, _ = _evaluate(make, RATIONAL, None)
+    be, values, _ = _evaluate(make, FloatBackend())
+    _, exact, _ = _evaluate(make, RATIONAL)
     check = delta_exact_resummed(make(be.doubled()))
     return [(values["J"], check.J, exact["J"]),
             (values["Delta"], check.Delta, exact["Delta"]),
@@ -204,12 +204,12 @@ def _float_and_exact(N, p, q, be):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 16), st.integers(1, 12), Q_REGIMES)
 def test_float_series_equals_rational(N, p, q):
-    # Each 256-bit value lies within 2^-200 of the exact one, unless its
-    # 512-bit value differs from it by at least half its error, so that
+    # Each P-bit value lies within 2^-200 of the exact one, unless its
+    # 2P-bit value differs from it by at least half its error, so that
     # the doubled-precision check sees the loss; that happens only for
     # q > 1 at small N (test_power_loses_bits_above_one).  Degree 2p <= 24
     # bounds the cost of an example.
-    for x, x2, ref in _float_and_exact(N, p, q, FloatBackend(256)):
+    for x, x2, ref in _float_and_exact(N, p, q):
         with mpmath.workprec(1024):
             ref = mpmath.mpf(ref.numerator) / ref.denominator
             err = abs(x - ref)
@@ -221,7 +221,9 @@ def test_float_series_equals_rational(N, p, q):
                    reason="Miller's recurrence cancels for q > 1 at small "
                    "N: F^1 loses about 380 bits at degree 24")
 def test_power_loses_bits_above_one():
-    for x, _, ref in _float_and_exact(1, 12, F(149, 50), FloatBackend(256)):
+    # the float run passes the 2P check at P = 256 bits, so the precision
+    # never escalates here
+    for x, _, ref in _float_and_exact(1, 12, F(149, 50)):
         with mpmath.workprec(1024):
             ref = mpmath.mpf(ref.numerator) / ref.denominator
             assert abs(x - ref) <= abs(ref) * mpmath.mpf(2) ** -200

@@ -60,19 +60,19 @@ class TestTrajectories:
         cfg = SimConfig(params=m, t_measure=50.0, reps=3, seed=9)
         a = run_trajectory(cfg, 0)
         b = run_trajectory(cfg, 0)
-        assert (a.Y_burn, a.Y_end, a.events) == (b.Y_burn, b.Y_end, b.events)
+        assert (a.Y_burn, a.events) == (b.Y_burn, b.events)
         assert np.array_equal(a.hist, b.hist)
 
     def test_replicas_differ(self):
         m = model(4, 4, F(1, 2))
         cfg = SimConfig(params=m, t_measure=50.0, reps=3, seed=9)
-        assert run_trajectory(cfg, 0).Y_end != run_trajectory(cfg, 1).Y_end
+        assert run_trajectory(cfg, 0).events != run_trajectory(cfg, 1).events
 
     def test_counters_monotone(self):
         m = model(3, 2, F(1, 2))
         cfg = SimConfig(params=m, t_measure=40.0, reps=3, seed=2)
         traj = run_trajectory(cfg, 0)
-        assert 0 <= traj.Y_burn <= traj.Y_end == traj.events
+        assert 0 <= traj.Y_burn <= traj.events
 
     def test_rate_bookkeeping_drift(self):
         # long enough to cross the resync threshold at least once
@@ -115,7 +115,7 @@ class TestKernel:
         n = [0, 2, 1]
         hist = [0.0] * 4
         events = _gillespie(n, _rate_table(model(3, 3, F(1, 2))), 0.1, 0.4,
-                            SiteUniforms(0.0), hist)[2]
+                            SiteUniforms(0.0), hist)[1]
         assert events == 1
         assert n == [0, 1, 2]
 
@@ -146,7 +146,7 @@ class TestReplicaPool:
                         seed=13, t_burn=2.0)
         est = estimate_cumulants(cfg)
         trajs = [run_trajectory(cfg, rep) for rep in range(cfg.reps)]
-        windows = [float(tr.Y_end - tr.Y_burn) for tr in trajs]
+        windows = [float(tr.events - tr.Y_burn) for tr in trajs]
         assert est.total_events == sum(tr.events for tr in trajs)
         assert est.J_hat == math.fsum(windows) / cfg.reps / cfg.t_measure
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)

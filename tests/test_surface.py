@@ -22,9 +22,9 @@ ALLOWED = {
 # public dataclass fields kept without a reader in the package, with the
 # reason
 ALLOWED_FIELDS = {
-    "TrajectoryResult.hist": "ROADMAP item 5 reports it, and tests check the "
+    "TrajectoryResult.hist": "ROADMAP item 7 reports it, and tests check the "
                              "kernel's stationary marginal through it",
-    "TrajectoryResult.max_rate_drift": "ROADMAP item 5 reports it, and tests "
+    "TrajectoryResult.max_rate_drift": "ROADMAP item 7 reports it, and tests "
                                        "check the kernel's rate drift "
                                        "through it",
 }
