@@ -587,24 +587,29 @@ class TestVerifyTqFloat:
 
 
 # The stdout corpus: each request's argv and exit code on a "$" line, then
-# its stdout byte for byte.  The first line records the numpy version,
-# since simulate's bytes depend on numpy's random streams; a numpy upgrade
-# shows as a diff of the corpus like any other output change.  After a
-# deliberate change, rewrite the corpus with
+# its stdout byte for byte.  The first line records the numpy and scipy
+# versions, since simulate's bytes depend on numpy's random streams and the
+# float oracle's on scipy's sparse LU; an upgrade of either shows as a diff
+# of the corpus like any other output change.  After a deliberate change,
+# rewrite the corpus with
 #     PYTHONPATH=src python tests/test_cli.py
 CORPUS = Path(__file__).with_name("stdout.corpus")
 
 
+def corpus_entry(argv: list) -> str:
+    """One request's "$" line and stdout, as the corpus holds them."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return f"$ {' '.join(argv)} # exit {code}\n{out.getvalue()}"
+
+
 def corpus_text(requests: list) -> str:
     import numpy
+    import scipy
 
-    parts = [f"numpy {numpy.__version__}\n"]
-    for argv in requests:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(list(argv))
-        parts.append(f"$ {' '.join(argv)} # exit {code}\n{out.getvalue()}")
-    return "".join(parts)
+    header = f"numpy {numpy.__version__} scipy {scipy.__version__}\n"
+    return header + "".join(corpus_entry(argv) for argv in requests)
 
 
 def corpus_requests(text: str) -> list:
@@ -615,6 +620,27 @@ def corpus_requests(text: str) -> list:
 def test_stdout_corpus_is_pinned():
     pinned = CORPUS.read_bytes().decode()
     assert corpus_text(corpus_requests(pinned)) == pinned
+
+
+def is_float_request(argv: list) -> bool:
+    """Whether the request computes on the float backend (cli._backend)."""
+    q = argv[argv.index("--q") + 1] if "--q" in argv else ""
+    return (argv[0] == "sweep" or "float" in argv
+            or "." in q or "e" in q.lower())
+
+
+def test_float_outputs_ignore_mpmath_global_precision():
+    """Every float request of the corpus prints its pinned bytes with
+    mpmath's global precision at 20 bits: float results carry their own
+    precision, and none of them reads the global one."""
+    entries = re.split(r"(?m)^(?=\$ )", CORPUS.read_bytes().decode())[1:]
+    floats = [(argv, entry) for argv, entry
+              in zip(corpus_requests("".join(entries)), entries)
+              if is_float_request(argv)]
+    assert len(floats) >= 20
+    with mpmath.workprec(20):
+        for argv, entry in floats:
+            assert corpus_entry(argv) == entry, argv
 
 
 if __name__ == "__main__":
