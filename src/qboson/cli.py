@@ -47,17 +47,12 @@ def _fraction_str(x: Fraction) -> str:
         set_limit(limit)
 
 
-def _mpf_str(x, prec_bits: int) -> str:
-    dps = int(prec_bits * 0.30103) + 2
-    with mpmath.workprec(prec_bits):
-        return mpmath.nstr(mpmath.mpf(x), dps, strip_zeros=True)
-
-
 def _scalar(x, backend) -> str:
     """A backend scalar as printed: "num/den", or decimal at its precision."""
     if backend.exact:
         return _fraction_str(Fraction(x))
-    return _mpf_str(x, backend.prec_bits)
+    return mpmath.nstr(backend.ratio(x), int(backend.prec_bits * 0.30103) + 2,
+                       strip_zeros=True)
 
 
 def _describe(backend) -> dict:
@@ -244,12 +239,11 @@ def cmd_verify_tq(args) -> int:
         """(ok, result) at one backend; PrecisionError where it falls short."""
         first = tq.build_first_order(make_params(backend))
         ok, residual, relative = tq.verify_first_order(first)
-        with backend.workprec():
-            max_resid = max(abs(c) for c in residual.coeffs)
-            q1_at_1 = sum(first.Q1.coeffs)
-            lambda1_is_J = negligible(
-                "lambda1 - J", first.lambda1 - first.J,
-                abs(first.lambda1) + abs(first.J), backend)
+        max_resid = max(abs(c) for c in residual.coeffs)
+        q1_at_1 = sum(first.Q1.coeffs)
+        lambda1_is_J = negligible(
+            "lambda1 - J", first.lambda1 - first.J,
+            abs(first.lambda1) + abs(first.J), backend)
         return ok, {
             "residual_zero": ok,
             "max_residual": _scalar(max_resid, backend),
@@ -308,9 +302,8 @@ def _sweep_rows(args):
             qcol = float(qfrac)
         else:
             def make_params(be, N=N, p=p):
-                with be.workprec():
-                    qs = mpmath.exp(be.integer(-1) * args.alpha
-                                    / mpmath.sqrt(N))
+                qs = be.ctx.exp(be.integer(-1) * args.alpha
+                                / be.ctx.sqrt(N))
                 return stationary.ModelParams(N=N, p=p, q=qvalue(qs, be))
 
             if rho not in predictions:

@@ -103,10 +103,7 @@ class _Terms:
 
 
 def _terms(params: ModelParams) -> _Terms:
-    """Build F^N, then phi, the checked A_k, S1 and the prefactor.
-
-    Call inside the backend's working precision.
-    """
+    """Build F^N, then phi, the checked A_k, S1 and the prefactor."""
     backend = params.backend
     stat = compute_stationary(params)
     p, N = params.p, params.N
@@ -137,20 +134,19 @@ def delta_exact_resummed(params: ModelParams) -> DeltaResult:
     if params.q.is_unity:
         return _unity_result(params)
     backend = params.backend
-    with backend.workprec():
-        t = _terms(params)
-        p = params.p
-        Z, phi, A = t.stat.Zvals, t.phi.coeffs, t.A
-        # gf[a] = r^a / (1 - r^a) for a = 1..p
-        gf = [None] + [geometric_factor(params.q.r, a)
-                       for a in range(1, p + 1)]
-        inner = [backend.dot(Z[p - 1 - k::-1], phi[:p - k], gf[k + 1:])
-                 for k in range(p)]
-        # A_0 = 0 carries the divergent i-independent branch; it is dropped
-        for k in range(1, p):
-            inner[k] = inner[k] + A[k] * gf[k]
-        S2 = backend.dot(Z[p:2 * p], inner)
-        return _result(params, t, S2, "resummed")
+    t = _terms(params)
+    p = params.p
+    Z, phi, A = t.stat.Zvals, t.phi.coeffs, t.A
+    # gf[a] = r^a / (1 - r^a) for a = 1..p
+    gf = [None] + [geometric_factor(params.q.r, a)
+                   for a in range(1, p + 1)]
+    inner = [backend.dot(Z[p - 1 - k::-1], phi[:p - k], gf[k + 1:])
+             for k in range(p)]
+    # A_0 = 0 carries the divergent i-independent branch; it is dropped
+    for k in range(1, p):
+        inner[k] = inner[k] + A[k] * gf[k]
+    S2 = backend.dot(Z[p:2 * p], inner)
+    return _result(params, t, S2, "resummed")
 
 
 def delta_exact_truncated(params: ModelParams, i_max: int) -> DeltaResult:
@@ -164,38 +160,37 @@ def delta_exact_truncated(params: ModelParams, i_max: int) -> DeltaResult:
     if params.q.is_unity:
         return _unity_result(params)
     backend = params.backend
-    with backend.workprec():
-        t = _terms(params)
-        p = params.p
-        Z, phi = t.stat.Zvals, t.phi.coeffs
-        # A_0 = 0 carries the i-independent branch; as in the resummation
-        # it is dropped, or its float rounding would add up i_max times
-        A = [backend.integer(0)] + t.A[1:]
-        r = params.q.r
-        # S2 = sum_{i, k} r^(ik) Z(N, p+k) (sum_b C_{p-1-k-b} phi_b r^(i(b+1))
-        #                                    + A_k), one dot per i in order
-        # of i, so that only the powers of one i are held at a time
-        S2 = backend.integer(0)
-        for i in range(1, i_max + 1):
-            ri = r ** i
-            powers = [backend.integer(1)]   # r^(i m) for m = 0..p
-            for _ in range(p):
-                powers.append(powers[-1] * ri)
-            inner = [backend.dot(Z[p - 1 - k::-1], phi[:p - k],
-                                 powers[1:p - k + 1]) + A[k]
-                     for k in range(p)]
-            S2 = S2 + backend.dot(powers[:p], Z[p:2 * p], inner)
+    t = _terms(params)
+    p = params.p
+    Z, phi = t.stat.Zvals, t.phi.coeffs
+    # A_0 = 0 carries the i-independent branch; as in the resummation
+    # it is dropped, or its float rounding would add up i_max times
+    A = [backend.integer(0)] + t.A[1:]
+    r = params.q.r
+    # S2 = sum_{i, k} r^(ik) Z(N, p+k) (sum_b C_{p-1-k-b} phi_b r^(i(b+1))
+    #                                    + A_k), one dot per i in order
+    # of i, so that only the powers of one i are held at a time
+    S2 = backend.integer(0)
+    for i in range(1, i_max + 1):
+        ri = r ** i
+        powers = [backend.integer(1)]   # r^(i m) for m = 0..p
+        for _ in range(p):
+            powers.append(powers[-1] * ri)
+        inner = [backend.dot(Z[p - 1 - k::-1], phi[:p - k],
+                             powers[1:p - k + 1]) + A[k]
+                 for k in range(p)]
+        S2 = S2 + backend.dot(powers[:p], Z[p:2 * p], inner)
 
-        # |i-th term| <= |r|^i * B, so the tail is <= B |r|^(i_max+1)/(1-|r|)
-        phi_abs = [abs(c) for c in phi]
-        C_abs = [abs(c) for c in Z[:p]]
-        B = backend.dot(Z[p:2 * p], [
-            backend.dot(C_abs[p - 1 - k::-1], phi_abs[:p - k]) + abs(A[k])
-            for k in range(p)])
-        r_abs = abs(r)
-        tail = float(t.prefactor * B * r_abs ** (i_max + 1) / (1 - r_abs))
-        return _result(params, t, S2, "truncated", i_max=i_max,
-                       tail_bound=tail)
+    # |i-th term| <= |r|^i * B, so the tail is <= B |r|^(i_max+1)/(1-|r|)
+    phi_abs = [abs(c) for c in phi]
+    C_abs = [abs(c) for c in Z[:p]]
+    B = backend.dot(Z[p:2 * p], [
+        backend.dot(C_abs[p - 1 - k::-1], phi_abs[:p - k]) + abs(A[k])
+        for k in range(p)])
+    r_abs = abs(r)
+    tail = float(t.prefactor * B * r_abs ** (i_max + 1) / (1 - r_abs))
+    return _result(params, t, S2, "truncated", i_max=i_max,
+                   tail_bound=tail)
 
 
 def delta_fss_estimate(params: ModelParams):
@@ -207,13 +202,12 @@ def delta_fss_estimate(params: ModelParams):
     """
     params.q.require_series_regime("the finite-size-scaling estimate")
     backend = params.backend
-    with backend.workprec():
-        stat = compute_stationary(params)
-        p, N = params.p, params.N
-        # F^(2N) at degree 2p is just (F^N)^2 at the degree already built
-        Fn = TruncSeries(stat.Zvals)
-        Z2 = Fn.mul(Fn, backend).coeffs
-        jN = stat.Zvals[p - 1] / stat.Zvals[p]
-        j2N = Z2[2 * p - 1] / Z2[2 * p]
-        return (backend.integer(N) ** 2 * Z2[2 * p] / stat.Zvals[p] ** 2
-                * (jN - j2N))
+    stat = compute_stationary(params)
+    p, N = params.p, params.N
+    # F^(2N) at degree 2p is just (F^N)^2 at the degree already built
+    Fn = TruncSeries(stat.Zvals)
+    Z2 = Fn.mul(Fn, backend).coeffs
+    jN = stat.Zvals[p - 1] / stat.Zvals[p]
+    j2N = Z2[2 * p - 1] / Z2[2 * p]
+    return (backend.integer(N) ** 2 * Z2[2 * p] / stat.Zvals[p] ** 2
+            * (jN - j2N))

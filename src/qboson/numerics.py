@@ -7,16 +7,18 @@ Two interchangeable scalar backends are provided:
 * rational -- ``fractions.Fraction``; arithmetic is exact and equality is
   decidable.  Default for small and moderate systems.
 * float    -- ``mpmath.mpf`` at a mantissa precision of P bits.  Used for
-  large-N scaling sweeps.  Results computed on this backend are accepted
-  only after recomputation at 2P bits agrees to a relative tolerance (see
-  ``verify_at_double_precision``).  P is not an input: it starts at 256
-  bits and doubles until the computation passes, up to ``MAX_PREC_BITS``
-  (see ``escalate_precision``).
+  large-N scaling sweeps.  Each scalar belongs to an mpmath context of its
+  backend's precision and rounds every operation to P bits, whatever
+  mpmath's global precision is; nothing opens a precision scope.  Results
+  computed on this backend are accepted only after recomputation at 2P
+  bits agrees to a relative tolerance (see ``verify_at_double_precision``).
+  P is not an input: it starts at 256 bits and doubles until the
+  computation passes, up to ``MAX_PREC_BITS`` (see ``escalate_precision``).
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -62,9 +64,6 @@ class RationalBackend:
     def integer(self, n: int) -> Fraction:
         return Fraction(n)
 
-    def workprec(self):
-        return contextlib.nullcontext()
-
     def dot(self, *vectors) -> Fraction:
         """sum_i prod_v vectors[v][i] over vectors of equal length.
 
@@ -81,12 +80,23 @@ class RationalBackend:
         return "RationalBackend()"
 
 
+@functools.cache
+def _context(prec_bits: int) -> mpmath.MPContext:
+    ctx = mpmath.MPContext()
+    ctx.prec = prec_bits
+    return ctx
+
+
 class FloatBackend:
     """Arbitrary-precision binary floats via mpmath.
 
-    All arithmetic must run inside ``with backend.workprec():`` so that
-    intermediate results carry ``prec_bits`` of mantissa.  The module-level
-    entry points of this package do that themselves.
+    The scalars carry their precision: they belong to ``ctx``, an mpmath
+    context at ``prec_bits`` (one per precision, built on first use), and
+    every operation on them rounds to ``prec_bits`` whatever mpmath's
+    global precision is.  mpmath computes in the context of the left
+    operand, so a constant or function that meets these scalars comes from
+    the backend (``integer``, ``ratio``, ``ctx.exp``), never from the
+    module-level ``mpmath`` namespace.
     """
 
     exact = False
@@ -96,16 +106,20 @@ class FloatBackend:
             raise InputError(f"prec_bits must be >= 53, got {prec_bits}")
         self.prec_bits = prec_bits
 
+    @property
+    def ctx(self) -> mpmath.MPContext:
+        return _context(self.prec_bits)
+
     def ratio(self, num, den=1) -> mpmath.mpf:
-        with self.workprec():
-            return mpmath.mpf(num) / den
+        """num / den rounded to nearest at prec_bits, den an int; num may
+        be an int, a Fraction, a float or an mpf of any precision."""
+        if isinstance(num, Fraction):
+            # ctx.convert would round a Fraction towards zero
+            num, den = num.numerator, num.denominator * den
+        return self.ctx.convert(num) / den
 
     def integer(self, n: int) -> mpmath.mpf:
-        with self.workprec():
-            return mpmath.mpf(n)
-
-    def workprec(self):
-        return mpmath.workprec(self.prec_bits)
+        return self.ctx.mpf(n)
 
     def dot(self, *vectors) -> mpmath.mpf:
         """sum_i prod_v vectors[v][i], rounded once to prec_bits.
@@ -137,12 +151,12 @@ class FloatBackend:
                 mans.append(man)
                 exps.append(exp)
         if not mans:
-            return mpmath.mpf(0)
+            return self.ctx.zero
         top = max([m.bit_length() + e for m, e in zip(mans, exps)])
         floor = top - self.prec_bits - 32 - len(mans).bit_length()
         total = sum([m << (e - floor) if e >= floor else m >> (floor - e)
                      for m, e in zip(mans, exps)])
-        return mpmath.mp.make_mpf(
+        return self.ctx.make_mpf(
             from_man_exp(total, floor, self.prec_bits, "n"))
 
     def doubled(self) -> "FloatBackend":
@@ -184,9 +198,8 @@ def negligible(what: str, x, scale, backend: Backend) -> bool:
     """
     if backend.exact:
         return x == 0
-    with backend.workprec():
-        if abs(x) <= scale * mpmath.mpf(2) ** -(backend.prec_bits // 2):
-            return True
+    if abs(x) <= scale * backend.integer(2) ** -(backend.prec_bits // 2):
+        return True
     raise PrecisionError(
         f"{what} = {mpmath.nstr(x, 10)} is not negligible against the "
         f"scale {mpmath.nstr(scale, 10)} at {backend.prec_bits} bits")
@@ -202,22 +215,17 @@ def verify_at_double_precision(compute: Callable[[Backend], dict],
     of F^N is hard to bound a priori, so acceptance by recomputation is the
     contract of the float backend.
     """
-    with backend.workprec():
-        base = compute(backend)
+    base = compute(backend)
     doubled = backend.doubled()
-    with doubled.workprec():
-        check = compute(doubled)
-    with doubled.workprec():
-        for key, val in base.items():
-            ref = check[key]
-            if not rel_close(mpmath.mpf(val), mpmath.mpf(ref),
-                             DEFAULT_VERIFY_RTOL):
-                raise PrecisionError(
-                    f"value {key!r} changed from {backend.prec_bits} to "
-                    f"{doubled.prec_bits} bits: "
-                    f"{mpmath.nstr(mpmath.mpf(val), 20)} vs "
-                    f"{mpmath.nstr(mpmath.mpf(ref), 20)} "
-                    f"(rtol={DEFAULT_VERIFY_RTOL})")
+    check = compute(doubled)
+    for key, val in base.items():
+        # compared in the 2P context, which holds both values exactly
+        val, ref = doubled.ctx.convert(val), doubled.ctx.convert(check[key])
+        if not rel_close(val, ref, DEFAULT_VERIFY_RTOL):
+            raise PrecisionError(
+                f"value {key!r} changed from {backend.prec_bits} to "
+                f"{doubled.prec_bits} bits: {mpmath.nstr(val, 20)} vs "
+                f"{mpmath.nstr(ref, 20)} (rtol={DEFAULT_VERIFY_RTOL})")
     return base
 
 
@@ -274,14 +282,19 @@ class QValue:
 
 
 def qvalue(q, backend: Backend = RATIONAL) -> QValue:
-    """Classify q (rates are positive only for q > -1)."""
+    """Classify q (rates are positive only for q > -1).
+
+    On the float backend q is first rounded into the backend's precision,
+    so q and r are scalars of that backend whatever q came as.
+    """
+    if not backend.exact:
+        q = backend.ratio(q)
     if q <= -1:
         raise InputError(f"q must be > -1, got {q}")
     if q == 1:
         return QValue(q=q, regime=REGIME_UNITY, r=None, backend=backend)
     if q > 1:
-        with backend.workprec():
-            r = backend.integer(1) / q
+        r = backend.integer(1) / q
         return QValue(q=q, regime=REGIME_GREATER_ONE, r=r, backend=backend)
     return QValue(q=q, regime=REGIME_GENERIC, r=q, backend=backend)
 

@@ -134,18 +134,17 @@ def build_generator(params: ModelParams) -> GeneratorPair:
             reps.append(cfg)
             sizes.append(len(turns))
     totals, jumps = [], []
-    with backend.workprec():
-        rates = tuple(rate_u(n, params.q) for n in range(p + 1))
-        zero = backend.integer(0)
-        for src, cfg in enumerate(reps):
-            totals.append(sum((rates[n] for n in cfg if n), zero))
-            for i, n in enumerate(cfg):
-                if n == 0:
-                    continue
-                moved = list(cfg)
-                moved[i] -= 1
-                moved[(i + 1) % N] += 1
-                jumps.append((src, orbit[tuple(moved)], n))
+    rates = tuple(rate_u(n, params.q) for n in range(p + 1))
+    zero = backend.integer(0)
+    for src, cfg in enumerate(reps):
+        totals.append(sum((rates[n] for n in cfg if n), zero))
+        for i, n in enumerate(cfg):
+            if n == 0:
+                continue
+            moved = list(cfg)
+            moved[i] -= 1
+            moved[(i + 1) % N] += 1
+            jumps.append((src, orbit[tuple(moved)], n))
     return GeneratorPair(configs=tuple(reps), sizes=tuple(sizes),
                          R=tuple(totals), rates=rates, jumps=tuple(jumps))
 
@@ -174,13 +173,12 @@ def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
     """pi(orbit) proportional to size * prod_i f(n_i), normalized, at the
     backend's working precision."""
     backend = params.backend
-    with backend.workprec():
-        ftab = weight_series(params.q, params.p).coeffs
-        one = backend.integer(1)
-        weights = [prod((ftab[n] for n in cfg), start=one)
-                   for cfg in gen.configs]
-        Z = backend.dot(gen.sizes, weights)
-        return [s * w / Z for s, w in zip(gen.sizes, weights)]
+    ftab = weight_series(params.q, params.p).coeffs
+    one = backend.integer(1)
+    weights = [prod((ftab[n] for n in cfg), start=one)
+               for cfg in gen.configs]
+    Z = backend.dot(gen.sizes, weights)
+    return [s * w / Z for s, w in zip(gen.sizes, weights)]
 
 
 def _integer_weights(gen: GeneratorPair) -> list:

@@ -88,9 +88,8 @@ def compute_stationary(params: ModelParams) -> StationaryData:
     """
     backend = params.backend
     D = 2 * params.p
-    with backend.workprec():
-        Zvals = tuple(weight_series(params.q, D).pow(params.N, backend).coeffs)
-        J = params.N * Zvals[params.p - 1] / Zvals[params.p]
+    Zvals = tuple(weight_series(params.q, D).pow(params.N, backend).coeffs)
+    J = params.N * Zvals[params.p - 1] / Zvals[params.p]
     return StationaryData(params=params, Zvals=Zvals, J=J)
 
 
@@ -113,12 +112,11 @@ def phi_coefficients(params: ModelParams, J, degree: int) -> TruncSeries:
     params.q.require_series_regime("the phi series")
     q = params.q.q
     backend = params.backend
-    with backend.workprec():
-        ratio = J / params.p
-        coeffs = []
-        for m in range(degree + 1):
-            val = ratio * (1 - q) ** (m + 1) / (1 - q ** (m + 1))
-            if m == 0:
-                val = val - 1
-            coeffs.append(val)
+    ratio = J / params.p
+    coeffs = []
+    for m in range(degree + 1):
+        val = ratio * (1 - q) ** (m + 1) / (1 - q ** (m + 1))
+        if m == 0:
+            val = val - 1
+        coeffs.append(val)
     return TruncSeries(coeffs)

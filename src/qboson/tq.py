@@ -118,17 +118,16 @@ def t1_polynomial(b1: TruncSeries, params: ModelParams) -> TruncSeries:
 
 def build_first_order(params: ModelParams) -> TqFirstOrder:
     backend = params.backend
-    with backend.workprec():
-        stat = compute_stationary(params)
-        N, p = params.N, params.p
-        q = params.q.q
-        b1 = b1_polynomial(params, stat)
-        q1 = q1_polynomial(b1, params)
-        t1 = t1_polynomial(b1, params)
-        Q0 = _series([backend.integer(0)] * p + [backend.integer(1)], params)
-        T0 = _series(one_minus_x_pow(N, backend), params).add(
-            TruncSeries.constant(q ** p, N + p - 1, backend))
-        lambda1 = q1.coeff(p - 1)
+    stat = compute_stationary(params)
+    N, p = params.N, params.p
+    q = params.q.q
+    b1 = b1_polynomial(params, stat)
+    q1 = q1_polynomial(b1, params)
+    t1 = t1_polynomial(b1, params)
+    Q0 = _series([backend.integer(0)] * p + [backend.integer(1)], params)
+    T0 = _series(one_minus_x_pow(N, backend), params).add(
+        TruncSeries.constant(q ** p, N + p - 1, backend))
+    lambda1 = q1.coeff(p - 1)
     return TqFirstOrder(params=params, Q0=Q0, T0=T0, Q1=q1, T1=t1,
                         lambda1=lambda1, J=stat.J)
 
@@ -157,17 +156,16 @@ def verify_first_order(tq: TqFirstOrder) -> tuple[bool, TruncSeries, object]:
                         params)
         return lhs, rhs.add(onemx.mul(third, backend))
 
-    with backend.workprec():
-        lhs, rhs = sides(tq.T0, tq.T1, tq.Q0, tq.Q1, onemx, params.q.q)
-        residual = lhs.add(rhs.scale(backend.integer(-1)))
-        if backend.exact and not any(residual.coeffs):
-            return True, residual, backend.integer(0)
-        lhs, rhs = sides(*map(_abs, (tq.T0, tq.T1, tq.Q0, tq.Q1, onemx)),
-                         abs(params.q.q))
-        scales = lhs.add(rhs)
-        ok = _first_nonzero("residual", residual, lambda: scales,
-                            residual.degree + 1, backend) is None
-        relative = max((abs(x) / s for x, s in
-                        zip(residual.coeffs, scales.coeffs) if s),
-                       default=backend.integer(0))
+    lhs, rhs = sides(tq.T0, tq.T1, tq.Q0, tq.Q1, onemx, params.q.q)
+    residual = lhs.add(rhs.scale(backend.integer(-1)))
+    if backend.exact and not any(residual.coeffs):
+        return True, residual, backend.integer(0)
+    lhs, rhs = sides(*map(_abs, (tq.T0, tq.T1, tq.Q0, tq.Q1, onemx)),
+                     abs(params.q.q))
+    scales = lhs.add(rhs)
+    ok = _first_nonzero("residual", residual, lambda: scales,
+                        residual.degree + 1, backend) is None
+    relative = max((abs(x) / s for x, s in
+                    zip(residual.coeffs, scales.coeffs) if s),
+                   default=backend.integer(0))
     return ok, residual, relative

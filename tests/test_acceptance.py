@@ -9,7 +9,6 @@ import math
 import time
 from fractions import Fraction as F
 
-import mpmath
 import numpy as np
 
 from qboson.numerics import FloatBackend, qvalue
@@ -116,8 +115,7 @@ def test_criterion_07_crossover():
     for alpha in (1.0, -1.0):
         devs = []
         for N in (16, 36, 64, 100):
-            with be.workprec():
-                qs = mpmath.exp(-be.integer(1) * alpha / mpmath.sqrt(N))
+            qs = be.ctx.exp(-be.integer(1) * alpha / be.ctx.sqrt(N))
             d = delta_exact_resummed(ModelParams(N=N, p=N,
                                                  q=qvalue(qs, be)))
             devs.append(abs(float(d.Delta) / N - prediction) / prediction)
@@ -212,7 +210,6 @@ def test_criterion_12_resummation_vs_truncation():
     mf = ModelParams(N=3, p=3, q=qvalue(be.ratio(1, 2), be))
     rf = delta_exact_resummed(mf)
     tf = delta_exact_truncated(mf, 200)
-    with be.workprec():
-        assert abs(float(tf.Delta - rf.Delta)) <= 1e-12
+    assert abs(float(tf.Delta - rf.Delta)) <= 1e-12
     report(12, "resummed == truncated(200) within geometric tail (rational) "
                "and to 1e-12 (256-bit float)")

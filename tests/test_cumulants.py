@@ -1,7 +1,6 @@
 from fractions import Fraction as F
 from functools import partial
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,9 +153,14 @@ class TestFloatBackend:
             mr = model(N, p, F(qnum, qden))
             df = delta_exact_resummed(mf)
             dr = delta_exact_resummed(mr)
-            with be.workprec():
-                exact = be.ratio(dr.Delta.numerator, dr.Delta.denominator)
-                assert abs(df.Delta - exact) < abs(exact) * mpmath.mpf(2) ** -150
+            exact = be.ratio(dr.Delta.numerator, dr.Delta.denominator)
+            assert abs(df.Delta - exact) < abs(exact) * be.integer(2) ** -150
+
+    def test_fraction_q_is_rounded_into_the_backend(self):
+        be = FloatBackend()
+        got = delta_exact_resummed(model(4, 3, F(1, 3), be))
+        want = delta_exact_resummed(model(4, 3, be.ratio(1, 3), be))
+        assert got.Delta == want.Delta
 
     def test_a0_guard_fires_on_garbage_precision(self):
         # the guard compares |A_0| against the cancelling-term scale; feeding
@@ -167,12 +171,11 @@ class TestFloatBackend:
         be = FloatBackend(64)
         m = ModelParams(N=3, p=3, q=qvalue(be.ratio(1, 2), be))
         stat = compute_stationary(m)
-        with be.workprec():
-            bad_phi = phi_coefficients(m, stat.J * (1 + be.ratio(1, 1000)), 2)
-            C = stat.Zvals
-            a0 = sum(C[2 - b] * bad_phi.coeff(b) for b in range(3))
-            with pytest.raises(PrecisionError):
-                _check_a0(a0, 3, C, bad_phi, be)
+        bad_phi = phi_coefficients(m, stat.J * (1 + be.ratio(1, 1000)), 2)
+        C = stat.Zvals
+        a0 = sum(C[2 - b] * bad_phi.coeff(b) for b in range(3))
+        with pytest.raises(PrecisionError):
+            _check_a0(a0, 3, C, bad_phi, be)
 
 
 def _rationals_in(lo, hi):
@@ -186,6 +189,10 @@ Q_REGIMES = st.one_of(
     _rationals_in(F(1), F(3)),
     st.builds(lambda sign, d: 1 + sign * F(1, d), st.sampled_from((-1, 1)),
               st.integers(101, 10_000)))
+
+
+# exact references rounded to 1024 bits, far past any P-bit error tested
+REFERENCE = FloatBackend(1024)
 
 
 def _float_and_exact(N, p, q):
@@ -210,11 +217,10 @@ def test_float_series_equals_rational(N, p, q):
     # q > 1 at small N (test_power_loses_bits_above_one).  Degree 2p <= 24
     # bounds the cost of an example.
     for x, x2, ref in _float_and_exact(N, p, q):
-        with mpmath.workprec(1024):
-            ref = mpmath.mpf(ref.numerator) / ref.denominator
-            err = abs(x - ref)
-            assert err <= abs(ref) * mpmath.mpf(2) ** -200 \
-                or abs(x - x2) >= err / 2, (N, p, q)
+        ref = REFERENCE.ratio(ref)
+        err = abs(ref - x)
+        assert err <= abs(ref) * REFERENCE.integer(2) ** -200 \
+            or abs(x2 - x) >= err / 2, (N, p, q)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -224,6 +230,5 @@ def test_power_loses_bits_above_one():
     # the float run passes the 2P check at P = 256 bits, so the precision
     # never escalates here
     for x, _, ref in _float_and_exact(1, 12, F(149, 50)):
-        with mpmath.workprec(1024):
-            ref = mpmath.mpf(ref.numerator) / ref.denominator
-            assert abs(x - ref) <= abs(ref) * mpmath.mpf(2) ** -200
+        ref = REFERENCE.ratio(ref)
+        assert abs(ref - x) <= abs(ref) * REFERENCE.integer(2) ** -200

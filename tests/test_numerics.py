@@ -180,9 +180,28 @@ class TestFloatBackend:
     def test_ratio_precision(self):
         be = FloatBackend(256)
         x = be.ratio(1, 3)
-        with be.workprec():
-            err = abs(x * 3 - 1)
-            assert err < mpmath.mpf(2) ** -250
+        err = abs(x * 3 - 1)
+        assert err < be.integer(2) ** -250
+
+    def test_ratio_rounds_every_input_to_nearest(self):
+        be = FloatBackend(256)
+        third = be.ratio(1, 3)
+        assert be.ratio(F(1, 3)) == third
+        assert be.ratio(FloatBackend(1024).ratio(1, 3)) == third
+        assert be.ratio(0.5) == be.ratio(1, 2)
+        assert qvalue(F(1, 3), be).q == third
+
+    def test_scalars_ignore_global_precision(self):
+        # every operation on a backend scalar rounds at the backend's
+        # precision, whatever mpmath's global one is
+        be = FloatBackend(256)
+        with mpmath.workprec(20):
+            third = be.ratio(1, 3)
+            err = abs(third * 3 - 1)
+            root = be.ctx.sqrt(be.integer(2))
+        assert third == FloatBackend(256).ratio(1, 3)
+        assert err < be.integer(2) ** -250
+        assert abs(root * root - 2) < be.integer(2) ** -250
 
     def test_rejects_tiny_precision(self):
         with pytest.raises(InputError):
@@ -312,24 +331,23 @@ class TestNegligible:
     def test_float_tolerance_scales_with_terms(self):
         # 2^-(64 // 2) of the scale is the tolerance at 64 bits
         be = FloatBackend(64)
-        with be.workprec():
-            tiny = mpmath.mpf(2) ** -33
-            big = mpmath.mpf(2) ** 100
-            assert negligible("x", tiny * big, big, be)
-            with pytest.raises(PrecisionError):
-                negligible("x", 4 * tiny * big, big, be)
-            with pytest.raises(PrecisionError):
-                negligible("x", tiny, mpmath.mpf(0), be)
+        tiny = be.integer(2) ** -33
+        big = be.integer(2) ** 100
+        assert negligible("x", tiny * big, big, be)
+        with pytest.raises(PrecisionError):
+            negligible("x", 4 * tiny * big, big, be)
+        with pytest.raises(PrecisionError):
+            negligible("x", tiny, be.integer(0), be)
 
 
 class TestRelClose:
     def test_tiny_values_compared_relatively(self):
         # equal in 12 digits, different in the 13th: not equal at 1e-12
-        with mpmath.workprec(128):
-            a = mpmath.mpf("1.000000000000e-20")
-            b = mpmath.mpf("1.000000000005e-20")
-            assert not rel_close(a, b, 1e-12)
-            assert rel_close(a, b, 1e-11)
+        be = FloatBackend(128)
+        a = be.ratio(F("1.000000000000e-20"))
+        b = be.ratio(F("1.000000000005e-20"))
+        assert not rel_close(a, b, 1e-12)
+        assert rel_close(a, b, 1e-11)
 
     def test_exact_zeros_equal(self):
         assert rel_close(0, 0, 1e-12)
@@ -350,20 +368,14 @@ class TestRelClose:
             verify_at_double_precision(compute, be)
 
 
-def to_mpf(x: F):
-    return mpmath.mpf(x.numerator) / x.denominator
-
-
 def test_float_series_roundtrip_matches_rational():
     be = FloatBackend(128)
     ra = TruncSeries([F(1), F(1, 2), F(1, 3), F(1, 4)])
-    with be.workprec():
-        fa = TruncSeries([be.ratio(1, k + 1) for k in range(4)])
-        got = fa.pow(5, be)
+    fa = TruncSeries([be.ratio(1, k + 1) for k in range(4)])
+    got = fa.pow(5, be)
     want = ra.pow(5, RATIONAL)
-    with be.workprec():
-        for k in range(4):
-            assert rel_close(got.coeff(k), to_mpf(want.coeff(k)), 1e-30)
+    for k in range(4):
+        assert rel_close(got.coeff(k), be.ratio(want.coeff(k)), 1e-30)
 
     # F^N at N = p = 64: the power recurrence sums terms of both signs, so
     # the 256-bit coefficients must still agree with the exact ones
@@ -371,11 +383,10 @@ def test_float_series_roundtrip_matches_rational():
     be = FloatBackend(256)
     for q in (F(1, 2), F(-1, 2), F(3, 2)):
         want = weight_series(qvalue(q), p).pow(N, RATIONAL)
-        with be.workprec():
-            qf = qvalue(be.ratio(q.numerator, q.denominator), be)
-            got = weight_series(qf, p).pow(N, be)
-            for k in range(p + 1):
-                assert rel_close(got.coeff(k), to_mpf(want.coeff(k)), 1e-60)
+        qf = qvalue(be.ratio(q.numerator, q.denominator), be)
+        got = weight_series(qf, p).pow(N, be)
+        for k in range(p + 1):
+            assert rel_close(got.coeff(k), be.ratio(want.coeff(k)), 1e-60)
 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(-1, 2), F(3, 2), F(99, 100)])

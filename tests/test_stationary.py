@@ -41,15 +41,13 @@ def site_marginal(m):
     f = weight_series(m.q, m.p).coeffs
     rest = compute_stationary(ModelParams(N=m.N - 1, p=m.p, q=m.q)).Zvals
     Z = compute_stationary(m).Zvals[m.p]
-    with m.backend.workprec():
-        return [f[k] * rest[m.p - k] / Z for k in range(m.p + 1)]
+    return [f[k] * rest[m.p - k] / Z for k in range(m.p + 1)]
 
 
 def occupation_variance(m):
     """Variance of n_1 under site_marginal."""
     P = site_marginal(m)
-    with m.backend.workprec():
-        return sum(k * k * x for k, x in enumerate(P)) - m.rho * m.rho
+    return sum(k * k * x for k, x in enumerate(P)) - m.rho * m.rho
 
 
 class TestRates:
@@ -239,12 +237,11 @@ def test_float_backend_matches_rational():
     mr = model(5, 4, F(1, 2))
     sf = compute_stationary(mf)
     sr = compute_stationary(mr)
-    with be.workprec():
-        for k in range(9):
-            exact = sr.Zvals[k]
-            rel = abs(sf.Zvals[k] - be.ratio(exact.numerator,
-                                             exact.denominator))
-            assert rel < be.ratio(1, 10 ** 40) * max(1, abs(sf.Zvals[k]))
+    for k in range(9):
+        exact = sr.Zvals[k]
+        rel = abs(sf.Zvals[k] - be.ratio(exact.numerator,
+                                         exact.denominator))
+        assert rel < be.ratio(1, 10 ** 40) * max(1, abs(sf.Zvals[k]))
 
 
 def test_weight_series_coefficients():
