@@ -132,30 +132,37 @@ def _evaluate(make_params, backend, imax=None):
     The rational backend runs the series once.  On the float backend each
     precision P runs it at P and 2P bits and keeps the P-bit values only if
     every one agrees (``verify_at_double_precision``); P starts at 256 bits
-    and doubles until they do (``escalate_precision``).  make_params builds
-    the model afresh for each backend, so a q like exp(-alpha/sqrt(N)) is
-    recomputed at 2P too.  The returned backend and DeltaResult (method,
-    i_max, tail_bound) are the accepted P-bit run's.
+    and doubles until they do (``escalate_precision``).  Runs are kept by
+    precision, so the 2P run of one level is the P run of the next: each
+    precision is computed once.  make_params builds the model afresh for
+    each backend, so a q like exp(-alpha/sqrt(N)) is recomputed at 2P too.
+    The returned backend and DeltaResult (method, i_max, tail_bound) are
+    the accepted P-bit run's.
     """
-    runs = {}
-
-    def payload(be):
+    def run(be):
         params = make_params(be)
         if imax is None:
             res = cumulants.delta_exact_resummed(params)
         else:
             res = cumulants.delta_exact_truncated(params, imax)
-        runs[be] = res
-        return {"Z": res.Z, "J": res.J, "Delta": res.Delta, "pJ": res.pJ,
-                "S1": res.S1, "S2": res.S2,
-                **stationary.intensive_quantities(params, res.J, res.Delta)}
+        return res, {"Z": res.Z, "J": res.J, "Delta": res.Delta, "pJ": res.pJ,
+                     "S1": res.S1, "S2": res.S2,
+                     **stationary.intensive_quantities(params, res.J,
+                                                       res.Delta)}
 
     if backend.exact:
-        values = payload(backend)
-    else:
-        backend, values = escalate_precision(
-            lambda be: verify_at_double_precision(payload, be))
-    return backend, values, runs[backend]
+        res, values = run(backend)
+        return backend, values, res
+    runs = {}   # prec_bits -> (DeltaResult, values)
+
+    def payload(be):
+        if be.prec_bits not in runs:
+            runs[be.prec_bits] = run(be)
+        return runs[be.prec_bits][1]
+
+    backend, values = escalate_precision(
+        lambda be: verify_at_double_precision(payload, be))
+    return backend, values, runs[backend.prec_bits][0]
 
 
 # ---------------------------------------------------------------------------

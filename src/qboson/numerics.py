@@ -45,7 +45,8 @@ DEFAULT_PREC_BITS = 256
 DEFAULT_VERIFY_RTOL = 1e-12
 # the precision escalate_precision gives up at: the least that passes
 # `exact --n 1 --p 40 --q 3`.  A request failing at every level pays for
-# all of them: 35 s at N = p = 256 on a 2-CPU host, 22 s of it at 4096 bits
+# each precision up to twice this once: 24-27 s at N = p = 256 on a 2-CPU
+# host, 17 s of it in the 8192-bit check of the last level
 MAX_PREC_BITS = 4096
 
 
@@ -82,6 +83,7 @@ class RationalBackend:
 
 @functools.cache
 def _context(prec_bits: int) -> mpmath.MPContext:
+    """The mpmath context of every FloatBackend at prec_bits."""
     ctx = mpmath.MPContext()
     ctx.prec = prec_bits
     return ctx
@@ -91,12 +93,12 @@ class FloatBackend:
     """Arbitrary-precision binary floats via mpmath.
 
     The scalars carry their precision: they belong to ``ctx``, an mpmath
-    context at ``prec_bits`` (one per precision, built on first use), and
-    every operation on them rounds to ``prec_bits`` whatever mpmath's
-    global precision is.  mpmath computes in the context of the left
-    operand, so a constant or function that meets these scalars comes from
-    the backend (``integer``, ``ratio``, ``ctx.exp``), never from the
-    module-level ``mpmath`` namespace.
+    context at ``prec_bits`` (one per precision, built with the first
+    backend of that precision), and every operation on them rounds to
+    ``prec_bits`` whatever mpmath's global precision is.  mpmath computes
+    in the context of the left operand, so a constant or function that
+    meets these scalars comes from the backend (``integer``, ``ratio``,
+    ``ctx.exp``), never from the module-level ``mpmath`` namespace.
     """
 
     exact = False
@@ -105,10 +107,7 @@ class FloatBackend:
         if prec_bits < 53:
             raise InputError(f"prec_bits must be >= 53, got {prec_bits}")
         self.prec_bits = prec_bits
-
-    @property
-    def ctx(self) -> mpmath.MPContext:
-        return _context(self.prec_bits)
+        self.ctx = _context(prec_bits)
 
     def ratio(self, num, den=1) -> mpmath.mpf:
         """num / den rounded to nearest at prec_bits, den an int; num may
@@ -282,11 +281,8 @@ class QValue:
 
 
 def qvalue(q, backend: Backend = RATIONAL) -> QValue:
-    """Classify q (rates are positive only for q > -1).
-
-    On the float backend q is first rounded into the backend's precision,
-    so q and r are scalars of that backend whatever q came as.
-    """
+    """Classify q (rates are positive only for q > -1); a float-backend q
+    is first rounded into a scalar of that backend."""
     if not backend.exact:
         q = backend.ratio(q)
     if q <= -1:

@@ -207,13 +207,23 @@ class TestExact:
 
     @pytest.mark.parametrize("n,p,q,bits", [("1", "24", "149/50", 1024),
                                             ("1", "40", "3", 4096)])
-    def test_precision_escalates(self, capsys, n, p, q, bits):
+    def test_precision_escalates(self, capsys, monkeypatch, n, p, q, bits):
         # Miller's recurrence cancels at q > 1 and small N: each request
         # fails at 256 bits and passes once the precision has doubled
+        want = run_json(capsys, "exact", "--n", n, "--p", p, "--q", q)
+        precisions = []
+        compute = cumulants.compute_stationary
+
+        def counted(params):
+            precisions.append(params.backend.prec_bits)
+            return compute(params)
+
+        monkeypatch.setattr(cumulants, "compute_stationary", counted)
         got = run_json(capsys, "exact", "--n", n, "--p", p, "--q", q,
                        "--backend", "float")
-        want = run_json(capsys, "exact", "--n", n, "--p", p, "--q", q)
         assert got["backend"] == {"kind": "float", "prec_bits": bits}
+        # one series run per precision, up to the accepted one's 2P check
+        assert precisions == [2 ** k for k in range(8, (2 * bits).bit_length())]
         for key in ("J", "Delta"):
             assert float(got["result"][key]) == pytest.approx(
                 float(F(want["result"][key])), rel=1e-12)
