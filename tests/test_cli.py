@@ -223,7 +223,8 @@ class TestExact:
                        "--backend", "float")
         assert got["backend"] == {"kind": "float", "prec_bits": bits}
         # one series run per precision, up to the accepted one's 2P check
-        assert precisions == [2 ** k for k in range(8, (2 * bits).bit_length())]
+        assert precisions == [2 ** k
+                              for k in range(8, (2 * bits).bit_length())]
         for key in ("J", "Delta"):
             assert float(got["result"][key]) == pytest.approx(
                 float(F(want["result"][key])), rel=1e-12)
@@ -633,7 +634,8 @@ def test_stdout_corpus_is_pinned():
 
 
 def is_float_request(argv: list) -> bool:
-    """Whether the request computes on the float backend (cli._backend)."""
+    """Whether the request computes with mpmath floats: sweep, or a request
+    that cli._backend puts on the float backend."""
     q = argv[argv.index("--q") + 1] if "--q" in argv else ""
     return (argv[0] == "sweep" or "float" in argv
             or "." in q or "e" in q.lower())
