@@ -69,8 +69,8 @@ class DeltaResult:
 
 def _a_coefficients(p: int, C, phi: TruncSeries, backend: Backend) -> list:
     """A_k = sum_{a+b=p-1-k} C_a phi_b for k = 0..p-1."""
-    return [backend.dot(C[p - 1 - k::-1], phi.coeffs[:p - k])
-            for k in range(p)]
+    C, phi = backend.vector(C[:p]), backend.vector(phi.coeffs)
+    return [backend.dot(C[p - 1 - k::-1], phi[:p - k]) for k in range(p)]
 
 
 def _check_a0(a0, p: int, C, phi: TruncSeries, backend: Backend):
@@ -136,15 +136,15 @@ def delta_exact_resummed(params: ModelParams) -> DeltaResult:
     backend = params.backend
     t = _terms(params)
     p = params.p
-    Z, phi, A = t.stat.Zvals, t.phi.coeffs, t.A
-    # gf[a] = r^a / (1 - r^a) for a = 1..p
-    gf = [None] + [geometric_factor(params.q.r, a)
-                   for a in range(1, p + 1)]
-    inner = [backend.dot(Z[p - 1 - k::-1], phi[:p - k], gf[k + 1:])
+    Z, A = t.stat.Zvals, t.A
+    # gf[a - 1] = r^a / (1 - r^a) for a = 1..p
+    gf = [geometric_factor(params.q.r, a) for a in range(1, p + 1)]
+    C, phi, gfv = map(backend.vector, (Z[:p], t.phi.coeffs, gf))
+    inner = [backend.dot(C[p - 1 - k::-1], phi[:p - k], gfv[k:])
              for k in range(p)]
     # A_0 = 0 carries the divergent i-independent branch; it is dropped
     for k in range(1, p):
-        inner[k] = inner[k] + A[k] * gf[k]
+        inner[k] = inner[k] + A[k] * gf[k - 1]
     S2 = backend.dot(Z[p:2 * p], inner)
     return _result(params, t, S2, "resummed")
 

@@ -23,6 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import Callable, Sequence
 
 import mpmath
@@ -65,6 +66,10 @@ class RationalBackend:
     def integer(self, n: int) -> Fraction:
         return Fraction(n)
 
+    def vector(self, entries) -> list:
+        """entries as a new list; Fractions need no decoding."""
+        return list(entries)
+
     def dot(self, *vectors) -> Fraction:
         """sum_i prod_v vectors[v][i] over vectors of equal length.
 
@@ -87,6 +92,43 @@ def _context(prec_bits: int) -> mpmath.MPContext:
     ctx = mpmath.MPContext()
     ctx.prec = prec_bits
     return ctx
+
+
+class FloatVector:
+    """A sequence of mpf and ints, decoded once for FloatBackend.dot.
+
+    Entry i is mans[i] * 2^exps[i], the sign carried by the mantissa (an
+    int entry has exponent 0).  Slicing, reversed and strided slices
+    included, gives a new FloatVector; append decodes one more entry.  An
+    infinite or NaN entry raises PrecisionError when it is decoded.
+    """
+
+    __slots__ = ("mans", "exps")
+
+    def __init__(self, entries=()):
+        self.mans, self.exps = [], []
+        for x in entries:
+            self.append(x)
+
+    def append(self, x):
+        if type(x) is int:
+            self.mans.append(x)
+            self.exps.append(0)
+            return
+        sign, man, exp, bc = x._mpf_
+        if bc < 0:   # mpmath's inf and nan carry bc = -2, -1
+            raise PrecisionError(f"non-finite entry {x} in a dot product")
+        # an int whatever integer type mpmath's backend uses
+        self.mans.append(-int(man) if sign else int(man))
+        self.exps.append(exp)
+
+    def __getitem__(self, index: slice) -> "FloatVector":
+        out = FloatVector()
+        out.mans, out.exps = self.mans[index], self.exps[index]
+        return out
+
+    def __len__(self) -> int:
+        return len(self.mans)
 
 
 class FloatBackend:
@@ -120,38 +162,42 @@ class FloatBackend:
     def integer(self, n: int) -> mpmath.mpf:
         return self.ctx.mpf(n)
 
+    def vector(self, entries) -> "FloatVector":
+        """entries, decoded once for dot."""
+        return FloatVector(entries)
+
     def dot(self, *vectors) -> mpmath.mpf:
         """sum_i prod_v vectors[v][i], rounded once to prec_bits.
 
-        Entries are mpf or Python ints; the vectors have equal length.  The
-        mantissas of each product are multiplied exactly as Python ints.
-        Every product is then floored to one exponent, 32 + log2(length)
-        bits more than prec_bits below the top bit of the largest product,
+        Each vector is a FloatVector, a range of ints, or a sequence of mpf
+        and ints, which is decoded here; the vectors have equal length.
+        Pass a FloatVector where the same entries meet many dots, so that
+        they are decoded once.  The mantissas of each product are
+        multiplied exactly as Python ints.  Zero products are dropped; every
+        other product is floored to one exponent, 32 + log2(their number)
+        bits more than prec_bits below the top bit of the largest product
+        (a product whose exponent lies above it is shifted left exactly),
         and the sum of those ints is rounded to nearest once.  Flooring
         costs at most 2^-(prec_bits+31) of the largest product, so the
-        result is within 2^-(prec_bits-1) of the sum of |products|.  Zero
-        products are skipped; an infinite or NaN entry raises
-        PrecisionError.  mpmath's global precision is not read.
+        result is within 2^-(prec_bits-1) of the sum of |products|.  An
+        infinite or NaN entry raises PrecisionError.  mpmath's global
+        precision is not read.
         """
-        mans, exps = [], []
-        for entries in zip(*vectors):
-            man, exp = 1, 0
-            for x in entries:
-                if type(x) is int:
-                    man *= x
-                    continue
-                sign, m, e, bc = x._mpf_
-                if bc < 0:   # mpmath's inf and nan carry bc = -2, -1
-                    raise PrecisionError(f"non-finite entry {x} in a dot "
-                                         "product")
-                man *= -m if sign else m
-                exp += e
-            if man:
-                mans.append(man)
-                exps.append(exp)
+        mans = exps = None
+        for v in vectors:
+            if type(v) is not range:
+                if type(v) is not FloatVector:
+                    v = FloatVector(v)
+                exps = v.exps if exps is None else map(operator.add, exps,
+                                                       v.exps)
+                v = v.mans
+            mans = v if mans is None else map(operator.mul, mans, v)
+        mans = list(mans)
+        exps = list(compress(repeat(0) if exps is None else exps, mans))
+        mans = list(filter(None, mans))
         if not mans:
             return self.ctx.zero
-        top = max([m.bit_length() + e for m, e in zip(mans, exps)])
+        top = max(map(operator.add, map(int.bit_length, mans), exps))
         floor = top - self.prec_bits - 32 - len(mans).bit_length()
         total = sum([m << (e - floor) if e >= floor else m >> (floor - e)
                      for m, e in zip(mans, exps)])
@@ -343,11 +389,12 @@ class TruncSeries:
 
     def mul(self, other: "TruncSeries",
             backend: Backend = RATIONAL) -> "TruncSeries":
-        """The Cauchy product truncated at D: one backend.dot per term."""
+        """The Cauchy product truncated at D: one backend.dot per term, on
+        the coefficients of both factors decoded once (backend.vector)."""
         self._check_degree(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = backend.vector(self.coeffs), backend.vector(other.coeffs)
         return TruncSeries([backend.dot(a[:k + 1], b[k::-1])
-                            for k in range(len(a))])
+                            for k in range(len(self.coeffs))])
 
     def pow(self, n: int, backend: Backend = RATIONAL) -> "TruncSeries":
         """The n-th power by J. C. P. Miller's recurrence (Knuth, TAOCP 4.7).
@@ -358,7 +405,8 @@ class TruncSeries:
             k a_0 g_k = sum_{j=1..k} ((n+1) j - k) a_j g_{k-j},
 
         with g_0 = a_0^n: one backend.dot per coefficient, so O(D^2) scalar
-        operations whatever n is.
+        operations whatever n is.  a is decoded once (backend.vector), and
+        each g_k once, as it is appended to the decoded g.
         A series z^v b(z) with b_0 != 0 is raised as z^(v n) b^n, so the
         power is zero once v n > D.  Division is by backend scalars, so
         rational coefficients stay exact.
@@ -372,15 +420,17 @@ class TruncSeries:
         v = next((i for i, c in enumerate(self.coeffs) if c != 0), D + 1)
         if v * n > D:
             return TruncSeries.constant(zero, D, backend)
-        a = self.coeffs[v:]
+        a0 = self.coeffs[v]
+        a = backend.vector(self.coeffs[v:])
         top = D - v * n
-        a0 = a[0]
         g = [a0 ** n]
+        gv = backend.vector(g)
         for k in range(1, top + 1):
             # the integer weights (n+1) j - k for j = 1..k
             weights = range(n + 1 - k, n * k + 1, n + 1)
-            g.append(backend.dot(a[1:k + 1], g[k - 1::-1], weights)
+            g.append(backend.dot(a[1:k + 1], gv[k - 1::-1], weights)
                      / (k * a0))
+            gv.append(g[-1])
         return TruncSeries([zero] * (v * n) + g)
 
     def scale(self, c) -> "TruncSeries":
