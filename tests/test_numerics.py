@@ -8,8 +8,9 @@ from mpmath.libmp import from_man_exp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qboson.numerics import (FloatBackend, InputError, PrecisionError,
-                             RATIONAL, TruncSeries, escalate_precision,
+from qboson.numerics import (FloatBackend, FloatVector, InputError,
+                             PrecisionError, RATIONAL, TruncSeries,
+                             escalate_precision,
                              geometric_factor, negligible, qvalue, rel_close,
                              verify_at_double_precision)
 from qboson.stationary import compute_stationary, model, weight_series
@@ -280,6 +281,75 @@ def dot_vectors(draw):
             for _ in range(width)]
 
 
+def per_entry_dot(backend, *vectors):
+    """FloatBackend.dot as one loop over the entries, decoding every _mpf_
+    in every call: the reference that the decoded kernel must match bit
+    for bit."""
+    mans, exps = [], []
+    for entries in zip(*vectors):
+        man, exp = 1, 0
+        for x in entries:
+            if type(x) is int:
+                man *= x
+                continue
+            sign, m, e, bc = x._mpf_
+            assert bc >= 0
+            man *= -m if sign else m
+            exp += e
+        if man:
+            mans.append(man)
+            exps.append(exp)
+    if not mans:
+        return backend.ctx.zero
+    top = max([m.bit_length() + e for m, e in zip(mans, exps)])
+    floor = top - backend.prec_bits - 32 - len(mans).bit_length()
+    total = sum([m << (e - floor) if e >= floor else m >> (floor - e)
+                 for m, e in zip(mans, exps)])
+    return backend.ctx.make_mpf(
+        from_man_exp(total, floor, backend.prec_bits, "n"))
+
+
+# the ways a vector reaches FloatBackend.dot
+FORMS = ("list", "vector", "reversed", "strided", "appended")
+
+
+def as_form(entries, form):
+    """entries as the given form: a plain list, a FloatVector, a reversed
+    or strided slice of one, or one built by append."""
+    if form == "list":
+        return list(entries)
+    if form == "vector":
+        return FloatVector(entries)
+    if form == "reversed":
+        return FloatVector(entries[::-1])[::-1]
+    if form == "strided":
+        # every other entry is a stray one that the slice must skip
+        return FloatVector([y for x in entries for y in (x, 7)])[::2]
+    v = FloatVector()
+    for x in entries:
+        v.append(x)
+    return v
+
+
+@st.composite
+def kernel_cases(draw):
+    """Vectors of mpf and ints (zeros, both signs, mantissas of 1-4 bits
+    and of up to 600, exponents spread over 3000 bits), the form of each,
+    and optionally (start, step) of range weights."""
+    width = draw(st.integers(1, 3))
+    length = draw(st.integers(0, 12))
+    entries = st.one_of(FLOAT_ENTRIES, st.builds(
+        lambda man, exp: mpmath.mp.make_mpf(from_man_exp(man, exp)),
+        st.integers(-15, 15), st.integers(-1500, 1500)))
+    vectors = [draw(st.lists(entries, min_size=length, max_size=length))
+               for _ in range(width)]
+    forms = draw(st.lists(st.sampled_from(FORMS), min_size=width,
+                          max_size=width))
+    weights = draw(st.none() | st.tuples(st.integers(-20, 20),
+                                         st.integers(-9, 9).filter(bool)))
+    return vectors, weights, forms
+
+
 class TestFloatDot:
     @settings(max_examples=80, deadline=None)
     @given(dot_vectors(), st.sampled_from((53, 256, 512)))
@@ -302,6 +372,35 @@ class TestFloatDot:
     def test_nonfinite_entry_raises(self, bad):
         with pytest.raises(PrecisionError):
             FloatBackend(256).dot([mpmath.mpf(1), bad], [2, 0])
+
+    @pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
+    def test_nonfinite_append_raises(self, bad):
+        v = FloatVector([mpmath.mpf(1)])
+        with pytest.raises(PrecisionError):
+            v.append(bad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases(), st.sampled_from((53, 256, 512)))
+    @example(([[mpmath.mpf(2) ** 1000, mpmath.mpf(1) / 3]], None,
+              ("list",)), 53)   # the top product lies above the floor
+    @example(([[mpmath.mpf(0), 5], [mpmath.mpf(2) ** 900, mpmath.mpf(-3)]],
+              (0, 1), ("vector", "reversed")), 256)  # a zero product
+    # 1 + 2^-53 + 2^-86 lies above the 53-bit tie by less than the floor
+    # keeps; counting the zero product would keep one bit more, round up
+    @example(([[mpmath.mp.make_mpf(from_man_exp(2 ** 86 + 2 ** 33 + 1, -86)),
+                mpmath.mpf(1)], [1, 0]], None, ("list", "vector")), 53)
+    def test_kernel_matches_per_entry_loop(self, case, prec):
+        vectors, weights, forms = case
+        be = FloatBackend(prec)
+        args = [as_form(v, form) for v, form in zip(vectors, forms)]
+        if weights is not None:
+            start, step = weights
+            length = len(vectors[0])
+            weights = range(start, start + step * length, step)
+            args.append(weights)
+            vectors = vectors + [weights]
+        got = be.dot(*args)
+        assert got._mpf_ == per_entry_dot(be, *vectors)._mpf_
 
     def test_ignores_global_precision(self):
         be = FloatBackend(256)
@@ -398,3 +497,19 @@ def test_power_satisfies_q_difference_identity(q, N, p):
     D = G.degree
     binom = TruncSeries([comb(N, k) * (q - 1) ** k for k in range(D + 1)])
     assert G.scale_arg(q) == binom.mul(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 10),
+       st.fractions(min_value=F(1), max_value=F(4),
+                    max_denominator=50).filter(lambda q: q > 1))
+def test_power_coefficients_satisfy_q_difference_recurrence(N, p, q):
+    # for q > 1, coefficient k of G(qz) = (1 + (q-1) z)^N G(z) reads
+    # g_k (q^k - 1) = sum_{j=1..min(N,k)} C(N, j) (q-1)^j g_{k-j}, a sum of
+    # positive terms, so a recurrence for F^N that cannot cancel
+    g = compute_stationary(model(N, p, q)).Zvals
+    assert g[0] == 1
+    for k in range(1, len(g)):
+        assert g[k] * (q ** k - 1) == sum(
+            comb(N, j) * (q - 1) ** j * g[k - j]
+            for j in range(1, min(N, k) + 1))

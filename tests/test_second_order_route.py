@@ -20,6 +20,8 @@ that exercises a third, structurally different evaluation of Delta.
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qboson.numerics import RATIONAL, TruncSeries
 from qboson.stationary import (compute_stationary, model, phi_coefficients,
@@ -79,6 +81,28 @@ def delta_second_order(params, i_terms=300):
     (2, 2, F(5, 2)),
 ])
 def test_matches_resummed(N, p, q):
+    m = model(N, p, q)
+    direct = delta_second_order(m)
+    resummed = delta_exact_resummed(m).Delta
+    assert abs(float(direct - resummed)) < 1e-40
+
+
+def _rationals_in(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi,
+                        max_denominator=50).filter(lambda q: lo < q < hi)
+
+
+# q in (-2/3, 0), (0, 2/3) and (3/2, 3): |r| < 2/3, so the 300 i-terms of
+# the route pin Delta far below 1e-40, as (2/3)^300 < 1e-52
+Q_CONVERGENT = st.one_of(_rationals_in(F(-2, 3), F(0)),
+                         _rationals_in(F(0), F(2, 3)),
+                         _rationals_in(F(3, 2), F(3)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), Q_CONVERGENT)
+def test_matches_resummed_on_random_systems(N, p, q):
+    # N, p <= 4 keep an example under about 0.4 s
     m = model(N, p, q)
     direct = delta_second_order(m)
     resummed = delta_exact_resummed(m).Delta
