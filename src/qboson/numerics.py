@@ -123,7 +123,7 @@ class FloatVector:
         self.exps.append(exp)
 
     def __getitem__(self, index: slice) -> "FloatVector":
-        out = FloatVector()
+        out = FloatVector.__new__(FloatVector)
         out.mans, out.exps = self.mans[index], self.exps[index]
         return out
 
@@ -183,13 +183,14 @@ class FloatBackend:
         infinite or NaN entry raises PrecisionError.  mpmath's global
         precision is not read.
         """
+        # each product's mantissa and exponent; a range's ints have exponent 0
         mans = exps = None
         for v in vectors:
             if type(v) is not range:
                 if type(v) is not FloatVector:
                     v = FloatVector(v)
-                exps = v.exps if exps is None else map(operator.add, exps,
-                                                       v.exps)
+                exps = (v.exps if exps is None
+                        else map(operator.add, exps, v.exps))
                 v = v.mans
             mans = v if mans is None else map(operator.mul, mans, v)
         mans = list(mans)
