@@ -127,9 +127,6 @@ class FloatVector:
         out.mans, out.exps = self.mans[index], self.exps[index]
         return out
 
-    def __len__(self) -> int:
-        return len(self.mans)
-
 
 class FloatBackend:
     """Arbitrary-precision binary floats via mpmath.

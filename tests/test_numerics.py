@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from qboson.numerics import (FloatBackend, FloatVector, InputError,
                              PrecisionError, RATIONAL, TruncSeries,
-                             escalate_precision,
-                             geometric_factor, negligible, qvalue, rel_close,
+                             escalate_precision, geometric_factor,
+                             negligible, qvalue, rel_close,
                              verify_at_double_precision)
 from qboson.stationary import compute_stationary, model, weight_series
 
