@@ -23,8 +23,6 @@ import sys
 from fractions import Fraction
 from functools import partial
 
-import mpmath
-
 from .numerics import (FloatBackend, InputError, PrecisionError, RATIONAL,
                        SolverError, escalate_precision, negligible, qvalue,
                        verify_at_double_precision)
@@ -51,8 +49,9 @@ def _scalar(x, backend) -> str:
     """A backend scalar as printed: "num/den", or decimal at its precision."""
     if backend.exact:
         return _fraction_str(Fraction(x))
-    return mpmath.nstr(backend.ratio(x), int(backend.prec_bits * 0.30103) + 2,
-                       strip_zeros=True)
+    return backend.ctx.nstr(backend.ratio(x),
+                            int(backend.prec_bits * 0.30103) + 2,
+                            strip_zeros=True)
 
 
 def _describe(backend) -> dict:

@@ -85,7 +85,7 @@ def _check_a0(a0, p: int, C, phi: TruncSeries, backend: Backend):
 def _unity_result(params: ModelParams) -> DeltaResult:
     p = params.backend.integer(params.p)
     zero = params.backend.integer(0)
-    Z = compute_stationary(params).Zvals[params.p]
+    Z = compute_stationary(params, params.p).Zvals[params.p]
     return DeltaResult(Delta=p, J=p, Z=Z, pJ=p * p, S1=zero, S2=zero,
                        prefactor=zero, method="resummed")
 
@@ -105,7 +105,7 @@ class _Terms:
 def _terms(params: ModelParams) -> _Terms:
     """Build F^N, then phi, the checked A_k, S1 and the prefactor."""
     backend = params.backend
-    stat = compute_stationary(params)
+    stat = compute_stationary(params, 2 * params.p)
     p, N = params.p, params.N
     Z = stat.Zvals
     phi = phi_coefficients(params, stat.J, p - 1)
@@ -202,7 +202,7 @@ def delta_fss_estimate(params: ModelParams):
     """
     params.q.require_series_regime("the finite-size-scaling estimate")
     backend = params.backend
-    stat = compute_stationary(params)
+    stat = compute_stationary(params, 2 * params.p)
     p, N = params.p, params.N
     # F^(2N) at degree 2p is just (F^N)^2 at the degree already built
     Fn = TruncSeries(stat.Zvals)

@@ -24,10 +24,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import mpmath
-from mpmath.libmp import from_man_exp
+if TYPE_CHECKING:
+    import mpmath
 
 
 class InputError(ValueError):
@@ -88,7 +88,12 @@ class RationalBackend:
 
 @functools.cache
 def _context(prec_bits: int) -> mpmath.MPContext:
-    """The mpmath context of every FloatBackend at prec_bits."""
+    """The mpmath context of every FloatBackend at prec_bits.
+
+    mpmath is imported here, so that only the float backend loads it.
+    """
+    import mpmath
+
     ctx = mpmath.MPContext()
     ctx.prec = prec_bits
     return ctx
@@ -147,6 +152,9 @@ class FloatBackend:
             raise InputError(f"prec_bits must be >= 53, got {prec_bits}")
         self.prec_bits = prec_bits
         self.ctx = _context(prec_bits)
+        # bound once per backend, so that dot pays no import per call
+        from mpmath.libmp import from_man_exp
+        self._from_man_exp = from_man_exp
 
     def ratio(self, num, den=1) -> mpmath.mpf:
         """num / den rounded to nearest at prec_bits, den an int; num may
@@ -200,7 +208,7 @@ class FloatBackend:
         total = sum([m << (e - floor) if e >= floor else m >> (floor - e)
                      for m, e in zip(mans, exps)])
         return self.ctx.make_mpf(
-            from_man_exp(total, floor, self.prec_bits, "n"))
+            self._from_man_exp(total, floor, self.prec_bits, "n"))
 
     def doubled(self) -> "FloatBackend":
         return FloatBackend(2 * self.prec_bits)
@@ -244,8 +252,8 @@ def negligible(what: str, x, scale, backend: Backend) -> bool:
     if abs(x) <= scale * backend.integer(2) ** -(backend.prec_bits // 2):
         return True
     raise PrecisionError(
-        f"{what} = {mpmath.nstr(x, 10)} is not negligible against the "
-        f"scale {mpmath.nstr(scale, 10)} at {backend.prec_bits} bits")
+        f"{what} = {backend.ctx.nstr(x, 10)} is not negligible against the "
+        f"scale {backend.ctx.nstr(scale, 10)} at {backend.prec_bits} bits")
 
 
 def verify_at_double_precision(compute: Callable[[Backend], dict],
@@ -267,8 +275,8 @@ def verify_at_double_precision(compute: Callable[[Backend], dict],
         if not rel_close(val, ref, DEFAULT_VERIFY_RTOL):
             raise PrecisionError(
                 f"value {key!r} changed from {backend.prec_bits} to "
-                f"{doubled.prec_bits} bits: {mpmath.nstr(val, 20)} vs "
-                f"{mpmath.nstr(ref, 20)} (rtol={DEFAULT_VERIFY_RTOL})")
+                f"{doubled.prec_bits} bits: {doubled.ctx.nstr(val, 20)} vs "
+                f"{doubled.ctx.nstr(ref, 20)} (rtol={DEFAULT_VERIFY_RTOL})")
     return base
 
 
@@ -387,12 +395,32 @@ class TruncSeries:
 
     def mul(self, other: "TruncSeries",
             backend: Backend = RATIONAL) -> "TruncSeries":
-        """The Cauchy product truncated at D: one backend.dot per term, on
-        the coefficients of both factors decoded once (backend.vector)."""
+        """The Cauchy product truncated at D, over each factor's nonzero span.
+
+        Each factor is trimmed to the span from its first to its last
+        nonzero coefficient and decoded once (backend.vector), the second
+        one reversed.  Coefficient k is one backend.dot over the overlap of
+        the two spans; every coefficient outside the sum of the spans is
+        the backend's zero.  Neither backend's dot is changed by zero
+        products, so the result is that of the dense Cauchy product:
+        exactly equal on the rational backend, bit for bit on the float one.
+        """
         self._check_degree(other)
-        a, b = backend.vector(self.coeffs), backend.vector(other.coeffs)
-        return TruncSeries([backend.dot(a[:k + 1], b[k::-1])
-                            for k in range(len(self.coeffs))])
+        out = [backend.integer(0)] * len(self.coeffs)
+        spans = _span(self.coeffs), _span(other.coeffs)
+        if None in spans:
+            return TruncSeries(out)
+        (lo, hi), (lo2, hi2) = spans
+        a = backend.vector(self.coeffs[lo:hi + 1])
+        # entry j of rb is the coefficient hi2 - j of other
+        rb = backend.vector(other.coeffs[lo2:hi2 + 1][::-1])
+        for k in range(lo + lo2, min(hi + hi2, self.degree) + 1):
+            # the terms a_i b_(k-i) with both indices inside the spans
+            i0, i1 = max(lo, k - hi2), min(hi, k - lo2)
+            shift = hi2 - k
+            out[k] = backend.dot(a[i0 - lo:i1 - lo + 1],
+                                 rb[i0 + shift:i1 + shift + 1])
+        return TruncSeries(out)
 
     def pow(self, n: int, backend: Backend = RATIONAL) -> "TruncSeries":
         """The n-th power by J. C. P. Miller's recurrence (Knuth, TAOCP 4.7).
@@ -451,6 +479,12 @@ class TruncSeries:
         head = ", ".join(str(c) for c in self.coeffs[:4])
         tail = ", ..." if self.degree > 3 else ""
         return f"TruncSeries([{head}{tail}], D={self.degree})"
+
+
+def _span(coeffs) -> tuple[int, int] | None:
+    """(first, last) index of the nonzero coefficients; None if all are 0."""
+    nonzero = [k for k, c in enumerate(coeffs) if c]
+    return (nonzero[0], nonzero[-1]) if nonzero else None
 
 
 def geometric_factor(r, a: int):

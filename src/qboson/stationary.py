@@ -73,22 +73,27 @@ def weight_series(q: QValue, degree: int) -> TruncSeries:
 
 @dataclass(frozen=True)
 class StationaryData:
-    """Partition values Z(N, 0..2p) and the current J."""
+    """Partition values Z(N, 0..degree) and the current J."""
 
     params: ModelParams
-    Zvals: tuple              # Z(N, k) = [z^k] F(z)^N for k = 0..2p
+    Zvals: tuple              # Z(N, k) = [z^k] F(z)^N for k = 0..degree
     J: object                 # mean integrated current, events per unit time
 
 
-def compute_stationary(params: ModelParams) -> StationaryData:
-    """Build F, F^N and the partition values in one series power.
+def compute_stationary(params: ModelParams, degree: int) -> StationaryData:
+    """Build F, F^N and the partition values Z(N, 0..degree) in one series
+    power.
 
-    The diffusion-coefficient formula consumes Z(N, p..2p-1) anyway, so the
-    degree is 2p and all coefficients are read in one batch.
+    Each caller names the degree it reads: 2p for the diffusion
+    coefficient, p for the first-order T-Q check.  J reads Z(N, p), so
+    degree >= p.  Miller's g_k depends only on a_1..a_k and g_0..g_(k-1),
+    so Z(N, k) is the same scalar at every degree >= k.
     """
+    if degree < params.p:
+        raise InputError(f"degree must be >= p = {params.p}, got {degree}")
     backend = params.backend
-    D = 2 * params.p
-    Zvals = tuple(weight_series(params.q, D).pow(params.N, backend).coeffs)
+    Zvals = tuple(weight_series(params.q, degree).pow(params.N,
+                                                      backend).coeffs)
     J = params.N * Zvals[params.p - 1] / Zvals[params.p]
     return StationaryData(params=params, Zvals=Zvals, J=J)
 

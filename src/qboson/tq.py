@@ -16,21 +16,26 @@ Q_1(1) = p, and that the top coefficient q_{p-1} equals the mean current J.
 
 Polynomials are ``TruncSeries`` of the common degree N + p - 1: every
 product in the first-order relation has degree at most N + p - 1, so the
-truncation never drops a term.
+truncation never drops a term.  That degree is padding: Q_0 = x^p is one
+term, Q_1 and B_1 stop at degree p - 1, (1 - x)^N and T_1 at N, and
+``TruncSeries.mul`` multiplies over each factor's nonzero span only.  The
+check reads F^N to degree p, and builds (1 - x)^N once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .numerics import Backend, TruncSeries, negligible
 from .stationary import ModelParams, compute_stationary
 
 
-def one_minus_x_pow(N: int, backend: Backend) -> list:
-    """(1 - x)^N as a coefficient vector."""
-    from math import comb
-    return [backend.integer((-1) ** k * comb(N, k)) for k in range(N + 1)]
+def one_minus_x_pow(params: ModelParams) -> TruncSeries:
+    """(1 - x)^N at the common degree N + p - 1."""
+    backend, N = params.backend, params.N
+    return _series([backend.integer((-1) ** k * comb(N, k))
+                    for k in range(N + 1)], params)
 
 
 def _series(coeffs, params: ModelParams) -> TruncSeries:
@@ -47,6 +52,7 @@ class TqFirstOrder:
     T0: TruncSeries
     Q1: TruncSeries
     T1: TruncSeries
+    onemx: TruncSeries   # (1 - x)^N
     lambda1: object
     J: object
 
@@ -90,8 +96,9 @@ def _first_nonzero(what: str, value: TruncSeries, scale, count: int,
     return None
 
 
-def t1_polynomial(b1: TruncSeries, params: ModelParams) -> TruncSeries:
-    """T_1 = N q^p + x^{-p} [ (1-x)^N B_1(x) - B_1(qx) ].
+def t1_polynomial(b1: TruncSeries, onemx: TruncSeries,
+                  params: ModelParams) -> TruncSeries:
+    """T_1 = N q^p + x^{-p} [ (1-x)^N B_1(x) - B_1(qx) ], onemx = (1-x)^N.
 
     The bracket coefficients of x^0..x^{p-1} vanish identically; a nonzero
     one means the construction is broken, so it aborts rather than truncates.
@@ -99,7 +106,6 @@ def t1_polynomial(b1: TruncSeries, params: ModelParams) -> TruncSeries:
     backend = params.backend
     q = params.q.q
     N, p = params.N, params.p
-    onemx = _series(one_minus_x_pow(N, backend), params)
     bracket = onemx.mul(b1, backend).add(
         b1.scale_arg(q).scale(backend.integer(-1)))
     k = _first_nonzero(
@@ -118,18 +124,19 @@ def t1_polynomial(b1: TruncSeries, params: ModelParams) -> TruncSeries:
 
 def build_first_order(params: ModelParams) -> TqFirstOrder:
     backend = params.backend
-    stat = compute_stationary(params)
+    # B_1 reads Z(N, 0..p), and J reads Z(N, p-1) and Z(N, p)
+    stat = compute_stationary(params, params.p)
     N, p = params.N, params.p
     q = params.q.q
+    onemx = one_minus_x_pow(params)
     b1 = b1_polynomial(params, stat)
     q1 = q1_polynomial(b1, params)
-    t1 = t1_polynomial(b1, params)
+    t1 = t1_polynomial(b1, onemx, params)
     Q0 = _series([backend.integer(0)] * p + [backend.integer(1)], params)
-    T0 = _series(one_minus_x_pow(N, backend), params).add(
-        TruncSeries.constant(q ** p, N + p - 1, backend))
+    T0 = onemx.add(TruncSeries.constant(q ** p, N + p - 1, backend))
     lambda1 = q1.coeff(p - 1)
     return TqFirstOrder(params=params, Q0=Q0, T0=T0, Q1=q1, T1=t1,
-                        lambda1=lambda1, J=stat.J)
+                        onemx=onemx, lambda1=lambda1, J=stat.J)
 
 
 def verify_first_order(tq: TqFirstOrder) -> tuple[bool, TruncSeries, object]:
@@ -146,7 +153,6 @@ def verify_first_order(tq: TqFirstOrder) -> tuple[bool, TruncSeries, object]:
     params = tq.params
     backend = params.backend
     N, p = backend.integer(params.N), params.p
-    onemx = _series(one_minus_x_pow(params.N, backend), params)
 
     def sides(T0, T1, Q0, Q1, onemx, q):
         lhs = T0.mul(Q1, backend).add(T1.mul(Q0, backend))
@@ -156,11 +162,11 @@ def verify_first_order(tq: TqFirstOrder) -> tuple[bool, TruncSeries, object]:
                         params)
         return lhs, rhs.add(onemx.mul(third, backend))
 
-    lhs, rhs = sides(tq.T0, tq.T1, tq.Q0, tq.Q1, onemx, params.q.q)
+    lhs, rhs = sides(tq.T0, tq.T1, tq.Q0, tq.Q1, tq.onemx, params.q.q)
     residual = lhs.add(rhs.scale(backend.integer(-1)))
     if backend.exact and not any(residual.coeffs):
         return True, residual, backend.integer(0)
-    lhs, rhs = sides(*map(_abs, (tq.T0, tq.T1, tq.Q0, tq.Q1, onemx)),
+    lhs, rhs = sides(*map(_abs, (tq.T0, tq.T1, tq.Q0, tq.Q1, tq.onemx)),
                      abs(params.q.q))
     scales = lhs.add(rhs)
     ok = _first_nonzero("residual", residual, lambda: scales,

@@ -167,7 +167,7 @@ class TestSaddleData:
         # j_N = j_inf + current_fss / N + O(N^-2); N^2 |gap| is 0.039
         sd = saddle_data(1.0, Q_HALF)
         for N in (8, 16, 32):
-            jN = float(compute_stationary(model(N, N, F(1, 2))).J) / N
+            jN = float(compute_stationary(model(N, N, F(1, 2)), N).J) / N
             assert abs(jN - (sd.j_inf + sd.current_fss / N)) < 0.1 / N ** 2
 
 
@@ -184,7 +184,7 @@ class TestPartitionAsymp:
         sd = saddle_data(1.0, Q_HALF)
         devs = []
         for N in (8, 16, 32):
-            exact = float(compute_stationary(model(N, N, F(1, 2))).Zvals[N])
+            exact = float(compute_stationary(model(N, N, F(1, 2)), N).Zvals[N])
             devs.append(abs(exact / partition_asymp(N, sd) - 1.0))
         # frozen from the measured 0.0046/N^2 coefficient
         for N, dev in zip((8, 16, 32), devs):
@@ -197,12 +197,12 @@ class TestPartitionAsymp:
         N = 24
         assert partition_asymp(N, sd) == \
             pytest.approx(float(compute_stationary(
-                model(N, N, F(0))).Zvals[N]), rel=1e-3)
+                model(N, N, F(0)), N).Zvals[N]), rel=1e-3)
 
     def test_correction_sign(self):
         # at q = 1/2, rho = 1, N = 8 the two-term estimate undershoots
         sd = saddle_data(1.0, Q_HALF)
-        exact = float(compute_stationary(model(8, 8, F(1, 2))).Zvals[8])
+        exact = float(compute_stationary(model(8, 8, F(1, 2)), 8).Zvals[8])
         assert partition_asymp(8, sd) < exact
 
 

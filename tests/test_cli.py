@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qboson
-from qboson import cumulants, numerics, stationary
+from qboson import cumulants, numerics, stationary, tq
 from qboson.cli import FLAGS, build_parser, main
 
 
@@ -214,9 +214,9 @@ class TestExact:
         precisions = []
         compute = cumulants.compute_stationary
 
-        def counted(params):
+        def counted(params, degree):
             precisions.append(params.backend.prec_bits)
-            return compute(params)
+            return compute(params, degree)
 
         monkeypatch.setattr(cumulants, "compute_stationary", counted)
         got = run_json(capsys, "exact", "--n", n, "--p", p, "--q", q,
@@ -452,6 +452,27 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_rational_requests_load_no_mpmath():
+    # mpmath is imported with the first float backend; importing the CLI,
+    # or one rational exact, oracle or verify-tq request, does not load it
+    code = ("import contextlib, io, sys\n"
+            "import qboson.cli\n"
+            "loaded = ['mpmath' in sys.modules]\n"
+            "for argv in (['exact', '--n', '3', '--p', '2', '--q', '1/2'],\n"
+            "             ['oracle', '--n', '3', '--p', '2', '--q', '1/2'],\n"
+            "             ['verify-tq', '--n', '3', '--p', '2', '--q', "
+            "'-1/2']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert qboson.cli.main(argv) == 0\n"
+            "    loaded.append('mpmath' in sys.modules)\n"
+            "print(loaded)")
+    src = os.path.dirname(os.path.dirname(qboson.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == str([False] * 4)
+
+
 # one request per subcommand, each setting most of the flags it declares
 ONE_REQUEST = {
     "exact": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float",
@@ -595,6 +616,23 @@ class TestVerifyTqFloat:
         assert captured.err.startswith("precision failure: no precision up "
                                        "to 256 bits passed")
         assert "at 256 bits" in captured.err
+
+    def test_escalation_builds_f_n_to_degree_p(self, capsys, monkeypatch):
+        # F^N is built to degree p at each precision tried, and the check
+        # still passes at 512 bits only, as test_precision_shortfall_exits_3
+        # pins
+        builds = []
+        compute = tq.compute_stationary
+
+        def counted(params, degree):
+            builds.append((params.backend.prec_bits, degree))
+            return compute(params, degree)
+
+        monkeypatch.setattr(tq, "compute_stationary", counted)
+        doc = run_json(capsys, "verify-tq", "--n", "8", "--p", "40", "--q",
+                       "5", "--backend", "float")
+        assert doc["backend"] == {"kind": "float", "prec_bits": 512}
+        assert builds == [(256, 40), (512, 40)]
 
 
 # The stdout corpus: each request's argv and exit code on a "$" line, then

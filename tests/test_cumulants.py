@@ -39,7 +39,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("q", [F(1, 2), F(3), F(1)])
     def test_result_carries_partition_function(self, q):
         m = model(4, 3, q)
-        Z = compute_stationary(m).Zvals[3]
+        Z = compute_stationary(m, 3).Zvals[3]
         assert delta_exact_resummed(m).Z == Z
         assert delta_exact_truncated(m, 5).Z == Z
 
@@ -170,7 +170,7 @@ class TestFloatBackend:
         from qboson.stationary import compute_stationary, phi_coefficients
         be = FloatBackend(64)
         m = ModelParams(N=3, p=3, q=qvalue(be.ratio(1, 2), be))
-        stat = compute_stationary(m)
+        stat = compute_stationary(m, 3)
         bad_phi = phi_coefficients(m, stat.J * (1 + be.ratio(1, 1000)), 2)
         C = stat.Zvals
         a0 = sum(C[2 - b] * bad_phi.coeff(b) for b in range(3))
@@ -204,7 +204,7 @@ def _float_and_exact(N, p, q):
     check = delta_exact_resummed(make(be.doubled()))
     return [(values["J"], check.J, exact["J"]),
             (values["Delta"], check.Delta, exact["Delta"]),
-            *zip(*(compute_stationary(make(b)).Zvals
+            *zip(*(compute_stationary(make(b), 2 * p).Zvals
                    for b in (be, be.doubled(), RATIONAL)))]
 
 

@@ -51,6 +51,63 @@ class TestSeriesMul:
         assert a.mul(TruncSeries.one(2)) == a
 
 
+def dense_mul(a, b, backend):
+    """TruncSeries.mul as the dense Cauchy loop: one dot per coefficient
+    over every index, zeros included.  The span-bounded mul must equal it
+    exactly on Fractions and bit for bit on floats."""
+    av, bv = backend.vector(a.coeffs), backend.vector(b.coeffs)
+    return [backend.dot(av[:k + 1], bv[k::-1]) for k in range(len(a.coeffs))]
+
+
+@st.composite
+def sparse_factors(draw, entries, zero):
+    """Two factors of one degree D <= 10.  Each is all zero, a monomial, or
+    a run of entries (zeros among them) that starts and ends nonzero,
+    between runs of leading and trailing zeros."""
+    D = draw(st.integers(0, 10))
+    factors = []
+    for _ in range(2):
+        coeffs = [zero] * (D + 1)
+        shape = draw(st.sampled_from(("zero", "monomial", "run")))
+        if shape != "zero":
+            lo = draw(st.integers(0, D))
+            hi = lo if shape == "monomial" else draw(st.integers(lo, D))
+            for k in range(lo, hi + 1):
+                if k in (lo, hi) or draw(st.booleans()):
+                    coeffs[k] = draw(entries)
+        factors.append(TruncSeries(coeffs))
+    return factors
+
+
+NONZERO_FRACTIONS = st.fractions(min_value=-50, max_value=50,
+                                 max_denominator=30).filter(bool)
+# mantissas of 1-3 bits, which cancel exactly, and of up to 300 bits
+NONZERO_MPF = st.builds(
+    lambda man, exp: mpmath.mp.make_mpf(from_man_exp(man, exp)),
+    st.one_of(st.integers(-7, 7), st.integers(-2 ** 300, 2 ** 300))
+    .filter(bool), st.integers(-400, 400))
+
+
+class TestSpanBoundedMul:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_factors(NONZERO_FRACTIONS, F(0)))
+    @example([S(3), S(-2)])                      # degree 0
+    @example([S(0, 0, 0), S(1, 2, 3)])           # an all-zero factor
+    @example([S(0, 0, 5, 0), S(0, 0, 0, 7)])     # monomials beyond D
+    def test_rational_equals_dense_loop(self, factors):
+        a, b = factors
+        assert a.mul(b).coeffs == tuple(dense_mul(a, b, RATIONAL))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_factors(NONZERO_MPF, mpmath.mpf(0)),
+           st.sampled_from((53, 256)))
+    def test_float_bits_equal_dense_loop(self, factors, prec):
+        be = FloatBackend(prec)
+        a, b = factors
+        got = [c._mpf_ for c in a.mul(b, be).coeffs]
+        assert got == [c._mpf_ for c in dense_mul(a, b, be)]
+
+
 class TestSeriesPow:
     def test_square(self):
         assert S(1, 1, 0).pow(2) == S(1, 2, 1)
@@ -493,7 +550,7 @@ def test_float_series_roundtrip_matches_rational():
 def test_power_satisfies_q_difference_identity(q, N, p):
     # F(qz) = (1 - (1-q) z) F(z), so G = F^N has G(qz) = (1 - (1-q) z)^N G(z);
     # the binomial side is built without the series power under test
-    G = TruncSeries(compute_stationary(model(N, p, q)).Zvals)
+    G = TruncSeries(compute_stationary(model(N, p, q), 2 * p).Zvals)
     D = G.degree
     binom = TruncSeries([comb(N, k) * (q - 1) ** k for k in range(D + 1)])
     assert G.scale_arg(q) == binom.mul(G)
@@ -507,7 +564,7 @@ def test_power_coefficients_satisfy_q_difference_recurrence(N, p, q):
     # for q > 1, coefficient k of G(qz) = (1 + (q-1) z)^N G(z) reads
     # g_k (q^k - 1) = sum_{j=1..min(N,k)} C(N, j) (q-1)^j g_{k-j}, a sum of
     # positive terms, so a recurrence for F^N that cannot cancel
-    g = compute_stationary(model(N, p, q)).Zvals
+    g = compute_stationary(model(N, p, q), 2 * p).Zvals
     assert g[0] == 1
     for k in range(1, len(g)):
         assert g[k] * (q ** k - 1) == sum(

@@ -52,7 +52,7 @@ def second_order_f(params):
 def delta_second_order(params, i_terms=300):
     p, N = params.p, params.N
     q = params.q.q
-    stat = compute_stationary(params)
+    stat = compute_stationary(params, p)
     D = p - 1
     Fser = weight_series(params.q, D)
     FN = Fser.pow(N, RATIONAL)

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from qboson.numerics import FloatBackend, InputError, qvalue
+from qboson.numerics import FloatBackend, InputError, RATIONAL, qvalue
 from qboson.stationary import (ModelParams, compute_stationary,
                                intensive_quantities, model, phi_coefficients,
                                rate_u, weight_series)
@@ -39,8 +39,9 @@ def site_marginal(m):
     Built from the one-site weights and two compute_stationary calls.
     """
     f = weight_series(m.q, m.p).coeffs
-    rest = compute_stationary(ModelParams(N=m.N - 1, p=m.p, q=m.q)).Zvals
-    Z = compute_stationary(m).Zvals[m.p]
+    rest = compute_stationary(ModelParams(N=m.N - 1, p=m.p, q=m.q),
+                              m.p).Zvals
+    Z = compute_stationary(m, m.p).Zvals[m.p]
     return [f[k] * rest[m.p - k] / Z for k in range(m.p + 1)]
 
 
@@ -95,61 +96,85 @@ class TestWeights:
 class TestPartition:
     def test_Z_N0_is_one(self):
         for N, p in ((2, 2), (3, 4)):
-            assert compute_stationary(model(N, p, F(1, 2))).Zvals[0] == 1
+            assert compute_stationary(model(N, p, F(1, 2)), p).Zvals[0] == 1
 
     def test_q0_counts_compositions(self):
         for N, p in ((3, 2), (4, 3), (5, 5)):
-            Z = compute_stationary(model(N, p, F(0))).Zvals
+            Z = compute_stationary(model(N, p, F(0)), p).Zvals
             assert Z[p] == comb(N + p - 1, p)
 
     def test_Z22_half(self):
         # enumeration over {(2,0),(1,1),(0,2)}: f(2)+f(1)^2+f(2) = 7/3
-        assert compute_stationary(model(2, 2, F(1, 2))).Zvals[2] == F(7, 3)
+        assert compute_stationary(model(2, 2, F(1, 2)), 2).Zvals[2] == F(7, 3)
 
     def test_Z1p_is_weight(self):
         for p in range(1, 6):
             for q in (F(-1, 2), F(1, 2), F(3)):
-                assert compute_stationary(model(1, p, q)).Zvals[p] == \
+                assert compute_stationary(model(1, p, q), p).Zvals[p] == \
                     weight_series(qvalue(q), p).coeff(p)
 
     @pytest.mark.parametrize("N,p", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3),
                                      (5, 2), (2, 5), (4, 4)])
     @pytest.mark.parametrize("q", [F(-1, 2), F(0), F(1, 3), F(2)])
     def test_matches_enumeration(self, N, p, q):
-        assert compute_stationary(model(N, p, q)).Zvals[p] == \
+        assert compute_stationary(model(N, p, q), p).Zvals[p] == \
             brute_force_Z(N, p, q)
 
     def test_unity_supported(self):
         # F = e^z termwise: Z(N, k) = N^k / k!
         import math
-        Z = compute_stationary(model(3, 4, F(1))).Zvals
+        Z = compute_stationary(model(3, 4, F(1)), 4).Zvals
         for k in range(5):
             assert Z[k] == F(3 ** k, math.factorial(k))
+
+
+class TestDegree:
+    @pytest.mark.parametrize("q", [F(1, 2), F(-1, 2), F(3, 2), F(5)])
+    @pytest.mark.parametrize("N,p", [(1, 4), (3, 5), (6, 3), (8, 8)])
+    def test_degree_p_is_a_prefix_of_degree_2p(self, N, p, q):
+        # Miller's g_k reads a_1..a_k and g_0..g_(k-1) only: the same
+        # rationals, and the same mpf bits, whatever degree is built
+        for be in (RATIONAL, FloatBackend(256)):
+            m = model(N, p, q, be)
+            short = compute_stationary(m, p)
+            full = compute_stationary(m, 2 * p)
+            assert len(short.Zvals) == p + 1
+            if be.exact:
+                assert short.Zvals == full.Zvals[:p + 1]
+                assert short.J == full.J
+            else:
+                assert [z._mpf_ for z in short.Zvals] == \
+                    [z._mpf_ for z in full.Zvals[:p + 1]]
+                assert short.J._mpf_ == full.J._mpf_
+
+    def test_degree_below_p_rejected(self):
+        with pytest.raises(InputError):
+            compute_stationary(model(3, 4, F(1, 2)), 3)
 
 
 class TestCurrent:
     def test_single_particle(self):
         for N in range(1, 7):
             for q in (F(-1, 2), F(0), F(1, 2), F(2)):
-                assert compute_stationary(model(N, 1, q)).J == 1
+                assert compute_stationary(model(N, 1, q), 1).J == 1
 
     def test_J22_half(self):
-        assert compute_stationary(model(2, 2, F(1, 2))).J == F(12, 7)
+        assert compute_stationary(model(2, 2, F(1, 2)), 2).J == F(12, 7)
 
     def test_J12_closed_form(self):
         for q in (F(-1, 2), F(0), F(1, 2), F(2), F(3)):
-            assert compute_stationary(model(1, 2, q)).J == 1 + q
+            assert compute_stationary(model(1, 2, q), 2).J == 1 + q
 
     @pytest.mark.parametrize("q", [F(1, 2), F(2), F(-1, 3)])
     def test_two_particle_closed_form(self, q):
         # J(N,2) = 2N / (N + (1-q)/(1+q))
         for N in range(1, 11):
             expected = F(2 * N) / (N + (1 - q) / (1 + q))
-            assert compute_stationary(model(N, 2, q)).J == expected
+            assert compute_stationary(model(N, 2, q), 2).J == expected
 
     def test_matches_enumeration(self):
         for N, p, q in ((3, 3, F(1, 2)), (4, 2, F(2)), (2, 4, F(-1, 2))):
-            assert compute_stationary(model(N, p, q)).J == \
+            assert compute_stationary(model(N, p, q), p).J == \
                 N * brute_force_Z(N, p - 1, q) / brute_force_Z(N, p, q)
 
 
@@ -219,7 +244,7 @@ class TestPhiSeries:
     def test_anchor_identity(self, N, p, q):
         # [y^(p-1)] (F^N phi) = (J/N) Z(N,p) - Z(N,p-1) = 0 exactly
         m = model(N, p, q)
-        stat = compute_stationary(m)
+        stat = compute_stationary(m, p)
         phi = phi_coefficients(m, stat.J, p - 1)
         acc = F(0)
         for b in range(p):
@@ -235,8 +260,8 @@ def test_float_backend_matches_rational():
     be = FloatBackend(192)
     mf = ModelParams(N=5, p=4, q=qvalue(be.ratio(1, 2), be))
     mr = model(5, 4, F(1, 2))
-    sf = compute_stationary(mf)
-    sr = compute_stationary(mr)
+    sf = compute_stationary(mf, 8)
+    sr = compute_stationary(mr, 8)
     for k in range(9):
         exact = sr.Zvals[k]
         rel = abs(sf.Zvals[k] - be.ratio(exact.numerator,

@@ -4,14 +4,14 @@ import pytest
 
 from qboson.numerics import InputError, TruncSeries
 from qboson.stationary import compute_stationary, model
-from qboson.tq import (b1_polynomial, build_first_order, q1_polynomial,
-                       t1_polynomial, verify_first_order)
+from qboson.tq import (b1_polynomial, build_first_order, one_minus_x_pow,
+                       q1_polynomial, t1_polynomial, verify_first_order)
 
 Q_GRID = (F(-1, 2), F(1, 3), F(1, 2), F(2), F(3), F(0))
 
 
 def b1(m):
-    return b1_polynomial(m, compute_stationary(m))
+    return b1_polynomial(m, compute_stationary(m, m.p))
 
 
 def padded(coeffs, m):
@@ -23,7 +23,7 @@ class TestB1:
     def test_b0_value(self):
         # b_0 = -N (1-q)^p / Z(N,p)
         m = model(3, 2, F(1, 2))
-        stat = compute_stationary(m)
+        stat = compute_stationary(m, m.p)
         b = b1_polynomial(m, stat)
         assert b.coeff(0) == -3 * F(1, 2) ** 2 / stat.Zvals[2]
 
@@ -62,7 +62,7 @@ class TestQ1:
         for N, p, q in ((4, 2, F(1, 3)), (3, 3, F(3)), (2, 5, F(1, 2))):
             m = model(N, p, q)
             q1 = q1_polynomial(b1(m), m)
-            assert q1.coeff(p - 1) == compute_stationary(m).J
+            assert q1.coeff(p - 1) == compute_stationary(m, p).J
 
 
 class TestT1:
@@ -80,7 +80,7 @@ class TestT1:
         m = model(3, 2, F(1, 2))
         b = b1(m).add(TruncSeries.one(m.N + m.p - 1))
         with pytest.raises(ArithmeticError):
-            t1_polynomial(b, m)
+            t1_polynomial(b, one_minus_x_pow(m), m)
 
     def test_degree_bound(self):
         for N, p, q in ((4, 2, F(1, 2)), (3, 3, F(2))):
