@@ -12,8 +12,7 @@ from .numerics import (FloatBackend, InputError, PrecisionError, QValue,
 from .stationary import (ModelParams, StationaryData, compute_stationary,
                          intensive_quantities, model, phi_coefficients,
                          rate_u, weight_series)
-from .cumulants import (DeltaResult, delta_exact_resummed,
-                        delta_exact_truncated, delta_fss_estimate)
+from .cumulants import DeltaResult, delta_exact_resummed
 from .asymptotics import (CrossoverData, SaddleData, crossover_F,
                           crossover_prediction, kpz_coefficient,
                           log_f_log_derivative, saddle_data, saddle_point)

@@ -125,8 +125,8 @@ def _emit(args, kind: dict, result: dict) -> None:
     _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
 
 
-def _evaluate(make_params, backend, imax=None):
-    """exact's values, the DeltaResult they come from, and their backend.
+def _evaluate(make_params, backend):
+    """The backend of exact's values, and the values.
 
     The rational backend runs the series once.  On the float backend each
     precision P runs it at P and 2P bits and keeps the P-bit values only if
@@ -135,33 +135,26 @@ def _evaluate(make_params, backend, imax=None):
     precision, so the 2P run of one level is the P run of the next: each
     precision is computed once.  make_params builds the model afresh for
     each backend, so a q like exp(-alpha/sqrt(N)) is recomputed at 2P too.
-    The returned backend and DeltaResult (method, i_max, tail_bound) are
-    the accepted P-bit run's.
+    The returned backend is the accepted P-bit run's.
     """
     def run(be):
         params = make_params(be)
-        if imax is None:
-            res = cumulants.delta_exact_resummed(params)
-        else:
-            res = cumulants.delta_exact_truncated(params, imax)
-        return res, {"Z": res.Z, "J": res.J, "Delta": res.Delta, "pJ": res.pJ,
-                     "S1": res.S1, "S2": res.S2,
-                     **stationary.intensive_quantities(params, res.J,
-                                                       res.Delta)}
+        res = cumulants.delta_exact_resummed(params)
+        return {"Z": res.Z, "J": res.J, "Delta": res.Delta, "pJ": res.pJ,
+                "S1": res.S1, "S2": res.S2,
+                **stationary.intensive_quantities(params, res.J, res.Delta)}
 
     if backend.exact:
-        res, values = run(backend)
-        return backend, values, res
-    runs = {}   # prec_bits -> (DeltaResult, values)
+        return backend, run(backend)
+    runs = {}   # prec_bits -> values
 
     def payload(be):
         if be.prec_bits not in runs:
             runs[be.prec_bits] = run(be)
-        return runs[be.prec_bits][1]
+        return runs[be.prec_bits]
 
-    backend, values = escalate_precision(
+    return escalate_precision(
         lambda be: verify_at_double_precision(payload, be))
-    return backend, values, runs[backend.prec_bits][0]
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +163,9 @@ def _evaluate(make_params, backend, imax=None):
 
 def cmd_exact(args) -> int:
     N, p, qfrac = _system(args)
-    backend, values, res = _evaluate(partial(_model, N, p, qfrac),
-                                     _backend(args), args.imax)
+    backend, values = _evaluate(partial(_model, N, p, qfrac), _backend(args))
     result = {key: _scalar(val, backend) for key, val in values.items()}
-    result.update(N=N, p=p, q=_fraction_str(qfrac), method=res.method)
-    if res.method == "truncated":
-        result.update(i_max=res.i_max, tail_bound=res.tail_bound)
+    result.update(N=N, p=p, q=_fraction_str(qfrac))
     _emit(args, _describe(backend), result)
     return 0
 
@@ -316,7 +306,7 @@ def _sweep_rows(args):
                 predictions[rho] = asymptotics.crossover_prediction(
                     rho, args.alpha).prediction
             qcol = float(make_params(backend).q.q)
-        _, values, _ = _evaluate(make_params, backend)
+        _, values = _evaluate(make_params, backend)
         J, Delta = float(values["J"]), float(values["Delta"])
         d32, d1 = Delta / N ** 1.5, Delta / N
         gap = (d32 if kpz else d1) - predictions[rho]
@@ -343,7 +333,6 @@ FLAGS = {
     "q": dict(help="deformation parameter, 'a/b' or decimal"),
     "alpha": dict(type=float, help="q = exp(-alpha/sqrt(N))"),
     "backend": dict(choices=("rational", "float"), default="rational"),
-    "imax": dict(type=int, help="truncate the i-sum instead of resumming"),
     "seed": dict(type=int, default=1),
     "reps": dict(type=int, default=50),
     "t-burn": dict(type=float),
@@ -367,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     system = ("n", "p", "rho", "q")
     command("exact", cmd_exact, "exact J and Delta from the series formula",
-            *system, "backend", "imax")
+            *system, "backend")
     command("oracle", cmd_oracle, "spectral perturbation ground truth",
             *system, "backend")
     command("simulate", cmd_simulate, "kinetic Monte Carlo estimates",

@@ -84,9 +84,9 @@ def compute_stationary(params: ModelParams, degree: int) -> StationaryData:
     """Build F, F^N and the partition values Z(N, 0..degree) in one series
     power.
 
-    Each caller names the degree it reads: 2p for the diffusion
-    coefficient, p for the first-order T-Q check.  J reads Z(N, p), so
-    degree >= p.  Miller's g_k depends only on a_1..a_k and g_0..g_(k-1),
+    Each caller names the degree it reads: 2p - 1 for the diffusion
+    coefficient, p for the first-order T-Q check and at q = 1.  J reads
+    Z(N, p), so degree >= p.  Miller's g_k depends only on a_1..a_k and g_0..g_(k-1),
     so Z(N, k) is the same scalar at every degree >= k.
     """
     if degree < params.p:

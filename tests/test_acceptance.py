@@ -13,14 +13,15 @@ import numpy as np
 
 from qboson.numerics import FloatBackend, qvalue
 from qboson.stationary import ModelParams, model
-from qboson.cumulants import (delta_exact_resummed, delta_exact_truncated,
-                              delta_fss_estimate)
+from qboson.cumulants import delta_exact_resummed
 from qboson.oracle import lambda_derivatives
 from qboson.asymptotics import (crossover_F, crossover_prediction,
                                 kpz_coefficient, saddle_data)
 from qboson.simulate import SimConfig, estimate_cumulants
 from qboson.tq import build_first_order, verify_first_order
 from qboson.cli import main as cli_main
+
+from test_cumulants import delta_fss, delta_truncated
 
 
 def report(num: int, detail: str):
@@ -145,7 +146,7 @@ def test_criterion_09_fss_estimate():
         for N in (8, 16, 32):
             m = model(N, N, q)
             d = delta_exact_resummed(m).Delta
-            est = delta_fss_estimate(m)
+            est = delta_fss(m)
             gaps.append(float(N * abs(d - est) / N ** 2))
         assert all(gaps[i + 1] <= gaps[i] for i in range(len(gaps) - 1)), gaps
         assert max(gaps) < 10.0
@@ -202,14 +203,14 @@ def test_criterion_12_resummation_vs_truncation():
     for N, p, q in ((2, 2, F(1, 2)), (3, 2, F(2)), (2, 3, F(-1, 2))):
         m = model(N, p, q)
         res = delta_exact_resummed(m)
-        tr = delta_exact_truncated(m, 200)
+        tr = delta_truncated(m, 200)
         gap = abs(F(tr.Delta - res.Delta))
         assert gap <= F(tr.tail_bound)
         assert float(gap) <= 1e-12
     be = FloatBackend(256)
     mf = ModelParams(N=3, p=3, q=qvalue(be.ratio(1, 2), be))
     rf = delta_exact_resummed(mf)
-    tf = delta_exact_truncated(mf, 200)
+    tf = delta_truncated(mf, 200)
     assert abs(float(tf.Delta - rf.Delta)) <= 1e-12
     report(12, "resummed == truncated(200) within geometric tail (rational) "
                "and to 1e-12 (256-bit float)")

@@ -123,13 +123,6 @@ class TestExact:
             assert float(got[key]) == pytest.approx(float(F(want[key])),
                                                     rel=1e-12)
 
-    def test_truncated_method(self, capsys):
-        doc = run_json(capsys, "exact", "--n", "2", "--p", "2", "--q", "1/2",
-                       "--imax", "50")
-        assert doc["result"]["method"] == "truncated"
-        assert doc["result"]["i_max"] == 50
-        assert doc["result"]["tail_bound"] < 1e-12
-
     def test_byte_identical_rerun(self, capsys):
         _, out1 = run_cli(capsys, "exact", "--n", "5", "--p", "3",
                           "--q", "2/3")
@@ -161,26 +154,29 @@ class TestExact:
         assert abs(J - F(12, 7)) <= F(12, 7) * F(1, 10 ** 70)
 
     @pytest.mark.parametrize("extra,builds", [
-        ((), 1), (("--imax", "20"), 1),
-        (("--backend", "float"), 2), (("--backend", "float", "--imax", "20"), 2),
+        (("--q", "1/2"), 1), (("--q", "1"), 1),
+        (("--q", "1/2", "--backend", "float"), 2),
+        (("--q", "1", "--backend", "float"), 2),
     ])
     def test_one_stationary_build_per_evaluation(self, capsys, monkeypatch,
                                                  extra, builds):
-        # a float run evaluates once at P and once at 2P bits
+        # a float run evaluates once at P and once at 2P bits; each builds
+        # F^N to the degree it reads: 2p - 1 = 5 for the series, p = 3 at
+        # q = 1
+        degree = 3 if extra[1] == "1" else 5
         calls = []
         original = stationary.compute_stationary
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counting(params, degree):
+            calls.append(degree)
+            return original(params, degree)
 
         for name, module in list(sys.modules.items()):
             if (name == "qboson" or name.startswith("qboson.")) and \
                     getattr(module, "compute_stationary", None) is original:
                 monkeypatch.setattr(module, "compute_stationary", counting)
-        run_json(capsys, "exact", "--n", "4", "--p", "3", "--q", "1/2",
-                 *extra)
-        assert len(calls) == builds
+        run_json(capsys, "exact", "--n", "4", "--p", "3", *extra)
+        assert calls == [degree] * builds
 
     def test_both_p_and_rho_rejected(self, capsys):
         code, _ = run_cli(capsys, "exact", "--n", "2", "--p", "2",
@@ -475,8 +471,7 @@ def test_rational_requests_load_no_mpmath():
 
 # one request per subcommand, each setting most of the flags it declares
 ONE_REQUEST = {
-    "exact": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float",
-              "--imax", "30"],
+    "exact": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float"],
     "oracle": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float"],
     "simulate": ["--n", "2", "--p", "2", "--q", "1/2", "--seed", "3",
                  "--reps", "3", "--t-burn", "2", "--t-measure", "5"],
@@ -488,7 +483,8 @@ ONE_REQUEST = {
 
 # flags these subcommands do not read: a value would be ignored, or would
 # only set the precision of inputs that are rounded to float64, or a
-# precision and tolerance the float backend now finds itself
+# precision and tolerance the float backend now finds itself, or select
+# the term-by-term i-sum, which only the tests keep as a reference
 DELETED_FLAGS = [
     ("oracle", "--tol", "1e-10"), ("simulate", "--tol", "1e-10"),
     ("verify-tq", "--tol", "1e-10"), ("asymptotic", "--tol", "1e-12"),
@@ -502,6 +498,7 @@ DELETED_FLAGS = [
     ("simulate", "--prec", "64"),
     ("exact", "--prec", "64"), ("exact", "--tol", "1e-10"),
     ("exact", "--tol", "nan"), ("exact", "--tol", "-1"),
+    ("exact", "--imax", "20"),
     ("verify-tq", "--prec", "64"),
     ("sweep", "--prec", "64"), ("sweep", "--tol", "1e-10"),
 ]

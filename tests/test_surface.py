@@ -13,10 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "qboson"
 
 # public definitions kept without a caller in the package, with the reason
-ALLOWED = {
-    "delta_fss_estimate": "acceptance criterion 9 checks it as a route to "
-                          "Delta of its own",
-}
+ALLOWED: dict = {}
 
 
 # public dataclass fields kept without a reader in the package, with the
