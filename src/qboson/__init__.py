@@ -6,9 +6,9 @@ kinetic Monte Carlo, a first-order functional-equation verification path,
 and the large-N KPZ / EW-crossover asymptotics.
 """
 
-from .numerics import (FloatBackend, InputError, PrecisionError, QValue,
-                       RATIONAL, SolverError, TruncSeries, geometric_factor,
-                       qvalue, verify_at_double_precision)
+from .numerics import (FloatBackend, InputError, PrecisionError, RATIONAL,
+                       SolverError, TruncSeries, geometric_factor,
+                       verify_at_double_precision)
 from .stationary import (ModelParams, StationaryData, compute_stationary,
                          intensive_quantities, model, phi_coefficients,
                          rate_u, weight_series)

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import (InputError, QValue, REGIME_GREATER_ONE, REGIME_UNITY,
-                       SolverError, require_positive)
+from .numerics import InputError, SolverError, require_positive
 
 SQRT_PI = math.sqrt(math.pi)
 # relative truncation bound of the product sum for ln F and its derivatives
@@ -40,21 +39,24 @@ def _dlog1m(v: float, k: int) -> float:
     raise InputError(f"derivative order {k} not supported (0..4)")
 
 
-def _product_params(q: QValue) -> tuple[float, float]:
+def _product_params(q) -> tuple[float, float]:
     """Scale c and ratio t of the product factors w_i = c t^i z.
 
     ln F(z) = -sum_i ln(1 - w_i) for |q| < 1 (c = 1-q, t = q) and
-    ln F(z) = +sum_i ln(1 + w_i) for q > 1 (c = 1-1/q, t = 1/q).
+    ln F(z) = +sum_i ln(1 + w_i) for q > 1 (c = 1-1/q, t = 1/q).  q is a
+    real number (an int, Fraction or float), > -1 and not 1.
     """
-    if q.regime == REGIME_UNITY:
+    if not q > -1:
+        raise InputError(f"q must be > -1, got {q}")
+    if q == 1:
         raise InputError("ln F product form is undefined at q = 1")
-    qf = float(q.q)
-    if q.regime == REGIME_GREATER_ONE:
+    qf = float(q)
+    if q > 1:
         return 1.0 - 1.0 / qf, 1.0 / qf
     return 1.0 - qf, qf
 
 
-def log_f_log_derivative(z: float, q: QValue, k: int) -> float:
+def log_f_log_derivative(z: float, q, k: int) -> float:
     """(z d/dz)^k ln F(z) by termwise differentiation of the product form.
 
     Truncates the product sum once the geometric tail bound drops below
@@ -67,7 +69,7 @@ def log_f_log_derivative(z: float, q: QValue, k: int) -> float:
     if z == 0:
         return 0.0
     c, t = _product_params(q)
-    greater = q.regime == REGIME_GREATER_ONE
+    greater = q > 1
     if not greater and z * c >= 1.0:
         raise InputError(
             f"z = {z} is at or beyond the singularity 1/(1-q) = {1 / c}")
@@ -87,7 +89,7 @@ def log_f_log_derivative(z: float, q: QValue, k: int) -> float:
     raise SolverError("product expansion of ln F did not converge")
 
 
-def saddle_point(rho: float, q: QValue) -> float:
+def saddle_point(rho: float, q) -> float:
     """Smallest positive root of z (ln F(z))' = rho.
 
     z (ln F)' is increasing in z with range (0, inf) on the admissible
@@ -100,7 +102,7 @@ def saddle_point(rho: float, q: QValue) -> float:
         return log_f_log_derivative(z, q, 1)
 
     c, _ = _product_params(q)
-    greater = q.regime == REGIME_GREATER_ONE
+    greater = q > 1
     hi = 1.0 if greater else (1.0 - 1e-15) / c
     while L(hi) < rho:
         if not greater or hi > 1e300:
@@ -126,7 +128,7 @@ class SaddleData:
     """
 
     rho: float
-    q: QValue
+    q: object
     zstar: float
     h: tuple
     free_energy: float
@@ -136,7 +138,7 @@ class SaddleData:
     current_fss: float
 
 
-def saddle_data(rho: float, q: QValue) -> SaddleData:
+def saddle_data(rho: float, q) -> SaddleData:
     rho = float(rho)
     zstar = saddle_point(rho, q)
     try:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import partial
 
 from .numerics import (FloatBackend, InputError, PrecisionError, RATIONAL,
-                       SolverError, escalate_precision, negligible, qvalue,
+                       SolverError, escalate_precision, negligible,
                        verify_at_double_precision)
 from . import asymptotics, cumulants, oracle, simulate, stationary, tq
 
@@ -102,12 +102,6 @@ def _system(args) -> tuple[int, int, Fraction]:
     return args.n, _particles(args, args.n), _parse_fraction("q", args.q)
 
 
-def _model(N: int, p: int, qfrac: Fraction, backend) -> stationary.ModelParams:
-    """The model at q = qfrac, with q a scalar of the given backend."""
-    return stationary.model(
-        N, p, backend.ratio(qfrac.numerator, qfrac.denominator), backend)
-
-
 def _write(text: str, args) -> None:
     """Write to the --out file, or to stdout without one."""
     if args.out:
@@ -163,7 +157,8 @@ def _evaluate(make_params, backend):
 
 def cmd_exact(args) -> int:
     N, p, qfrac = _system(args)
-    backend, values = _evaluate(partial(_model, N, p, qfrac), _backend(args))
+    backend, values = _evaluate(partial(stationary.model, N, p, qfrac),
+                                _backend(args))
     result = {key: _scalar(val, backend) for key, val in values.items()}
     result.update(N=N, p=p, q=_fraction_str(qfrac))
     _emit(args, _describe(backend), result)
@@ -172,7 +167,7 @@ def cmd_exact(args) -> int:
 
 def cmd_oracle(args) -> int:
     backend = _backend(args)
-    res = oracle.lambda_derivatives(_model(*_system(args), backend))
+    res = oracle.lambda_derivatives(stationary.model(*_system(args), backend))
     if backend.exact:
         scalar, kind = partial(_scalar, backend=backend), _describe(backend)
     else:
@@ -188,7 +183,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_simulate(args) -> int:
     # exact rates and weights, rounded to float64 for the kernel
-    cfg = simulate.SimConfig(params=_model(*_system(args), RATIONAL),
+    cfg = simulate.SimConfig(params=stationary.model(*_system(args)),
                              t_measure=args.t_measure, reps=args.reps,
                              seed=args.seed, t_burn=args.t_burn)
     est = simulate.estimate_cumulants(cfg)
@@ -204,8 +199,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     rho = float(_parse_fraction("rho", args.rho))
-    q = qvalue(_parse_fraction("q", args.q))
-    sd = asymptotics.saddle_data(rho, q)
+    sd = asymptotics.saddle_data(rho, _parse_fraction("q", args.q))
     _emit(args, {"kind": "float64"}, {
         "zstar": sd.zstar, "h0": sd.h[0], "h1": sd.h[1], "h2": sd.h[2],
         "h3": sd.h[3], "h4": sd.h[4], "free_energy": sd.free_energy,
@@ -229,18 +223,24 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_verify_tq(args) -> int:
-    make_params = partial(_model, *_system(args))
+    make_params = partial(stationary.model, *_system(args))
 
     def check(backend):
-        """(ok, result) at one backend; PrecisionError where it falls short."""
+        """(ok, result) at one backend; PrecisionError where it falls short.
+
+        ok is that the first-order relation holds and that Q1(1) = p.
+        """
         first = tq.build_first_order(make_params(backend))
         ok, residual, relative = tq.verify_first_order(first)
         max_resid = max(abs(c) for c in residual.coeffs)
+        p = first.params.p
         q1_at_1 = sum(first.Q1.coeffs)
+        q1_is_p = negligible("Q1(1) - p", q1_at_1 - p,
+                             sum(map(abs, first.Q1.coeffs)) + p, backend)
         lambda1_is_J = negligible(
             "lambda1 - J", first.lambda1 - first.J,
             abs(first.lambda1) + abs(first.J), backend)
-        return ok, {
+        return ok and q1_is_p, {
             "residual_zero": ok,
             "max_residual": _scalar(max_resid, backend),
             "max_relative_residual": _scalar(relative, backend),
@@ -282,6 +282,8 @@ def _sweep_rows(args):
     if kpz:
         qfrac = _parse_fraction("q", args.q)
         backend = _backend(args)
+    elif args.backend == "rational":
+        raise InputError("--alpha runs on the float backend only")
     else:
         backend = FloatBackend()
 
@@ -291,21 +293,21 @@ def _sweep_rows(args):
         p = _particles(args, N)
         rho = p / N
         if kpz:
-            make_params = partial(_model, N, p, qfrac)
+            make_params = partial(stationary.model, N, p, qfrac)
             if rho not in predictions:
-                sd = asymptotics.saddle_data(rho, qvalue(qfrac))
+                sd = asymptotics.saddle_data(rho, qfrac)
                 predictions[rho] = asymptotics.kpz_coefficient(sd)
             qcol = float(qfrac)
         else:
             def make_params(be, N=N, p=p):
                 qs = be.ctx.exp(be.integer(-1) * args.alpha
                                 / be.ctx.sqrt(N))
-                return stationary.ModelParams(N=N, p=p, q=qvalue(qs, be))
+                return stationary.model(N, p, qs, be)
 
             if rho not in predictions:
                 predictions[rho] = asymptotics.crossover_prediction(
                     rho, args.alpha).prediction
-            qcol = float(make_params(backend).q.q)
+            qcol = float(make_params(backend).q)
         _, values = _evaluate(make_params, backend)
         J, Delta = float(values["J"]), float(values["Delta"])
         d32, d1 = Delta / N ** 1.5, Delta / N
@@ -371,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("sweep", cmd_sweep, "CSV table over a grid of N",
                  "p", "rho", "q", "alpha", "backend")
     sp.add_argument("--n", help="comma-separated list of ring sizes")
+    # unset unless given, so that --alpha can reject --backend rational
+    sp.set_defaults(backend=None)
     return parser
 
 

@@ -36,8 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import (Backend, REGIME_GREATER_ONE, TruncSeries,
-                       geometric_factor, negligible)
+from .numerics import Backend, TruncSeries, geometric_factor, negligible
 from .stationary import ModelParams, compute_stationary, phi_coefficients
 
 
@@ -75,7 +74,8 @@ def delta_exact_resummed(params: ModelParams) -> DeltaResult:
     """Exact Delta with the i-sum resummed in closed form per (k, b)."""
     backend = params.backend
     p, N = params.p, params.N
-    if params.q.is_unity:
+    q = params.q
+    if q == 1:
         P, zero = backend.integer(p), backend.integer(0)
         Z = compute_stationary(params, p).Zvals[p]
         return DeltaResult(Delta=P, J=P, Z=Z, pJ=P * P, S1=zero, S2=zero)
@@ -86,14 +86,15 @@ def delta_exact_resummed(params: ModelParams) -> DeltaResult:
     A = _a_coefficients(p, Z, phi, backend)
     _check_a0(A[0], p, Z, phi, backend)
     # gf[a - 1] = r^a / (1 - r^a) for a = 1..p
-    gf = [geometric_factor(params.q.r, a) for a in range(1, p + 1)]
+    r = backend.integer(1) / q if q > 1 else q
+    gf = [geometric_factor(r, a) for a in range(1, p + 1)]
     C, phiv, gfv = map(backend.vector, (Z[:p], phi.coeffs, gf))
     inner = [backend.dot(C[p - 1 - k::-1], phiv[:p - k], gfv[k:])
              for k in range(p)]
     # A_0 = 0 carries the divergent i-independent branch; it is dropped
     for k in range(1, p):
         inner[k] = inner[k] + A[k] * gf[k - 1]
-    sign = -1 if params.q.regime == REGIME_GREATER_ONE else 1
+    sign = -1 if q > 1 else 1
     S1 = sign * backend.dot(Z[p:2 * p], A)
     S2 = sign * backend.dot(Z[p:2 * p], inner)
     pJ = p * stat.J

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -297,54 +296,6 @@ def escalate_precision(compute: Callable[[FloatBackend], object]) -> tuple:
                 raise PrecisionError(
                     f"no precision up to {prec} bits passed: {exc}") from None
         prec *= 2
-
-
-# ---------------------------------------------------------------------------
-# q bookkeeping
-# ---------------------------------------------------------------------------
-
-REGIME_GENERIC = "minus_one_to_one"   # |q| < 1, covers negative q down to -1
-REGIME_GREATER_ONE = "greater_one"    # q > 1
-REGIME_UNITY = "unity"                # q = 1 (free-particle degeneration)
-
-
-@dataclass(frozen=True)
-class QValue:
-    """Deformation parameter with regime tag and geometric ratio r.
-
-    r = q for |q| < 1 and r = 1/q for q > 1, so |r| < 1 off the unity
-    regime; r is the common ratio of every geometric resummation in the
-    diffusion-coefficient formula.
-    """
-
-    q: object
-    regime: str
-    r: object
-    backend: Backend
-
-    @property
-    def is_unity(self) -> bool:
-        return self.regime == REGIME_UNITY
-
-    def require_series_regime(self, what: str = "this operation"):
-        if self.is_unity:
-            raise InputError(f"{what} is undefined at q = 1; "
-                             "use the free-particle values J = Delta = p")
-
-
-def qvalue(q, backend: Backend = RATIONAL) -> QValue:
-    """Classify q (rates are positive only for q > -1); a float-backend q
-    is first rounded into a scalar of that backend."""
-    if not backend.exact:
-        q = backend.ratio(q)
-    if q <= -1:
-        raise InputError(f"q must be > -1, got {q}")
-    if q == 1:
-        return QValue(q=q, regime=REGIME_UNITY, r=None, backend=backend)
-    if q > 1:
-        r = backend.integer(1) / q
-        return QValue(q=q, regime=REGIME_GREATER_ONE, r=r, backend=backend)
-    return QValue(q=q, regime=REGIME_GENERIC, r=q, backend=backend)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def build_generator(params: ModelParams) -> GeneratorPair:
             reps.append(cfg)
             sizes.append(len(turns))
     totals, jumps = [], []
-    rates = tuple(rate_u(n, params.q) for n in range(p + 1))
+    rates = tuple(rate_u(n, params) for n in range(p + 1))
     zero = backend.integer(0)
     for src, cfg in enumerate(reps):
         totals.append(sum((rates[n] for n in cfg if n), zero))
@@ -173,7 +173,7 @@ def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
     """pi(orbit) proportional to size * prod_i f(n_i), normalized, at the
     backend's working precision."""
     backend = params.backend
-    ftab = weight_series(params.q, params.p).coeffs
+    ftab = weight_series(params, params.p).coeffs
     one = backend.integer(1)
     weights = [prod((ftab[n] for n in cfg), start=one)
                for cfg in gen.configs]

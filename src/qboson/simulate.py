@@ -164,14 +164,14 @@ class SimEstimate:
 
 
 def _rate_table(params: ModelParams) -> list:
-    return [float(rate_u(m, params.q)) for m in range(params.p + 1)]
+    return [float(rate_u(m, params)) for m in range(params.p + 1)]
 
 
 # every replica of a run starts from the same product measure, so the
 # saddle point is found once per model rather than once per replica
 @lru_cache(maxsize=32)
 def _stationary_fugacity(params: ModelParams) -> float:
-    if params.q.is_unity:
+    if params.q == 1:
         return float(params.rho)
     return asymptotics.saddle_point(float(params.rho), params.q)
 
@@ -185,7 +185,7 @@ def initial_config(params: ModelParams,
     # f(m) z^m (truncated at p), accepted when the total is exactly p
     z = _stationary_fugacity(params)
     w = np.array([float(f) * z ** m for m, f in
-                  enumerate(weight_series(params.q, p).coeffs)],
+                  enumerate(weight_series(params, p).coeffs)],
                  dtype=np.float64)
     w /= w.sum()
     for _ in range(1_000_000):

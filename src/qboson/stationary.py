@@ -14,27 +14,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import (Backend, InputError, QValue, RATIONAL, TruncSeries,
-                       qvalue)
+from .numerics import Backend, InputError, RATIONAL, TruncSeries
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Ring size N, particle number p and deformation parameter q."""
+    """Ring size N, particle number p and deformation parameter q.
+
+    q is a scalar of backend; rates are positive only for q > -1.
+    """
 
     N: int
     p: int
-    q: QValue
+    q: object
+    backend: Backend
 
     def __post_init__(self):
         if self.N < 1:
             raise InputError(f"N must be >= 1, got {self.N}")
         if self.p < 1:
             raise InputError(f"p must be >= 1, got {self.p}")
-
-    @property
-    def backend(self) -> Backend:
-        return self.q.backend
+        if not self.q > -1:   # NaN fails this too
+            raise InputError(f"q must be > -1, got {self.q}")
 
     @property
     def rho(self):
@@ -43,31 +44,33 @@ class ModelParams:
 
 
 def model(N: int, p: int, q, backend: Backend = RATIONAL) -> ModelParams:
-    """Convenience constructor accepting a raw q scalar."""
-    return ModelParams(N=N, p=p, q=qvalue(q, backend))
+    """The model at a raw q scalar; on the float backend q is first
+    rounded into a scalar of that backend."""
+    if not backend.exact:
+        q = backend.ratio(q)
+    return ModelParams(N=N, p=p, q=q, backend=backend)
 
 
-def rate_u(n: int, q: QValue):
+def rate_u(n: int, params: ModelParams):
     """Jump rate out of a site holding n particles: the q-integer [n]_q."""
     if n < 0:
         raise InputError(f"occupation must be >= 0, got {n}")
-    backend = q.backend
+    q, backend = params.q, params.backend
     if n == 0:
         return backend.integer(0)
-    if q.is_unity:
+    if q == 1:
         return backend.integer(n)
-    return (1 - q.q ** n) / (1 - q.q)
+    return (1 - q ** n) / (1 - q)
 
 
-def weight_series(q: QValue, degree: int) -> TruncSeries:
+def weight_series(params: ModelParams, degree: int) -> TruncSeries:
     """F(z) = sum_m f(m) z^m truncated at the given degree.
 
     f(0) = 1 and f(m) = f(m-1)/u(m), the one-site stationary weights.
     """
-    backend = q.backend
-    coeffs = [backend.integer(1)]
+    coeffs = [params.backend.integer(1)]
     for j in range(1, degree + 1):
-        coeffs.append(coeffs[-1] / rate_u(j, q))
+        coeffs.append(coeffs[-1] / rate_u(j, params))
     return TruncSeries(coeffs)
 
 
@@ -75,7 +78,6 @@ def weight_series(q: QValue, degree: int) -> TruncSeries:
 class StationaryData:
     """Partition values Z(N, 0..degree) and the current J."""
 
-    params: ModelParams
     Zvals: tuple              # Z(N, k) = [z^k] F(z)^N for k = 0..degree
     J: object                 # mean integrated current, events per unit time
 
@@ -92,10 +94,9 @@ def compute_stationary(params: ModelParams, degree: int) -> StationaryData:
     if degree < params.p:
         raise InputError(f"degree must be >= p = {params.p}, got {degree}")
     backend = params.backend
-    Zvals = tuple(weight_series(params.q, degree).pow(params.N,
-                                                      backend).coeffs)
+    Zvals = tuple(weight_series(params, degree).pow(params.N, backend).coeffs)
     J = params.N * Zvals[params.p - 1] / Zvals[params.p]
-    return StationaryData(params=params, Zvals=Zvals, J=J)
+    return StationaryData(Zvals=Zvals, J=J)
 
 
 def intensive_quantities(params: ModelParams, J, Delta) -> dict:
@@ -114,9 +115,10 @@ def phi_coefficients(params: ModelParams, J, degree: int) -> TruncSeries:
     phi_m = (J/p) (1-q)^{m+1} / (1 - q^{m+1}) - [m = 0]; the same closed
     form covers |q| < 1 and q > 1.
     """
-    params.q.require_series_regime("the phi series")
-    q = params.q.q
-    backend = params.backend
+    q = params.q
+    if q == 1:
+        raise InputError("the phi series is undefined at q = 1; "
+                         "use the free-particle values J = Delta = p")
     ratio = J / params.p
     coeffs = []
     for m in range(degree + 1):

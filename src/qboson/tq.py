@@ -10,9 +10,17 @@ determine Q_1 through b_i = (q^{p-i} - 1) q_i, and
 
     T_1(x) = N q^p + x^{-p} [ (1-x)^N B_1(x) - B_1(qx) ],
 
-where the bracket is divisible by x^p exactly.  The checks are that the
-first-order relation holds as an exact polynomial identity, that
-Q_1(1) = p, and that the top coefficient q_{p-1} equals the mean current J.
+where the bracket is divisible by x^p exactly.  Of the checks, two test
+the partition values:
+
+* bracket divisibility is, coefficient by coefficient, the q-difference
+  identity of F^N, Z_k (q^k - 1) = sum_{j>=1} C(N, j) (q - 1)^j Z_{k-j}
+  for k < p, with Z_k = Z(N, k);
+* Q_1(1) = p ties Z(N, p) to Z(N, 0..p-1).
+
+The residual of the first-order relation, and lambda_1 = q_{p-1} = J,
+hold by construction for any B_1 that passes divisibility, so they check
+the arithmetic only.
 
 Polynomials are ``TruncSeries`` of the common degree N + p - 1: every
 product in the first-order relation has degree at most N + p - 1, so the
@@ -27,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .numerics import Backend, TruncSeries, negligible
+from .numerics import Backend, InputError, TruncSeries, negligible
 from .stationary import ModelParams, compute_stationary
 
 
@@ -59,8 +67,11 @@ class TqFirstOrder:
 
 def b1_polynomial(params: ModelParams, stat) -> TruncSeries:
     """b_i = -N (1-q)^{p-i} Z(N,i) / Z(N,p), i = 0..p-1."""
-    params.q.require_series_regime("the first-order functional-equation step")
-    q = params.q.q
+    q = params.q
+    if q == 1:
+        raise InputError("the first-order functional-equation step is "
+                         "undefined at q = 1; use the free-particle values "
+                         "J = Delta = p")
     N, p = params.N, params.p
     Zp = stat.Zvals[p]
     return _series([-N * (1 - q) ** (p - i) * stat.Zvals[i] / Zp
@@ -70,7 +81,7 @@ def b1_polynomial(params: ModelParams, stat) -> TruncSeries:
 def q1_polynomial(b1: TruncSeries, params: ModelParams) -> TruncSeries:
     """q_i = b_i / (q^{p-i} - 1); q^k = 1 has no real root besides q = 1
     and q = -1, both rejected upstream."""
-    q = params.q.q
+    q = params.q
     p = params.p
     return _series([b1.coeff(i) / (q ** (p - i) - 1) for i in range(p)],
                    params)
@@ -104,7 +115,7 @@ def t1_polynomial(b1: TruncSeries, onemx: TruncSeries,
     one means the construction is broken, so it aborts rather than truncates.
     """
     backend = params.backend
-    q = params.q.q
+    q = params.q
     N, p = params.N, params.p
     bracket = onemx.mul(b1, backend).add(
         b1.scale_arg(q).scale(backend.integer(-1)))
@@ -127,7 +138,7 @@ def build_first_order(params: ModelParams) -> TqFirstOrder:
     # B_1 reads Z(N, 0..p), and J reads Z(N, p-1) and Z(N, p)
     stat = compute_stationary(params, params.p)
     N, p = params.N, params.p
-    q = params.q.q
+    q = params.q
     onemx = one_minus_x_pow(params)
     b1 = b1_polynomial(params, stat)
     q1 = q1_polynomial(b1, params)
@@ -162,12 +173,12 @@ def verify_first_order(tq: TqFirstOrder) -> tuple[bool, TruncSeries, object]:
                         params)
         return lhs, rhs.add(onemx.mul(third, backend))
 
-    lhs, rhs = sides(tq.T0, tq.T1, tq.Q0, tq.Q1, tq.onemx, params.q.q)
+    lhs, rhs = sides(tq.T0, tq.T1, tq.Q0, tq.Q1, tq.onemx, params.q)
     residual = lhs.add(rhs.scale(backend.integer(-1)))
     if backend.exact and not any(residual.coeffs):
         return True, residual, backend.integer(0)
     lhs, rhs = sides(*map(_abs, (tq.T0, tq.T1, tq.Q0, tq.Q1, tq.onemx)),
-                     abs(params.q.q))
+                     abs(params.q))
     scales = lhs.add(rhs)
     ok = _first_nonzero("residual", residual, lambda: scales,
                         residual.degree + 1, backend) is None

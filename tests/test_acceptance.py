@@ -11,8 +11,8 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from qboson.numerics import FloatBackend, qvalue
-from qboson.stationary import ModelParams, model
+from qboson.numerics import FloatBackend
+from qboson.stationary import model
 from qboson.cumulants import delta_exact_resummed
 from qboson.oracle import lambda_derivatives
 from qboson.asymptotics import (crossover_F, crossover_prediction,
@@ -68,10 +68,9 @@ def test_criterion_04_two_particle_limit():
     be = FloatBackend(256)
     targets = {(1, 2): 2 + 2 / 27, (0, 1): 8 / 3}
     for (num, den), target in targets.items():
-        q = qvalue(be.ratio(num, den), be)
         xs, ys = [], []
         for N in (50, 100, 200):
-            d = delta_exact_resummed(ModelParams(N=N, p=2, q=q))
+            d = delta_exact_resummed(model(N, 2, F(num, den), be))
             xs.append(1.0 / N)
             ys.append(float(d.Delta))
         extrapolated = float(np.polyfit(xs, ys, 2)[-1])
@@ -93,12 +92,11 @@ def test_criterion_05_unity_degeneration():
 def test_criterion_06_kpz_scaling():
     t0 = time.perf_counter()
     be = FloatBackend(256)
-    q = qvalue(be.ratio(1, 2), be)
-    sd = saddle_data(1.0, qvalue(F(1, 2)))
+    sd = saddle_data(1.0, F(1, 2))
     K = kpz_coefficient(sd)
     devs = []
     for N in (16, 32, 64):
-        d = delta_exact_resummed(ModelParams(N=N, p=N, q=q))
+        d = delta_exact_resummed(model(N, N, F(1, 2), be))
         devs.append(abs(float(d.Delta) / N ** 1.5 - K) / K)
     assert devs[1] < devs[0] and devs[2] < devs[1]
     assert devs[2] <= 0.15
@@ -117,8 +115,7 @@ def test_criterion_07_crossover():
         devs = []
         for N in (16, 36, 64, 100):
             qs = be.ctx.exp(-be.integer(1) * alpha / be.ctx.sqrt(N))
-            d = delta_exact_resummed(ModelParams(N=N, p=N,
-                                                 q=qvalue(qs, be)))
+            d = delta_exact_resummed(model(N, N, qs, be))
             devs.append(abs(float(d.Delta) / N - prediction) / prediction)
         assert all(devs[i + 1] < devs[i] for i in range(len(devs) - 1)), devs
         assert devs[-1] <= 0.10
@@ -208,7 +205,7 @@ def test_criterion_12_resummation_vs_truncation():
         assert gap <= F(tr.tail_bound)
         assert float(gap) <= 1e-12
     be = FloatBackend(256)
-    mf = ModelParams(N=3, p=3, q=qvalue(be.ratio(1, 2), be))
+    mf = model(3, 3, F(1, 2), be)
     rf = delta_exact_resummed(mf)
     tf = delta_truncated(mf, 200)
     assert abs(float(tf.Delta - rf.Delta)) <= 1e-12

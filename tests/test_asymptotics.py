@@ -3,25 +3,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from qboson.numerics import FloatBackend, InputError, qvalue
-from qboson.stationary import ModelParams, compute_stationary, model
+from qboson.numerics import FloatBackend, InputError
+from qboson.stationary import compute_stationary, model
 from qboson.asymptotics import (crossover_F, crossover_prediction,
                                 kpz_coefficient, log_f_log_derivative,
                                 saddle_data, saddle_point)
 from test_stationary import occupation_variance
 
-Q_HALF = qvalue(F(1, 2))
-Q_ZERO = qvalue(F(0))
+Q_HALF = F(1, 2)
+Q_ZERO = F(0)
 
 
 def lnF_direct(z: float, q, terms: int = 4000) -> float:
     """Evaluate ln F by multiplying product factors; FD oracle helper."""
     import numpy as np
-    if q.regime == "greater_one":
-        qf = float(q.q)
+    qf = float(q)
+    if q > 1:
         i = np.arange(terms)
         return float(np.sum(np.log1p(z * (1 - 1 / qf) * (1 / qf) ** i)))
-    qf = float(q.q)
     i = np.arange(terms)
     return float(-np.sum(np.log1p(-z * (1 - qf) * qf ** i)))
 
@@ -52,8 +51,8 @@ class TestLogDerivatives:
                 pytest.approx(expected, abs=1e-13)
 
     def test_matches_fd_oracle(self):
-        for q in (Q_HALF, qvalue(F(2)), qvalue(F(-1, 2))):
-            z = 0.4 if q.regime != "greater_one" else 1.7
+        for q in (Q_HALF, F(2), F(-1, 2)):
+            z = 1.7 if q > 1 else 0.4
             for k in range(5):
                 got = log_f_log_derivative(z, q, k)
                 ref = scaled_derivative_fd(z, q, k)
@@ -65,12 +64,12 @@ class TestLogDerivatives:
         rng = random.Random(7)
         for _ in range(20):
             qf = rng.uniform(-0.8, 0.9)
-            q = qvalue(F(qf).limit_denominator(10 ** 6))
-            zmax = 1 / (1 - float(q.q))
+            q = F(qf).limit_denominator(10 ** 6)
+            zmax = 1 / (1 - float(q))
             z = rng.uniform(0.05, 0.8) * zmax
-            w = (1 - float(q.q)) * z
+            w = (1 - float(q)) * z
             gsum, i, term = 0.0, 1, 1.0
-            while abs(term := w ** i / (1 - float(q.q) ** i)) > 1e-18 and i < 4000:
+            while abs(term := w ** i / (1 - float(q) ** i)) > 1e-18 and i < 4000:
                 gsum += term
                 i += 1
             got = z * log_f_log_derivative(z, q, 1) / z
@@ -82,7 +81,14 @@ class TestLogDerivatives:
 
     def test_unity_rejected(self):
         with pytest.raises(InputError):
-            log_f_log_derivative(0.5, qvalue(F(1)), 1)
+            log_f_log_derivative(0.5, F(1), 1)
+
+    @pytest.mark.parametrize("q", [F(-1), F(-3, 2), -2.0, math.nan])
+    def test_q_not_above_minus_one_rejected(self, q):
+        with pytest.raises(InputError, match="q must be > -1"):
+            log_f_log_derivative(0.5, q, 1)
+        with pytest.raises(InputError, match="q must be > -1"):
+            saddle_data(1.0, q)
 
 
 class TestSaddlePoint:
@@ -93,7 +99,7 @@ class TestSaddlePoint:
                 pytest.approx(rho / (1 + rho), abs=1e-12)
 
     def test_saddle_condition(self):
-        for q in (Q_HALF, qvalue(F(3)), qvalue(F(-1, 2))):
+        for q in (Q_HALF, F(3), F(-1, 2)):
             z = saddle_point(1.5, q)
             assert log_f_log_derivative(z, q, 1) == pytest.approx(1.5, abs=1e-11)
 
@@ -104,7 +110,7 @@ class TestSaddlePoint:
     def test_crossover_expansion(self):
         # four-order expansion in alpha/sqrt(N) at alpha/sqrt(N) = 1e-3
         rho, eps = 2.0, 1e-3
-        q = qvalue(math.exp(-eps))
+        q = math.exp(-eps)
         z = saddle_point(rho, q)
         pred = rho - eps * rho ** 2 / 2 + eps ** 2 * rho ** 3 / 6 \
             - eps ** 3 * rho ** 2 * (rho ** 2 - 1) / 24
@@ -116,7 +122,7 @@ class TestSaddlePoint:
     ])
     def test_root_between_adjacent_doubles(self, rho, q):
         # no tolerance: the neighbours of z* bracket the root of L - rho
-        q = qvalue(F(q))
+        q = F(q)
         z = saddle_point(rho, q)
         assert log_f_log_derivative(math.nextafter(z, 0.0), q, 1) <= rho
         assert log_f_log_derivative(math.nextafter(z, math.inf), q, 1) >= rho
@@ -143,23 +149,22 @@ class TestSaddleData:
 
     def test_fss_consistency(self):
         # lim N (j_N - j_inf) = -A lambda / 2
-        for q in (Q_ZERO, Q_HALF, qvalue(F(2))):
+        for q in (Q_ZERO, Q_HALF, F(2)):
             sd = saddle_data(1.0, q)
             assert sd.current_fss == \
                 pytest.approx(-sd.A * sd.lambda_nl / 2, rel=1e-10)
 
     def test_h2_positive(self):
         for rho in (0.25, 1.0, 3.0):
-            for q in (Q_HALF, qvalue(F(5, 2)), qvalue(F(-2, 3))):
+            for q in (Q_HALF, F(5, 2), F(-2, 3)):
                 assert saddle_data(rho, q).h[2] > 0
 
     def test_occupation_variance_converges_to_h2(self):
         sd = saddle_data(1.0, Q_HALF)
         be = FloatBackend(128)
-        qf = qvalue(be.ratio(1, 2), be)
         gaps = []
         for N in (8, 16, 32):
-            var = occupation_variance(ModelParams(N=N, p=N, q=qf))
+            var = occupation_variance(model(N, N, F(1, 2), be))
             gaps.append(abs(float(var) - sd.h[2]))
         assert gaps[2] < gaps[1] < gaps[0]
 
@@ -214,14 +219,14 @@ class TestKpzCoefficient:
 
     def test_amplitude_identity(self):
         # K = (sqrt(pi)/4) A^{3/2} |lambda| exactly in the h's
-        for rho, q in ((1.0, Q_HALF), (2.0, qvalue(F(3))), (0.5, Q_ZERO)):
+        for rho, q in ((1.0, Q_HALF), (2.0, F(3)), (0.5, Q_ZERO)):
             sd = saddle_data(rho, q)
             assert kpz_coefficient(sd) == pytest.approx(
                 math.sqrt(math.pi) / 4 * sd.A ** 1.5 * abs(sd.lambda_nl),
                 rel=1e-12)
 
     def test_vanishes_towards_unity(self):
-        ks = [kpz_coefficient(saddle_data(1.0, qvalue(q)))
+        ks = [kpz_coefficient(saddle_data(1.0, q))
               for q in (F(1, 2), F(3, 4), F(9, 10), F(99, 100))]
         assert ks == sorted(ks, reverse=True)
         assert ks[-1] < 0.01

@@ -358,6 +358,42 @@ class TestVerifyTq:
         assert res["lambda1_equals_J"] is True
         assert res["Q1_at_1"] == "3/1"
 
+    @staticmethod
+    def doubled_partition_function(monkeypatch):
+        """Make verify-tq read 2 Z(N, p) in place of Z(N, p), with J
+        computed from it."""
+        compute = tq.compute_stationary
+
+        def corrupted(params, degree):
+            Z = list(compute(params, degree).Zvals)
+            Z[params.p] *= 2
+            return stationary.StationaryData(
+                Zvals=tuple(Z), J=params.N * Z[params.p - 1] / Z[params.p])
+
+        monkeypatch.setattr(tq, "compute_stationary", corrupted)
+
+    def test_q1_at_1_must_equal_p(self, capsys, monkeypatch):
+        # B_1 scales with 1/Z(N, p): the bracket stays divisible, the
+        # residual zero and lambda1 = J, and only Q1(1) = p sees the change
+        self.doubled_partition_function(monkeypatch)
+        code, out = run_cli(capsys, "verify-tq", "--n", "4", "--p", "3",
+                            "--q", "1/2")
+        res = json.loads(out)["result"]
+        assert code == 4
+        assert res["Q1_at_1"] == "3/2"
+        assert res["residual_zero"] is True
+        assert res["lambda1_equals_J"] is True
+
+    def test_q1_at_1_checked_on_float_backend(self, capsys, monkeypatch):
+        # a float Q1(1) - p that is not negligible is a precision shortfall
+        self.doubled_partition_function(monkeypatch)
+        monkeypatch.setattr(numerics, "MAX_PREC_BITS", 256)
+        code = main(["verify-tq", "--n", "4", "--p", "3", "--q", "1/2",
+                     "--backend", "float"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "Q1(1) - p" in captured.err
+
     def test_q_zero(self, capsys):
         # q^p Q_1(x/q) is a polynomial in q, so q = 0 needs no division
         doc = run_json(capsys, "verify-tq", "--n", "5", "--p", "4",
@@ -564,6 +600,33 @@ class TestDeclaredFlags:
     ["sweep", "--rho", "1", "--alpha", "nan", "--n", "4"],
 ])
 def test_nonfinite_or_nonpositive_float_flag_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+# rates are positive only for q > -1: every command that reads --q rejects
+# q <= -1 on each backend it has, before it computes anything
+Q_REQUESTS = {
+    "exact": ["--n", "3", "--p", "2"], "oracle": ["--n", "3", "--p", "2"],
+    "verify-tq": ["--n", "3", "--p", "2"], "sweep": ["--n", "3", "--p", "2"],
+    "simulate": ["--n", "3", "--p", "2"], "asymptotic": ["--rho", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    [command, *flags, "--q", q, *backend]
+    for command, flags in sorted(Q_REQUESTS.items())
+    for q in ("-1", "-3/2")
+    for backend in ([], ["--backend", "float"])
+    if not backend or "backend" in declared_flags(command)
+] + [
+    # crossover sweeps run on the float backend only
+    ["sweep", "--rho", "1", "--alpha", "1", "--n", "4", "--backend",
+     "rational"],
+])
+def test_invalid_request_exits_2(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

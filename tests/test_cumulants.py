@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qboson.cli import _evaluate, _model
-from qboson.numerics import (FloatBackend, RATIONAL, REGIME_GREATER_ONE,
-                             qvalue)
-from qboson.stationary import (ModelParams, compute_stationary, model,
-                               phi_coefficients)
+from qboson import cumulants
+from qboson.cli import _evaluate
+from qboson.numerics import FloatBackend, RATIONAL, geometric_factor
+from qboson.stationary import compute_stationary, model, phi_coefficients
 from qboson.cumulants import delta_exact_resummed
 from qboson.oracle import lambda_derivatives
 
@@ -29,7 +28,9 @@ def delta_truncated(params, i_max):
     breakdown and tail_bound, a geometric bound in Delta units on the
     discarded terms i > i_max.  Undefined at q = 1.
     """
-    p, N, r = params.p, params.N, params.q.r
+    p, N, q = params.p, params.N, params.q
+    # |r| < 1 in both regimes
+    r = params.backend.integer(1) / q if q > 1 else q
     zero = params.backend.integer(0)
     stat = compute_stationary(params, 2 * p - 1)
     Z = stat.Zvals
@@ -49,7 +50,7 @@ def delta_truncated(params, i_max):
     B = sum((Z[p + k] * (sum((abs(Z[p - 1 - k - b] * phi[b])
                               for b in range(p - k)), zero) + abs(A_sum[k]))
              for k in range(p)), zero)
-    sign = -1 if params.q.regime == REGIME_GREATER_ONE else 1
+    sign = -1 if q > 1 else 1
     S1 = sign * sum((Z[p + k] * A[k] for k in range(p)), zero)
     S2 = sign * S2
     prefactor = 2 * N ** 2 / Z[p] ** 2
@@ -110,6 +111,26 @@ class TestClosedForms:
         assert res.J == 4
 
 
+class TestGeometricRatio:
+    # every geometric factor of the resummation has ratio r = q for
+    # |q| < 1 and r = 1/q for q > 1; q = 1 sums no geometric series
+    @pytest.mark.parametrize("be", [RATIONAL, FloatBackend(256)])
+    @pytest.mark.parametrize("q,r", [(F(1, 2), F(1, 2)), (F(-3, 4), F(-3, 4)),
+                                     (F(0), F(0)), (F(3), F(1, 3)),
+                                     (F(5, 2), F(2, 5)), (F(1), None)])
+    def test_ratio_of_each_regime(self, monkeypatch, be, q, r):
+        seen = []
+
+        def recording(ratio, a):
+            seen.append(ratio)
+            return geometric_factor(ratio, a)
+
+        monkeypatch.setattr(cumulants, "geometric_factor", recording)
+        delta_exact_resummed(model(3, 2, q, be))
+        # 1/3 and 2/5 are one correctly rounded division on the float backend
+        assert seen == ([] if r is None else [be.ratio(r)] * 2)
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("N,p", [(2, 2), (3, 2), (4, 2), (2, 3), (4, 3),
                                      (3, 4)])
@@ -135,7 +156,7 @@ class TestBreakdown:
                 assert delta_exact_resummed(model(N, p, q)).Delta > 0
 
     def test_purity(self):
-        # same parameters through fresh QValue bookkeeping: identical scalars
+        # the same parameters through fresh model records: identical scalars
         a = delta_exact_resummed(model(4, 3, F(2)))
         b = delta_exact_resummed(model(4, 3, F(2)))
         assert a.Delta == b.Delta and a.S1 == b.S1 and a.S2 == b.S2
@@ -203,7 +224,7 @@ class TestFloatBackend:
     def test_matches_rational(self):
         be = FloatBackend(192)
         for (N, p, qnum, qden) in ((3, 3, 1, 2), (2, 3, 5, 2), (4, 2, -1, 2)):
-            mf = ModelParams(N=N, p=p, q=qvalue(be.ratio(qnum, qden), be))
+            mf = model(N, p, F(qnum, qden), be)
             mr = model(N, p, F(qnum, qden))
             df = delta_exact_resummed(mf)
             dr = delta_exact_resummed(mr)
@@ -223,7 +244,7 @@ class TestFloatBackend:
         from qboson.numerics import PrecisionError
         from qboson.stationary import compute_stationary, phi_coefficients
         be = FloatBackend(64)
-        m = ModelParams(N=3, p=3, q=qvalue(be.ratio(1, 2), be))
+        m = model(3, 3, F(1, 2), be)
         stat = compute_stationary(m, 3)
         bad_phi = phi_coefficients(m, stat.J * (1 + be.ratio(1, 1000)), 2)
         C = stat.Zvals
@@ -252,7 +273,7 @@ REFERENCE = FloatBackend(1024)
 def _float_and_exact(N, p, q):
     """(value at the precision P exact's float run accepts, at 2P, exact)
     for F^N's coefficients and for exact's J and Delta."""
-    make = partial(_model, N, p, q)
+    make = partial(model, N, p, q)
     be, values = _evaluate(make, FloatBackend())
     _, exact = _evaluate(make, RATIONAL)
     check = delta_exact_resummed(make(be.doubled()))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qboson.numerics import (FloatBackend, FloatVector, InputError,
                              PrecisionError, RATIONAL, TruncSeries,
                              escalate_precision, geometric_factor,
-                             negligible, qvalue, rel_close,
+                             negligible, rel_close,
                              verify_at_double_precision)
 from qboson.stationary import compute_stationary, model, weight_series
 
@@ -211,29 +211,6 @@ class TestGeometricFactor:
         assert abs(geometric_factor(r, a) - partial) <= tail
 
 
-class TestQValue:
-    def test_regimes(self):
-        assert qvalue(F(1, 2)).regime == "minus_one_to_one"
-        assert qvalue(F(-1, 2)).regime == "minus_one_to_one"
-        assert qvalue(F(2)).regime == "greater_one"
-        assert qvalue(F(1)).regime == "unity"
-
-    def test_ratio_r(self):
-        assert qvalue(F(1, 2)).r == F(1, 2)
-        assert qvalue(F(3)).r == F(1, 3)
-        assert abs(qvalue(F(-3, 4)).r) < 1
-
-    def test_rejects_q_below_minus_one(self):
-        with pytest.raises(InputError):
-            qvalue(F(-1))
-        with pytest.raises(InputError):
-            qvalue(F(-2))
-
-    def test_unity_rejects_series_ops(self):
-        with pytest.raises(InputError):
-            qvalue(F(1)).require_series_regime()
-
-
 class TestFloatBackend:
     def test_ratio_precision(self):
         be = FloatBackend(256)
@@ -247,7 +224,7 @@ class TestFloatBackend:
         assert be.ratio(F(1, 3)) == third
         assert be.ratio(FloatBackend(1024).ratio(1, 3)) == third
         assert be.ratio(0.5) == be.ratio(1, 2)
-        assert qvalue(F(1, 3), be).q == third
+        assert model(1, 1, F(1, 3), be).q == third
 
     def test_scalars_ignore_global_precision(self):
         # every operation on a backend scalar rounds at the backend's
@@ -538,9 +515,8 @@ def test_float_series_roundtrip_matches_rational():
     N = p = 64
     be = FloatBackend(256)
     for q in (F(1, 2), F(-1, 2), F(3, 2)):
-        want = weight_series(qvalue(q), p).pow(N, RATIONAL)
-        qf = qvalue(be.ratio(q.numerator, q.denominator), be)
-        got = weight_series(qf, p).pow(N, be)
+        want = weight_series(model(N, p, q), p).pow(N, RATIONAL)
+        got = weight_series(model(N, p, q, be), p).pow(N, be)
         for k in range(p + 1):
             assert rel_close(got.coeff(k), be.ratio(want.coeff(k)), 1e-60)
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qboson.numerics import FloatBackend, InputError, SolverError, qvalue
-from qboson.stationary import ModelParams, model
+from qboson.numerics import FloatBackend, InputError, SolverError
+from qboson.stationary import model
 from qboson.cumulants import delta_exact_resummed
 from qboson import oracle
 from qboson.oracle import (_integer_weights, _solve_fraction,
@@ -126,7 +126,7 @@ class TestLambdaDerivatives:
         """Relative errors of the float oracle's J and Delta against the
         exact series."""
         res = lambda_derivatives(
-            ModelParams(N=N, p=p, q=qvalue(float(q), FloatBackend(64))))
+            model(N, p, float(q), FloatBackend(64)))
         exact = delta_exact_resummed(model(N, p, q))
         return (abs(res.J / float(exact.J) - 1),
                 abs(res.Delta / float(exact.Delta) - 1))
@@ -167,7 +167,7 @@ class TestLambdaDerivatives:
     def test_float_matches_rational(self, N, p, q):
         exact = lambda_derivatives(model(N, p, q))
         res = lambda_derivatives(
-            ModelParams(N=N, p=p, q=qvalue(float(q), FloatBackend(64))))
+            model(N, p, float(q), FloatBackend(64)))
         for got, want in ((res.J, exact.J), (res.Delta, exact.Delta),
                           (res.lambda2, exact.lambda2)):
             assert got == pytest.approx(float(want), rel=1e-12, abs=0)
@@ -186,7 +186,7 @@ class TestLambdaDerivatives:
         monkeypatch.setattr(oracle, "enumerate_configs", enumerate_nothing)
         with pytest.raises(InputError, match="cap 3432"):
             lambda_derivatives(
-                ModelParams(N=9, p=7, q=qvalue(0.5, FloatBackend(64))))
+                model(9, 7, 0.5, FloatBackend(64)))
 
 
 
@@ -227,7 +227,7 @@ def test_float_oracle_equals_rational_oracle(system, q):
     N, p = system
     exact = lambda_derivatives(model(N, p, q))
     res = lambda_derivatives(
-        ModelParams(N=N, p=p, q=qvalue(float(q), FloatBackend(64))))
+        model(N, p, float(q), FloatBackend(64)))
     for got, want in ((res.J, exact.J), (res.Delta, exact.Delta),
                       (res.lambda2, exact.lambda2)):
         assert got == pytest.approx(float(want), rel=1e-12, abs=0)

@@ -43,7 +43,7 @@ def series_recip(s: TruncSeries) -> TruncSeries:
 
 def second_order_f(params):
     tq = build_first_order(params)
-    q = params.q.q
+    q = params.q
     # Q1 T1 has degree N + p - 2, inside the series degree N + p - 1
     full = tq.Q1.mul(tq.T1).add(tq.Q1.scale_arg(q).scale(-params.N))
     return list(full.coeffs[:params.p])
@@ -51,16 +51,16 @@ def second_order_f(params):
 
 def delta_second_order(params, i_terms=300):
     p, N = params.p, params.N
-    q = params.q.q
+    q = params.q
     stat = compute_stationary(params, p)
     D = p - 1
-    Fser = weight_series(params.q, D)
+    Fser = weight_series(params, D)
     FN = Fser.pow(N, RATIONAL)
     phi = phi_coefficients(params, stat.J, D)
     base = FN.mul(phi)
     fpoly = second_order_f(params)
 
-    greater = params.q.regime == "greater_one"
+    greater = q > 1
     total = F(0)
     for idx in range(i_terms):
         i = idx + 1 if greater else idx

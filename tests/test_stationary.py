@@ -1,9 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 
 import pytest
 
-from qboson.numerics import FloatBackend, InputError, RATIONAL, qvalue
+from qboson.numerics import FloatBackend, InputError, RATIONAL
 from qboson.stationary import (ModelParams, compute_stationary,
                                intensive_quantities, model, phi_coefficients,
                                rate_u, weight_series)
@@ -22,8 +23,7 @@ def compositions(N, p):
 def brute_force_Z(N, p, q, observable=lambda cfg: 1):
     """Independent enumeration oracle for the partition function, or for
     the unnormalised sum of an observable over all configurations."""
-    qv = qvalue(q)
-    ftab = weight_series(qv, p).coeffs
+    ftab = weight_series(model(1, 1, q), p).coeffs
     total = F(0)
     for cfg in compositions(N, p):
         w = F(observable(cfg))
@@ -38,9 +38,8 @@ def site_marginal(m):
 
     Built from the one-site weights and two compute_stationary calls.
     """
-    f = weight_series(m.q, m.p).coeffs
-    rest = compute_stationary(ModelParams(N=m.N - 1, p=m.p, q=m.q),
-                              m.p).Zvals
+    f = weight_series(m, m.p).coeffs
+    rest = compute_stationary(replace(m, N=m.N - 1), m.p).Zvals
     Z = compute_stationary(m, m.p).Zvals[m.p]
     return [f[k] * rest[m.p - k] / Z for k in range(m.p + 1)]
 
@@ -51,45 +50,62 @@ def occupation_variance(m):
     return sum(k * k * x for k, x in enumerate(P)) - m.rho * m.rho
 
 
+class TestModelParams:
+    # rates u(n) are positive only for q > -1; NaN fails that comparison
+    @pytest.mark.parametrize("q", [F(-1), F(-3, 2), F(-2), float("nan")])
+    @pytest.mark.parametrize("be", [RATIONAL, FloatBackend(256)])
+    def test_model_rejects_q_not_above_minus_one(self, be, q):
+        with pytest.raises(InputError, match="q must be > -1"):
+            model(3, 2, q, be)
+
+    def test_record_rejects_q_not_above_minus_one(self):
+        be = FloatBackend(256)
+        for q, backend in ((F(-1), RATIONAL), (F(-2), RATIONAL),
+                           (float("nan"), RATIONAL),
+                           (be.ratio(-1), be), (be.ctx.nan, be)):
+            with pytest.raises(InputError, match="q must be > -1"):
+                ModelParams(N=3, p=2, q=q, backend=backend)
+
+
 class TestRates:
     def test_u1_is_one(self):
         for q in (F(-1, 2), F(0), F(1, 2), F(1), F(2)):
-            assert rate_u(1, qvalue(q)) == 1
+            assert rate_u(1, model(1, 1, q)) == 1
 
     def test_u2_half(self):
-        assert rate_u(2, qvalue(F(1, 2))) == F(3, 2)
+        assert rate_u(2, model(1, 1, F(1, 2))) == F(3, 2)
 
     def test_q_zero(self):
         for n in (1, 2, 3, 7):
-            assert rate_u(n, qvalue(F(0))) == 1
-        assert rate_u(0, qvalue(F(0))) == 0
+            assert rate_u(n, model(1, 1, F(0))) == 1
+        assert rate_u(0, model(1, 1, F(0))) == 0
 
     def test_unity_linear(self):
-        assert rate_u(5, qvalue(F(1))) == 5
+        assert rate_u(5, model(1, 1, F(1))) == 5
 
     def test_negative_occupation_rejected(self):
         with pytest.raises(InputError):
-            rate_u(-1, qvalue(F(1, 2)))
+            rate_u(-1, model(1, 1, F(1, 2)))
 
 
 class TestWeights:
     def test_f0(self):
-        assert weight_series(qvalue(F(1, 2)), 0).coeff(0) == 1
+        assert weight_series(model(1, 1, F(1, 2)), 0).coeff(0) == 1
 
     def test_f2_half(self):
-        assert weight_series(qvalue(F(1, 2)), 2).coeff(2) == F(2, 3)
+        assert weight_series(model(1, 1, F(1, 2)), 2).coeff(2) == F(2, 3)
 
     def test_q_zero_all_one(self):
-        for f in weight_series(qvalue(F(0)), 5).coeffs:
+        for f in weight_series(model(1, 1, F(0)), 5).coeffs:
             assert f == 1
 
     def test_unity_factorial(self):
         import math
-        for m, f in enumerate(weight_series(qvalue(F(1)), 5).coeffs):
+        for m, f in enumerate(weight_series(model(1, 1, F(1)), 5).coeffs):
             assert f == F(1, math.factorial(m))
 
     def test_positive_for_negative_q(self):
-        for f in weight_series(qvalue(F(-3, 4)), 7).coeffs:
+        for f in weight_series(model(1, 1, F(-3, 4)), 7).coeffs:
             assert f > 0
 
 
@@ -111,7 +127,7 @@ class TestPartition:
         for p in range(1, 6):
             for q in (F(-1, 2), F(1, 2), F(3)):
                 assert compute_stationary(model(1, p, q), p).Zvals[p] == \
-                    weight_series(qvalue(q), p).coeff(p)
+                    weight_series(model(1, 1, q), p).coeff(p)
 
     @pytest.mark.parametrize("N,p", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3),
                                      (5, 2), (2, 5), (4, 4)])
@@ -258,7 +274,7 @@ class TestPhiSeries:
 
 def test_float_backend_matches_rational():
     be = FloatBackend(192)
-    mf = ModelParams(N=5, p=4, q=qvalue(be.ratio(1, 2), be))
+    mf = model(5, 4, F(1, 2), be)
     mr = model(5, 4, F(1, 2))
     sf = compute_stationary(mf, 8)
     sr = compute_stationary(mr, 8)
@@ -270,7 +286,7 @@ def test_float_backend_matches_rational():
 
 
 def test_weight_series_coefficients():
-    qv = qvalue(F(1, 2))
+    qv = model(1, 1, F(1, 2))
     ser = weight_series(qv, 4)
     for m in range(5):
         f = F(1)

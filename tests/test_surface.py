@@ -1,6 +1,6 @@
-"""Every public module-level function and class of the package has a
-reference in the package outside its own definition, and every public
-dataclass field is read somewhere in the package.
+"""Every public module-level function, class and constant of the package
+has a reference in the package outside its own definition, and every
+public dataclass field is read somewhere in the package.
 
 A reference is a Name, an Attribute or an imported name; the re-exports
 in ``__init__.py`` do not count, so a definition only tests call fails.
@@ -51,8 +51,14 @@ def _scan():
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 owner = stmt.name
-                if not owner.startswith("_"):
-                    definitions.append((module, owner))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                # a constant: one name bound at module level
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                if len(targets) == 1 and isinstance(targets[0], ast.Name):
+                    owner = targets[0].id
+            if owner is not None and not owner.startswith("_"):
+                definitions.append((module, owner))
             references += [(module, owner, name)
                            for name in _referenced_names(stmt)]
     return definitions, references
