@@ -11,7 +11,8 @@ float64 and print as the shortest string that reads back as the same
 double.
 
 Exit codes: 0 ok, 2 invalid input, 3 precision-verification failure at
-every float precision up to ``numerics.MAX_PREC_BITS``, 4 solver failure.
+every float precision up to ``numerics.MAX_PREC_BITS``, 4 solver failure
+or a failed identity check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import partial
 
 from .numerics import (FloatBackend, InputError, PrecisionError, RATIONAL,
-                       SolverError, escalate_precision, negligible,
+                       SolverError, escalate_precision,
                        verify_at_double_precision)
 from . import asymptotics, cumulants, oracle, simulate, stationary, tq
 
@@ -226,28 +227,17 @@ def cmd_verify_tq(args) -> int:
     make_params = partial(stationary.model, *_system(args))
 
     def check(backend):
-        """(ok, result) at one backend; PrecisionError where it falls short.
-
-        ok is that the first-order relation holds and that Q1(1) = p.
-        """
-        first = tq.build_first_order(make_params(backend))
-        ok, residual, relative = tq.verify_first_order(first)
-        max_resid = max(abs(c) for c in residual.coeffs)
-        p = first.params.p
-        q1_at_1 = sum(first.Q1.coeffs)
-        q1_is_p = negligible("Q1(1) - p", q1_at_1 - p,
-                             sum(map(abs, first.Q1.coeffs)) + p, backend)
-        lambda1_is_J = negligible(
-            "lambda1 - J", first.lambda1 - first.J,
-            abs(first.lambda1) + abs(first.J), backend)
-        return ok and q1_is_p, {
-            "residual_zero": ok,
-            "max_residual": _scalar(max_resid, backend),
-            "max_relative_residual": _scalar(relative, backend),
-            "lambda1": _scalar(first.lambda1, backend),
-            "J": _scalar(first.J, backend),
-            "lambda1_equals_J": lambda1_is_J,
-            "Q1_at_1": _scalar(q1_at_1, backend),
+        """(ok, result) at one backend; PrecisionError where it falls short."""
+        v = tq.verify_first_order(tq.build_first_order(make_params(backend)))
+        return v.ok, {
+            "residual_zero": v.residual_zero,
+            "max_residual": _scalar(v.max_residual, backend),
+            "max_relative_residual": _scalar(v.max_relative_residual,
+                                             backend),
+            "lambda1": _scalar(v.lambda1, backend),
+            "J": _scalar(v.J, backend),
+            "lambda1_equals_J": v.lambda1_equals_J,
+            "Q1_at_1": _scalar(v.Q1_at_1, backend),
         }
 
     backend = _backend(args)

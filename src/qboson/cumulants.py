@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import Backend, TruncSeries, geometric_factor, negligible
+from .numerics import (Backend, SolverError, TruncSeries, geometric_factor,
+                       negligible)
 from .stationary import ModelParams, compute_stationary, phi_coefficients
 
 
@@ -65,7 +66,7 @@ def _check_a0(a0, p: int, C, phi: TruncSeries, backend: Backend):
     """A_0 vanishes identically; enforce before dropping its divergent branch."""
     scale = sum(abs(C[p - 1 - b] * phi.coeff(b)) for b in range(p))
     if not negligible("A_0", a0, scale, backend):
-        raise ArithmeticError(
+        raise SolverError(
             f"internal identity violated: A_0 = {a0} != 0 on the "
             "rational backend")
 

@@ -1,4 +1,4 @@
-"""Scalar backends and truncated power-series arithmetic.
+"""Scalar backends, truncated power series and polynomial products.
 
 Every coefficient extraction in this package is a read from a truncated
 formal power series; there are no numerical contour integrals anywhere.
@@ -14,6 +14,10 @@ Two interchangeable scalar backends are provided:
   bits agrees to a relative tolerance (see ``verify_at_double_precision``).
   P is not an input: it starts at 256 bits and doubles until the
   computation passes, up to ``MAX_PREC_BITS`` (see ``escalate_precision``).
+
+``TruncSeries`` holds the series F, F^N and phi, and raises F to the N-th
+power; ``poly_mul`` is the full product of two coefficient lists, which
+the first-order functional-equation check multiplies at their own degrees.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ class PrecisionError(ArithmeticError):
 
 
 class SolverError(RuntimeError):
-    """Iterative or linear solver failed to converge (exit code 4)."""
+    """A solver failed to converge, or an identity that holds by
+    construction failed on the rational backend (exit code 4)."""
 
 
 DEFAULT_PREC_BITS = 256
@@ -299,15 +304,14 @@ def escalate_precision(compute: Callable[[FloatBackend], object]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Truncated power series
+# Truncated power series and polynomial products
 # ---------------------------------------------------------------------------
 
 class TruncSeries:
     """A formal power series truncated at a fixed degree D.
 
-    Coefficients are backend scalars, index 0..D.  Arithmetic is closed at
-    the same degree; multiplication is the Cauchy product truncated at D.
-    Instances are immutable.
+    Coefficients are backend scalars, index 0..D: the weight series F,
+    its power F^N and the phi series.  Instances are immutable.
     """
 
     __slots__ = ("coeffs",)
@@ -321,121 +325,55 @@ class TruncSeries:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @classmethod
-    def constant(cls, value, degree: int, backend: Backend = RATIONAL):
-        zero = backend.integer(0)
-        return cls((value,) + (zero,) * degree)
-
-    @classmethod
-    def one(cls, degree: int, backend: Backend = RATIONAL):
-        return cls.constant(backend.integer(1), degree, backend)
-
     def coeff(self, k: int):
         if not 0 <= k <= self.degree:
             raise InputError(f"coefficient index {k} out of range 0..{self.degree}")
         return self.coeffs[k]
 
-    def _check_degree(self, other: "TruncSeries"):
-        if self.degree != other.degree:
-            raise InputError(
-                f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def add(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_degree(other)
-        return TruncSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def mul(self, other: "TruncSeries",
-            backend: Backend = RATIONAL) -> "TruncSeries":
-        """The Cauchy product truncated at D, over each factor's nonzero span.
-
-        Each factor is trimmed to the span from its first to its last
-        nonzero coefficient and decoded once (backend.vector), the second
-        one reversed.  Coefficient k is one backend.dot over the overlap of
-        the two spans; every coefficient outside the sum of the spans is
-        the backend's zero.  Neither backend's dot is changed by zero
-        products, so the result is that of the dense Cauchy product:
-        exactly equal on the rational backend, bit for bit on the float one.
-        """
-        self._check_degree(other)
-        out = [backend.integer(0)] * len(self.coeffs)
-        spans = _span(self.coeffs), _span(other.coeffs)
-        if None in spans:
-            return TruncSeries(out)
-        (lo, hi), (lo2, hi2) = spans
-        a = backend.vector(self.coeffs[lo:hi + 1])
-        # entry j of rb is the coefficient hi2 - j of other
-        rb = backend.vector(other.coeffs[lo2:hi2 + 1][::-1])
-        for k in range(lo + lo2, min(hi + hi2, self.degree) + 1):
-            # the terms a_i b_(k-i) with both indices inside the spans
-            i0, i1 = max(lo, k - hi2), min(hi, k - lo2)
-            shift = hi2 - k
-            out[k] = backend.dot(a[i0 - lo:i1 - lo + 1],
-                                 rb[i0 + shift:i1 + shift + 1])
-        return TruncSeries(out)
-
     def pow(self, n: int, backend: Backend = RATIONAL) -> "TruncSeries":
         """The n-th power by J. C. P. Miller's recurrence (Knuth, TAOCP 4.7).
 
-        For g = a^n with a_0 != 0, differentiating g = a^n gives
+        For g = a^n with a_0 != 0 and n >= 1, differentiating g = a^n gives
         a g' = n a' g, whose coefficient of z^(k-1) is
 
             k a_0 g_k = sum_{j=1..k} ((n+1) j - k) a_j g_{k-j},
 
         with g_0 = a_0^n: one backend.dot per coefficient, so O(D^2) scalar
         operations whatever n is.  a is decoded once (backend.vector), and
-        each g_k once, as it is appended to the decoded g.
-        A series z^v b(z) with b_0 != 0 is raised as z^(v n) b^n, so the
-        power is zero once v n > D.  Division is by backend scalars, so
-        rational coefficients stay exact.
+        each g_k once, as it is appended to the decoded g.  Division is by
+        backend scalars, so rational coefficients stay exact.
         """
-        if n < 0:
-            raise InputError("series exponent must be nonnegative")
-        D = self.degree
-        if n == 0:
-            return TruncSeries.one(D, backend)
-        zero = backend.integer(0)
-        v = next((i for i, c in enumerate(self.coeffs) if c != 0), D + 1)
-        if v * n > D:
-            return TruncSeries.constant(zero, D, backend)
-        a0 = self.coeffs[v]
-        a = backend.vector(self.coeffs[v:])
-        top = D - v * n
+        a0 = self.coeffs[0]
+        if n < 1 or a0 == 0:
+            raise InputError("a series power needs n >= 1 and a nonzero "
+                             f"constant term, got n = {n}, a_0 = {a0}")
+        a = backend.vector(self.coeffs)
         g = [a0 ** n]
         gv = backend.vector(g)
-        for k in range(1, top + 1):
+        for k in range(1, self.degree + 1):
             # the integer weights (n+1) j - k for j = 1..k
             weights = range(n + 1 - k, n * k + 1, n + 1)
             g.append(backend.dot(a[1:k + 1], gv[k - 1::-1], weights)
                      / (k * a0))
             gv.append(g[-1])
-        return TruncSeries([zero] * (v * n) + g)
-
-    def scale(self, c) -> "TruncSeries":
-        """Multiply every coefficient by the scalar c."""
-        return TruncSeries([coeff * c for coeff in self.coeffs])
-
-    def scale_arg(self, c) -> "TruncSeries":
-        """Substitute z -> c*z: coefficient k picks up a factor c^k."""
-        out = [self.coeffs[0]]
-        power = 1
-        for coeff in self.coeffs[1:]:
-            power = power * c
-            out.append(coeff * power)
-        return TruncSeries(out)
-
-    def __eq__(self, other):
-        return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:4])
-        tail = ", ..." if self.degree > 3 else ""
-        return f"TruncSeries([{head}{tail}], D={self.degree})"
+        return TruncSeries(g)
 
 
-def _span(coeffs) -> tuple[int, int] | None:
-    """(first, last) index of the nonzero coefficients; None if all are 0."""
-    nonzero = [k for k, c in enumerate(coeffs) if c]
-    return (nonzero[0], nonzero[-1]) if nonzero else None
+def poly_mul(a: Sequence, b: Sequence, backend: Backend) -> list:
+    """The Cauchy product of the coefficient lists a and b, constant terms
+    first: all len(a) + len(b) - 1 coefficients.
+
+    a is decoded once (backend.vector), and b once, reversed; coefficient k
+    is one backend.dot of the a_i and b_(k-i) that both exist.
+    """
+    m = len(b)
+    av, rb = backend.vector(a), backend.vector(b[::-1])
+    out = []
+    for k in range(len(a) + m - 1):
+        # entry j of rb is b_(m-1-j), so b_(k-i) is rb[i + m - 1 - k]
+        lo, hi, shift = max(0, k - m + 1), min(len(a), k + 1), m - 1 - k
+        out.append(backend.dot(av[lo:hi], rb[lo + shift:hi + shift]))
+    return out
 
 
 def geometric_factor(r, a: int):

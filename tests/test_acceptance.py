@@ -157,11 +157,11 @@ def test_criterion_10_tq_verification():
     for q in (F(-1, 2), F(1, 3), F(1, 2), F(2), F(3)):
         for N in range(1, 7):
             for p in range(1, 7):
-                first = build_first_order(model(N, p, q))
-                ok, _, _ = verify_first_order(first)
-                assert ok
-                assert first.lambda1 == first.J
-                assert sum(first.Q1.coeffs) == p
+                verdict = verify_first_order(build_first_order(model(N, p, q)))
+                assert verdict.ok and verdict.residual_zero
+                assert verdict.lambda1_equals_J
+                assert verdict.lambda1 == verdict.J
+                assert verdict.Q1_at_1 == p
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(10, f"first-order identity residual 0, lambda1=J, Q1(1)=p on "

@@ -225,6 +225,22 @@ class TestExact:
             assert float(got["result"][key]) == pytest.approx(
                 float(F(want["result"][key])), rel=1e-12)
 
+    def test_nonzero_a0_exits_4(self, capsys, monkeypatch):
+        # A_0 = 0 is an identity; a rational A_0 off by 1 is a failed
+        # construction, reported as exit 4 and not as a traceback
+        coefficients = cumulants._a_coefficients
+
+        def corrupted(*args):
+            A = coefficients(*args)
+            return [A[0] + 1] + A[1:]
+
+        monkeypatch.setattr(cumulants, "_a_coefficients", corrupted)
+        code = main(["exact", "--n", "4", "--p", "3", "--q", "1/2"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("solver failure: internal identity "
+                                       "violated: A_0 = 1 != 0")
+
 
 class TestOracle:
     def test_matches_exact(self, capsys):
@@ -393,6 +409,40 @@ class TestVerifyTq:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert "Q1(1) - p" in captured.err
+
+    def test_lambda1_must_equal_J(self, capsys, monkeypatch):
+        # a doubled J leaves B_1, Q_1 and the residual alone; only
+        # lambda1 = J sees it, and it gates the verdict as Q1(1) = p does
+        compute = tq.compute_stationary
+
+        def doubled_j(params, degree):
+            stat = compute(params, degree)
+            return stationary.StationaryData(Zvals=stat.Zvals, J=2 * stat.J)
+
+        monkeypatch.setattr(tq, "compute_stationary", doubled_j)
+        code, out = run_cli(capsys, "verify-tq", "--n", "4", "--p", "3",
+                            "--q", "1/2")
+        res = json.loads(out)["result"]
+        assert code == 4
+        assert res["lambda1_equals_J"] is False
+        assert res["residual_zero"] is True
+        assert res["Q1_at_1"] == "3/1"
+
+    def test_indivisible_bracket_exits_4(self, capsys, monkeypatch):
+        # b_0 + 1 leaves the bracket's x^0 coefficient at 0 but moves its
+        # x^1 coefficient by -N
+        b1_polynomial = tq.b1_polynomial
+
+        def corrupted(params, stat):
+            b1 = b1_polynomial(params, stat)
+            return [b1[0] + 1] + b1[1:]
+
+        monkeypatch.setattr(tq, "b1_polynomial", corrupted)
+        code = main(["verify-tq", "--n", "4", "--p", "3", "--q", "1/2"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("solver failure: bracket coefficient "
+                                       "of x^1 is -4, expected 0")
 
     def test_q_zero(self, capsys):
         # q^p Q_1(x/q) is a polynomial in q, so q = 0 needs no division

@@ -23,30 +23,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qboson.numerics import RATIONAL, TruncSeries
+from qboson.numerics import RATIONAL, TruncSeries, poly_mul
 from qboson.stationary import (compute_stationary, model, phi_coefficients,
                                weight_series)
 from qboson.tq import build_first_order
 from qboson.cumulants import delta_exact_resummed
 
 
-def series_recip(s: TruncSeries) -> TruncSeries:
-    assert s.coeffs[0] == 1
+def series_recip(s: list) -> list:
+    assert s[0] == 1
     out = [F(1)]
-    for k in range(1, s.degree + 1):
+    for k in range(1, len(s)):
         acc = F(0)
         for j in range(1, k + 1):
-            acc += s.coeffs[j] * out[k - j]
+            acc += s[j] * out[k - j]
         out.append(-acc)
-    return TruncSeries(out)
+    return out
+
+
+def mul(a: list, b: list, D: int) -> list:
+    """The product of two coefficient lists, truncated at degree D."""
+    return poly_mul(a, b, RATIONAL)[:D + 1]
 
 
 def second_order_f(params):
     tq = build_first_order(params)
-    q = params.q
-    # Q1 T1 has degree N + p - 2, inside the series degree N + p - 1
-    full = tq.Q1.mul(tq.T1).add(tq.Q1.scale_arg(q).scale(-params.N))
-    return list(full.coeffs[:params.p])
+    q, p = params.q, params.p
+    # Q1 T1 has degree N + p - 2 >= p - 1
+    full = mul(tq.Q1, tq.T1, p - 1)
+    return [c - params.N * q ** k * q1
+            for k, (c, q1) in enumerate(zip(full, tq.Q1))]
 
 
 def delta_second_order(params, i_terms=300):
@@ -54,10 +60,10 @@ def delta_second_order(params, i_terms=300):
     q = params.q
     stat = compute_stationary(params, p)
     D = p - 1
-    Fser = weight_series(params, D)
-    FN = Fser.pow(N, RATIONAL)
-    phi = phi_coefficients(params, stat.J, D)
-    base = FN.mul(phi)
+    Fser = weight_series(params, D).coeffs
+    FN = TruncSeries(Fser).pow(N, RATIONAL).coeffs
+    phi = phi_coefficients(params, stat.J, D).coeffs
+    base = mul(FN, phi, D)
     fpoly = second_order_f(params)
 
     greater = q > 1
@@ -66,10 +72,10 @@ def delta_second_order(params, i_terms=300):
         i = idx + 1 if greater else idx
         c = q ** (-i if greater else i) * (1 - q)
         d = q ** (-i + 1 if greater else i + 1)
-        fscaled = [coef * c ** k for k, coef in enumerate(fpoly)]
-        fser = TruncSeries(fscaled + [F(0)] * (D + 1 - len(fscaled)))
-        den = series_recip(Fser.scale_arg(d).pow(N, RATIONAL))
-        total += base.mul(fser).mul(den).coeff(D)
+        fser = [coef * c ** k for k, coef in enumerate(fpoly)]
+        Fd = TruncSeries([f * d ** k for k, f in enumerate(Fser)])
+        den = series_recip(Fd.pow(N, RATIONAL).coeffs)
+        total += mul(mul(base, fser, D), den, D)[D]
     sign = -1 if greater else 1
     lam2 = F(p) * stat.J / 2 + sign * total / (1 - q) ** p
     return 2 * lam2
