@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -368,22 +367,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
-
-
 def _attach_negative_fractions(argv: list) -> list:
-    """Rewrite '--q -1/2' as '--q=-1/2'.
-
-    argparse reads a token such as '-1/2' as an option name, so without
-    this a negative rational value works only in the '--q=-1/2' form.
-    """
+    """Rewrite '--q -1/2' as '--q=-1/2', and so any '-' token that reads as
+    a Fraction: argparse takes '-1/2' or '-1e-3' for an option name."""
     out = []
     for tok in argv:
         if out and out[-1].startswith("--") and "=" not in out[-1] \
-                and _NEGATIVE_FRACTION.match(tok):
-            out[-1] = f"{out[-1]}={tok}"
-        else:
-            out.append(tok)
+                and tok.startswith("-"):
+            try:
+                Fraction(tok)
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
+                out[-1] = f"{out[-1]}={tok}"
+                continue
+        out.append(tok)
     return out
 
 

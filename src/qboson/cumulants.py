@@ -64,7 +64,8 @@ def _a_coefficients(p: int, C, phi: TruncSeries, backend: Backend) -> list:
 
 def _check_a0(a0, p: int, C, phi: TruncSeries, backend: Backend):
     """A_0 vanishes identically; enforce before dropping its divergent branch."""
-    scale = sum(abs(C[p - 1 - b] * phi.coeff(b)) for b in range(p))
+    scale = None if backend.exact else sum(
+        abs(C[p - 1 - b] * phi.coeff(b)) for b in range(p))
     if not negligible("A_0", a0, scale, backend):
         raise SolverError(
             f"internal identity violated: A_0 = {a0} != 0 on the "

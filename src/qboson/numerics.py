@@ -15,9 +15,9 @@ Two interchangeable scalar backends are provided:
   P is not an input: it starts at 256 bits and doubles until the
   computation passes, up to ``MAX_PREC_BITS`` (see ``escalate_precision``).
 
-``TruncSeries`` holds the series F, F^N and phi, and raises F to the N-th
-power; ``poly_mul`` is the full product of two coefficient lists, which
-the first-order functional-equation check multiplies at their own degrees.
+``TruncSeries`` holds the weight series F and the phi series;
+``poly_mul`` is the full product of two coefficient lists, which the
+first-order functional-equation check multiplies at their own degrees.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:
@@ -178,8 +178,8 @@ class FloatBackend:
     def dot(self, *vectors) -> mpmath.mpf:
         """sum_i prod_v vectors[v][i], rounded once to prec_bits.
 
-        Each vector is a FloatVector, a range of ints, or a sequence of mpf
-        and ints, which is decoded here; the vectors have equal length.
+        Each vector is a FloatVector, or a sequence of mpf and ints, which
+        is decoded here; the vectors have equal length.
         Pass a FloatVector where the same entries meet many dots, so that
         they are decoded once.  The mantissas of each product are
         multiplied exactly as Python ints.  Zero products are dropped; every
@@ -192,18 +192,18 @@ class FloatBackend:
         infinite or NaN entry raises PrecisionError.  mpmath's global
         precision is not read.
         """
-        # each product's mantissa and exponent; a range's ints have exponent 0
+        # each product's mantissa and exponent
         mans = exps = None
         for v in vectors:
-            if type(v) is not range:
-                if type(v) is not FloatVector:
-                    v = FloatVector(v)
-                exps = (v.exps if exps is None
-                        else map(operator.add, exps, v.exps))
-                v = v.mans
-            mans = v if mans is None else map(operator.mul, mans, v)
+            if type(v) is not FloatVector:
+                v = FloatVector(v)
+            if mans is None:
+                mans, exps = v.mans, v.exps
+            else:
+                mans = map(operator.mul, mans, v.mans)
+                exps = map(operator.add, exps, v.exps)
         mans = list(mans)
-        exps = list(compress(repeat(0) if exps is None else exps, mans))
+        exps = list(compress(exps, mans))
         mans = list(filter(None, mans))
         if not mans:
             return self.ctx.zero
@@ -310,53 +310,20 @@ def escalate_precision(compute: Callable[[FloatBackend], object]) -> tuple:
 class TruncSeries:
     """A formal power series truncated at a fixed degree D.
 
-    Coefficients are backend scalars, index 0..D: the weight series F,
-    its power F^N and the phi series.  Instances are immutable.
+    Coefficients are backend scalars, index 0..D: the weight series F
+    and the phi series.  Instances are immutable.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence):
         self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise InputError("a truncated series needs at least the constant term")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def coeff(self, k: int):
-        if not 0 <= k <= self.degree:
-            raise InputError(f"coefficient index {k} out of range 0..{self.degree}")
+        if not 0 <= k < len(self.coeffs):
+            raise InputError(f"coefficient index {k} out of range "
+                             f"0..{len(self.coeffs) - 1}")
         return self.coeffs[k]
-
-    def pow(self, n: int, backend: Backend = RATIONAL) -> "TruncSeries":
-        """The n-th power by J. C. P. Miller's recurrence (Knuth, TAOCP 4.7).
-
-        For g = a^n with a_0 != 0 and n >= 1, differentiating g = a^n gives
-        a g' = n a' g, whose coefficient of z^(k-1) is
-
-            k a_0 g_k = sum_{j=1..k} ((n+1) j - k) a_j g_{k-j},
-
-        with g_0 = a_0^n: one backend.dot per coefficient, so O(D^2) scalar
-        operations whatever n is.  a is decoded once (backend.vector), and
-        each g_k once, as it is appended to the decoded g.  Division is by
-        backend scalars, so rational coefficients stay exact.
-        """
-        a0 = self.coeffs[0]
-        if n < 1 or a0 == 0:
-            raise InputError("a series power needs n >= 1 and a nonzero "
-                             f"constant term, got n = {n}, a_0 = {a0}")
-        a = backend.vector(self.coeffs)
-        g = [a0 ** n]
-        gv = backend.vector(g)
-        for k in range(1, self.degree + 1):
-            # the integer weights (n+1) j - k for j = 1..k
-            weights = range(n + 1 - k, n * k + 1, n + 1)
-            g.append(backend.dot(a[1:k + 1], gv[k - 1::-1], weights)
-                     / (k * a0))
-            gv.append(g[-1])
-        return TruncSeries(g)
 
 
 def poly_mul(a: Sequence, b: Sequence, backend: Backend) -> list:

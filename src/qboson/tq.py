@@ -15,7 +15,8 @@ the partition values:
 
 * bracket divisibility is, coefficient by coefficient, the q-difference
   identity of F^N, Z_k (q^k - 1) = sum_{j>=1} C(N, j) (q - 1)^j Z_{k-j}
-  for k < p, with Z_k = Z(N, k);
+  for k < p, with Z_k = Z(N, k): G(qz) = (1 + (q - 1) z)^N G(z) for F^N
+  built from z (ln F)', another consequence of F's product form;
 * Q_1(1) = p ties Z(N, p) to Z(N, 0..p-1).
 
 The residual of the first-order relation, and lambda_1 = q_{p-1} = J,

@@ -113,7 +113,7 @@ class TestExact:
     @given(st.integers(1, 3), st.integers(1, 30), st.integers(2, 60),
            st.data())
     def test_float_above_one_matches_rational(self, N, p, den, data):
-        # small N, high density and q > 1 is where Miller's recurrence
+        # small N, high density and q > 1 is where the F^N recurrence
         # cancels most; the float run must find a precision that passes
         q = F(data.draw(st.integers(den + 1, 3 * den - 1)), den)
         argv = ["exact", "--n", str(N), "--p", str(p), "--q", str(q)]
@@ -144,6 +144,16 @@ class TestExact:
                             "--q=-1/2")
         code, split = run_cli(capsys, "exact", "--n", "3", "--p", "3",
                               "--q", "-1/2")
+        assert code == 0
+        assert split == joined
+
+    @pytest.mark.parametrize("q", ["-1e-3", "-1E-2", "-0.5"])
+    def test_negative_decimal_q_as_separate_token(self, capsys, q):
+        # argparse alone takes '-1e-3' for an option name and exits 2
+        _, joined = run_cli(capsys, "exact", "--n", "2", "--p", "2",
+                            f"--q={q}")
+        code, split = run_cli(capsys, "exact", "--n", "2", "--p", "2",
+                              "--q", q)
         assert code == 0
         assert split == joined
 
@@ -204,7 +214,7 @@ class TestExact:
     @pytest.mark.parametrize("n,p,q,bits", [("1", "24", "149/50", 1024),
                                             ("1", "40", "3", 4096)])
     def test_precision_escalates(self, capsys, monkeypatch, n, p, q, bits):
-        # Miller's recurrence cancels at q > 1 and small N: each request
+        # the F^N recurrence cancels at q > 1 and small N: each request
         # fails at 256 bits and passes once the precision has doubled
         want = run_json(capsys, "exact", "--n", n, "--p", p, "--q", q)
         precisions = []

@@ -299,8 +299,9 @@ def test_float_series_equals_rational(N, p, q):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="Miller's recurrence cancels for q > 1 at small "
-                   "N: F^1 loses about 380 bits at degree 24")
+                   reason="F^N's recurrence cancels for q > 1 at small N, "
+                   "where d_m alternates in sign: F^1 loses about 430 "
+                   "bits at degree 24")
 def test_power_loses_bits_above_one():
     # the float run passes the 2P check at P = 256 bits, so the precision
     # never escalates here

@@ -15,9 +15,34 @@ from qboson.numerics import (FloatBackend, FloatVector, InputError,
                              verify_at_double_precision)
 from qboson.stationary import compute_stationary, model, weight_series
 
+from test_cumulants import Q_REGIMES, _rationals_in
+
 
 def S(*coeffs):
     return TruncSeries([F(c) for c in coeffs])
+
+
+def miller_power(a, n, backend=RATIONAL) -> list:
+    """a^n truncated at the degree of the coefficient list a, for n >= 1
+    and a_0 != 0, by J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2
+    §4.7): a g' = n a' g, read at z^(k-1), is
+
+        k a_0 g_k = sum_{j=1..k} ((n+1) j - k) a_j g_(k-j),  g_0 = a_0^n.
+
+    The reference power of the weight series: it reads the weights f(m),
+    where compute_stationary reads the closed-form d_m.
+    """
+    a0 = a[0]
+    av = backend.vector(a)
+    g = [a0 ** n]
+    gv = backend.vector(g)
+    for k in range(1, len(a)):
+        # the integer weights (n+1) j - k for j = 1..k
+        weights = range(n + 1 - k, n * k + 1, n + 1)
+        g.append(backend.dot(av[1:k + 1], gv[k - 1::-1], weights)
+                 / (k * a0))
+        gv.append(g[-1])
+    return g
 
 
 class TestSeriesMul:
@@ -99,31 +124,20 @@ class TestSpanBoundedMul:
 
 
 class TestSeriesPow:
+    """The reference power miller_power."""
+
     def test_square(self):
-        assert S(1, 1, 0).pow(2).coeffs == S(1, 2, 1).coeffs
+        assert miller_power([F(1), F(1), F(0)], 2) == [1, 2, 1]
 
     def test_power_one(self):
-        a = S(1, 4, 9)
-        assert a.pow(1).coeffs == a.coeffs
+        a = [F(1), F(4), F(9)]
+        assert miller_power(a, 1) == a
 
     def test_stars_and_bars(self):
         # q = 0 weights: F = 1/(1-z); [z^p] F^N = C(N+p-1, p)
-        from math import comb
         N, D = 7, 6
-        geom = TruncSeries([F(1)] * (D + 1))
-        FN = geom.pow(N)
-        for p in range(D + 1):
-            assert FN.coeff(p) == comb(N + p - 1, p)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(InputError):
-            S(1, 1).pow(-1)
-
-    @pytest.mark.parametrize("coeffs,n", [((1, 1), 0), ((0, 1, 2), 2)])
-    def test_zero_exponent_and_zero_constant_term_rejected(self, coeffs, n):
-        # the one caller raises F, with f(0) = 1, to the power N >= 1
-        with pytest.raises(InputError):
-            S(*coeffs).pow(n)
+        FN = miller_power([F(1)] * (D + 1), N)
+        assert FN == [comb(N + p - 1, p) for p in range(D + 1)]
 
 
 class TestSeriesCoeffScale:
@@ -161,7 +175,7 @@ def test_pow_is_iterated_mul(a0, rest, n):
     expected = a
     for _ in range(n - 1):
         expected = poly_mul(expected, a, RATIONAL)[:len(a)]
-    assert TruncSeries(a).pow(n).coeffs == tuple(expected)
+    assert miller_power(a, n) == expected
 
 
 class TestGeometricFactor:
@@ -281,7 +295,7 @@ def exact(x) -> F:
 
 
 # mpf entries with up to 600-bit mantissas and exponents spread over 3000
-# bits, far wider than any precision drawn, and ints, as Miller's weights are
+# bits, far wider than any precision drawn, and ints
 FLOAT_ENTRIES = st.one_of(
     st.builds(lambda man, exp: mpmath.mp.make_mpf(from_man_exp(man, exp)),
               st.integers(-2 ** 600, 2 ** 600), st.integers(-1500, 1500)),
@@ -484,23 +498,73 @@ class TestRelClose:
 
 
 def test_float_series_roundtrip_matches_rational():
-    be = FloatBackend(128)
-    ra = TruncSeries([F(1), F(1, 2), F(1, 3), F(1, 4)])
-    fa = TruncSeries([be.ratio(1, k + 1) for k in range(4)])
-    got = fa.pow(5, be)
-    want = ra.pow(5, RATIONAL)
-    for k in range(4):
-        assert rel_close(got.coeff(k), be.ratio(want.coeff(k)), 1e-30)
+    # F^N at 128 bits for a small system, and at N = p = 64 and 256 bits,
+    # where the recurrence sums terms of both signs for q > 1
+    for (N, p), prec, rtol in (((5, 3), 128, 1e-30), ((64, 64), 256, 1e-60)):
+        be = FloatBackend(prec)
+        for q in (F(1, 2), F(-1, 2), F(3, 2)):
+            want = compute_stationary(model(N, p, q), p).Zvals
+            got = compute_stationary(model(N, p, q, be), p).Zvals
+            for k in range(p + 1):
+                assert rel_close(got[k], be.ratio(want[k]), rtol)
 
-    # F^N at N = p = 64: the power recurrence sums terms of both signs, so
-    # the 256-bit coefficients must still agree with the exact ones
-    N = p = 64
-    be = FloatBackend(256)
-    for q in (F(1, 2), F(-1, 2), F(3, 2)):
-        want = weight_series(model(N, p, q), p).pow(N, RATIONAL)
-        got = weight_series(model(N, p, q, be), p).pow(N, be)
-        for k in range(p + 1):
-            assert rel_close(got.coeff(k), be.ratio(want.coeff(k)), 1e-60)
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 12), st.integers(0, 12),
+       st.one_of(Q_REGIMES, st.just(F(0)), st.just(F(1))))
+def test_power_equals_miller_power_of_weights(N, p, extra, q):
+    # F^N from the closed-form d_m equals Miller's power of the weights
+    # f(m) = 1/(u(1)...u(m)) exactly: the property that keeps the series
+    # route tied to the rates.  Degree <= 24 bounds an example's cost.
+    degree = min(p + extra, 24)
+    m = model(N, p, q)
+    want = miller_power(weight_series(m, degree).coeffs, N)
+    assert list(compute_stationary(m, degree).Zvals) == want
+
+
+# references at 1024 bits, by Miller's power of the weight series, lie far
+# inside the 8 (k + 1) 2^-P bounds tested at P <= 256
+FINE = FloatBackend(1024)
+
+
+def worst_error_ratio(N, p, q, prec):
+    """The largest |Z - Z_ref| / (Z_ref (k + 1) 2^-prec) over the prec-bit
+    Z(N, k), k < 2p; Z_ref is at the same, rounded q."""
+    m = model(N, p, q, FloatBackend(prec))
+    Z = compute_stationary(m, 2 * p - 1).Zvals
+    fine = model(N, p, m.q, FINE)
+    ref = miller_power(weight_series(fine, 2 * p - 1).coeffs, N, FINE)
+    return max(abs(FINE.ratio(z) - r) / (r * (k + 1))
+               for k, (z, r) in enumerate(zip(Z, ref))) * 2 ** prec
+
+
+# log_derivative_coefficients derives |Z - Z_ref| <= 8 (k + 1) 2^-P Z_ref
+# for -1 < q < 1
+ERROR_CONSTANT = 8
+
+
+@pytest.mark.parametrize("N,p,q", [
+    (64, 64, F(1, 2)), (64, 64, F(-1, 2)), (32, 32, F(-9, 10)),
+    (16, 16, F(-99, 100)), (24, 24, F(1, 3)), (8, 30, F(-3, 4)),
+    # 1 - q^2 = 1.9999e-4: 1 - q^m from the running product q^m read 720
+    (8, 20, F(-9999, 10000))])
+def test_float_power_error_bound(N, p, q):
+    assert worst_error_ratio(N, p, q, 256) <= ERROR_CONSTANT
+
+
+# q in (-1, 1), within 1/100 of -1 and of 1 too, and q = 0
+Q_BELOW_ONE = st.one_of(
+    _rationals_in(F(-1), F(1)), st.just(F(0)),
+    st.builds(lambda sign, d: sign * (1 - F(1, d)), st.sampled_from((-1, 1)),
+              st.integers(101, 10_000)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 12), Q_BELOW_ONE,
+       st.sampled_from((53, 256)))
+def test_float_power_error_bound_on_random_systems(N, p, q, prec):
+    # degree 2p - 1 <= 23 bounds an example's cost
+    assert worst_error_ratio(N, p, q, prec) <= ERROR_CONSTANT
 
 
 @pytest.mark.parametrize("q", [F(1, 2), F(-1, 2), F(3, 2), F(99, 100)])

@@ -23,11 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qboson.numerics import RATIONAL, TruncSeries, poly_mul
+from qboson.numerics import RATIONAL, poly_mul
 from qboson.stationary import (compute_stationary, model, phi_coefficients,
                                weight_series)
 from qboson.tq import build_first_order
 from qboson.cumulants import delta_exact_resummed
+
+from test_numerics import miller_power
 
 
 def series_recip(s: list) -> list:
@@ -60,8 +62,8 @@ def delta_second_order(params, i_terms=300):
     q = params.q
     stat = compute_stationary(params, p)
     D = p - 1
-    Fser = weight_series(params, D).coeffs
-    FN = TruncSeries(Fser).pow(N, RATIONAL).coeffs
+    # F^N as Miller's power of the weights, not the route under test
+    FN = miller_power(weight_series(params, D).coeffs, N)
     phi = phi_coefficients(params, stat.J, D).coeffs
     base = mul(FN, phi, D)
     fpoly = second_order_f(params)
@@ -73,8 +75,8 @@ def delta_second_order(params, i_terms=300):
         c = q ** (-i if greater else i) * (1 - q)
         d = q ** (-i + 1 if greater else i + 1)
         fser = [coef * c ** k for k, coef in enumerate(fpoly)]
-        Fd = TruncSeries([f * d ** k for k, f in enumerate(Fser)])
-        den = series_recip(Fd.pow(N, RATIONAL).coeffs)
+        # F(dz)^N has the coefficients d^k [z^k] F^N
+        den = series_recip([g * d ** k for k, g in enumerate(FN)])
         total += mul(mul(base, fser, D), den, D)[D]
     sign = -1 if greater else 1
     lam2 = F(p) * stat.J / 2 + sign * total / (1 - q) ** p

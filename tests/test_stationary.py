@@ -148,7 +148,7 @@ class TestDegree:
     @pytest.mark.parametrize("q", [F(1, 2), F(-1, 2), F(3, 2), F(5)])
     @pytest.mark.parametrize("N,p", [(1, 4), (3, 5), (6, 3), (8, 8)])
     def test_degree_p_is_a_prefix_of_degree_2p(self, N, p, q):
-        # Miller's g_k reads a_1..a_k and g_0..g_(k-1) only: the same
+        # g_k reads d_1..d_k and g_0..g_(k-1) only: the same
         # rationals, and the same mpf bits, whatever degree is built
         for be in (RATIONAL, FloatBackend(256)):
             m = model(N, p, q, be)
