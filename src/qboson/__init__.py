@@ -11,7 +11,7 @@ from .numerics import (FloatBackend, InputError, PrecisionError, RATIONAL,
                        verify_at_double_precision)
 from .stationary import (ModelParams, StationaryData, compute_stationary,
                          intensive_quantities, model, phi_coefficients,
-                         rate_u, weight_series)
+                         rate_u)
 from .cumulants import DeltaResult, delta_exact_resummed
 from .asymptotics import (CrossoverData, SaddleData, crossover_F,
                           crossover_prediction, kpz_coefficient,

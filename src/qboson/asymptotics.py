@@ -151,6 +151,9 @@ def saddle_data(rho: float, q) -> SaddleData:
     h2, h3 = h[2], h[3]
     if h2 <= 0:
         raise SolverError(f"h_2 = {h2} <= 0 at the saddle; no valid expansion")
+    if h2 ** 2 == 0:   # lambda divides by it, and kpz_coefficient by h2^1.5
+        raise SolverError(f"h_2 = {h2} at the saddle: its square "
+                          "underflows float64")
     lam = (zstar / h2) * (1.0 / h2 - h3 / h2 ** 2)
     fss = (zstar / 2.0) * (h3 / h2 ** 2 - 1.0 / h2)
     return SaddleData(rho=rho, q=q, zstar=zstar, h=tuple(h),

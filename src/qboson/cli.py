@@ -182,7 +182,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # exact rates and weights, rounded to float64 for the kernel
+    # exact rates rounded to float64, and start weights formed from them
     cfg = simulate.SimConfig(params=stationary.model(*_system(args)),
                              t_measure=args.t_measure, reps=args.reps,
                              seed=args.seed, t_burn=args.t_burn)

@@ -15,9 +15,10 @@ Two interchangeable scalar backends are provided:
   P is not an input: it starts at 256 bits and doubles until the
   computation passes, up to ``MAX_PREC_BITS`` (see ``escalate_precision``).
 
-``TruncSeries`` holds the weight series F and the phi series;
-``poly_mul`` is the full product of two coefficient lists, which the
-first-order functional-equation check multiplies at their own degrees.
+``TruncSeries`` holds the phi series; the oracle and the Monte Carlo form
+the weights f(m) of F from their own rates.  ``poly_mul`` is the full
+product of two coefficient lists, which the first-order
+functional-equation check multiplies at their own degrees.
 """
 
 from __future__ import annotations
@@ -310,8 +311,8 @@ def escalate_precision(compute: Callable[[FloatBackend], object]) -> tuple:
 class TruncSeries:
     """A formal power series truncated at a fixed degree D.
 
-    Coefficients are backend scalars, index 0..D: the weight series F
-    and the phi series.  Instances are immutable.
+    Coefficients are backend scalars, index 0..D: the phi series.
+    Instances are immutable.
     """
 
     __slots__ = ("coeffs",)

@@ -51,11 +51,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, gcd, lcm, prod
+from operator import truediv
 
 from .numerics import InputError, SolverError
-from .stationary import ModelParams, rate_u, weight_series
+from .stationary import ModelParams, rate_u
 
 # C(14, 7), the (N, p) = (8, 7) space of the largest float request in the
 # tests and the benchmark: 429 orbits, whose reduced LU holds 31 000
@@ -171,10 +172,10 @@ def _generator_matrix(gen: GeneratorPair, R):
 
 def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
     """pi(orbit) proportional to size * prod_i f(n_i), normalized, at the
-    backend's working precision."""
+    backend's working precision, with f(m) = f(m-1)/u(m) from gen.rates."""
     backend = params.backend
-    ftab = weight_series(params, params.p).coeffs
     one = backend.integer(1)
+    ftab = list(accumulate(gen.rates[1:], truediv, initial=one))
     weights = [prod((ftab[n] for n in cfg), start=one)
                for cfg in gen.configs]
     Z = backend.dot(gen.sizes, weights)
@@ -321,6 +322,12 @@ def lambda_derivatives(params: ModelParams) -> OracleResult:
     pi = product_form_vector(params, gen)
     piv = np.array([float(x) for x in pi])
     R = np.array([float(r) for r in gen.R])
+    # each rate u(n), n <= p, is a term of some R, so a finite R bounds them
+    if not np.isfinite(R).all():
+        raise InputError(
+            f"the exit rates at q = {params.q} exceed float64's largest "
+            "value, 1.8e308, in which the float oracle solves; use the "
+            "rational backend, with q as an integer or a fraction")
     L = _generator_matrix(gen, R)
     # at working precision: R @ piv sums float64 roundings, several ulp off
     lam1 = float(backend.dot(gen.R, pi))

@@ -11,8 +11,9 @@ loop over list state that draws its uniforms from its replica's own
 perfbench/ measures the kernel's events per second.
 
 Every replica starts from an exact draw of the stationary measure: i.i.d.
-site occupations at the saddle-point fugacity, redrawn until they hold
-exactly p particles.
+site occupations with weights f(m) z^m at the saddle-point fugacity z,
+redrawn until they hold exactly p particles.  ``SimConfig`` builds the
+float64 rates and these weights once per request, before any worker forks.
 
 Estimation uses independent replicas: W_r = Y(t_burn + t_measure) -
 Y(t_burn), J_hat = mean(W)/t_measure, Delta_hat = var(W)/t_measure, with
@@ -37,11 +38,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .numerics import InputError, SolverError, require_positive
-from .stationary import ModelParams, rate_u, weight_series
+from .stationary import ModelParams, rate_u
 from . import asymptotics
 
 if TYPE_CHECKING:
@@ -120,11 +121,18 @@ def _gillespie(n, ut, t_burn, t_end, rng, hist):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A request, and the float64 set-up its replicas share: rates[n] =
+    u(n) and start_weights[m] = f(m) z^m / sum_k f(k) z^k for n, m <= p,
+    with f(m) = 1/(u(1)...u(m)), formed in log space so that neither
+    factor overflows."""
+
     params: ModelParams
     t_measure: float
     reps: int
     seed: int
     t_burn: float | None = None
+    rates: tuple = field(init=False, repr=False, compare=False)
+    start_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_positive("t_measure", self.t_measure)
@@ -136,6 +144,19 @@ class SimConfig:
             raise InputError(
                 "need reps >= 3: the jackknife error of the variance leaves "
                 "one replica out, and a variance needs two that remain")
+        params = self.params
+        rates = tuple(float(rate_u(m, params)) for m in range(params.p + 1))
+        z = (float(params.rho) if params.q == 1 else
+             asymptotics.saddle_point(float(params.rho), params.q))
+        log_z = math.log(z)
+        log_w = list(accumulate((log_z - math.log(u) for u in rates[1:]),
+                                initial=0.0))
+        top = max(log_w)
+        w = [math.exp(x - top) for x in log_w]
+        total = math.fsum(w)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "start_weights",
+                           tuple(x / total for x in w))
 
     @property
     def burn_time(self) -> float:
@@ -163,31 +184,13 @@ class SimEstimate:
     total_events: int
 
 
-def _rate_table(params: ModelParams) -> list:
-    return [float(rate_u(m, params)) for m in range(params.p + 1)]
-
-
-# every replica of a run starts from the same product measure, so the
-# saddle point is found once per model rather than once per replica
-@lru_cache(maxsize=32)
-def _stationary_fugacity(params: ModelParams) -> float:
-    if params.q == 1:
-        return float(params.rho)
-    return asymptotics.saddle_point(float(params.rho), params.q)
-
-
-def initial_config(params: ModelParams,
-                   rng: np.random.Generator) -> np.ndarray:
+def initial_config(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     import numpy as np
 
-    N, p = params.N, params.p
-    # product-measure rejection: i.i.d. site occupations with weights
-    # f(m) z^m (truncated at p), accepted when the total is exactly p
-    z = _stationary_fugacity(params)
-    w = np.array([float(f) * z ** m for m, f in
-                  enumerate(weight_series(params, p).coeffs)],
-                 dtype=np.float64)
-    w /= w.sum()
+    N, p = cfg.params.N, cfg.params.p
+    # product-measure rejection: i.i.d. site occupations with the start
+    # weights (truncated at p), accepted when the total is exactly p
+    w = np.array(cfg.start_weights)
     for _ in range(1_000_000):
         sample = rng.choice(p + 1, size=N, p=w)
         if sample.sum() == p:
@@ -202,11 +205,11 @@ def run_trajectory(cfg: SimConfig, rep_index: int) -> TrajectoryResult:
     init_rng, kernel_rng = (
         np.random.default_rng(s) for s in
         np.random.SeedSequence([int(cfg.seed), int(rep_index)]).spawn(2))
-    n = initial_config(params, init_rng).tolist()
+    n = initial_config(cfg, init_rng).tolist()
     hist = [0.0] * (params.p + 1)
     t_end = cfg.burn_time + cfg.t_measure
-    Y_burn, events, drift = _gillespie(n, _rate_table(params),
-                                       cfg.burn_time, t_end, kernel_rng, hist)
+    Y_burn, events, drift = _gillespie(n, cfg.rates, cfg.burn_time, t_end,
+                                       kernel_rng, hist)
     return TrajectoryResult(Y_burn=Y_burn, events=events,
                             max_rate_drift=drift, hist=np.array(hist))
 
@@ -293,7 +296,6 @@ def estimate_cumulants(cfg: SimConfig) -> SimEstimate:
     procs = min(cfg.reps, _usable_cpus()) if hasattr(os, "fork") else 1
     bounds = [cfg.reps * w // procs for w in range(procs + 1)]
     shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    _stationary_fugacity(cfg.params)   # cached before the workers fork
     workers = []
     try:
         for share in shares[1:]:

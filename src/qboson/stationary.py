@@ -1,11 +1,11 @@
 """Stationary state of the q-boson zero range process on a ring.
 
-Rates u(n) = (1 - q^n)/(1 - q), one-site weights f(m) = 1/(u(1)...u(m))
-and their series F(z) = sum_m f(m) z^m, for the oracle and the Monte
-Carlo.  The series route reads only d_m, the closed-form coefficients of
-z (ln F)': the partition functions Z(N, k) = [z^k] F(z)^N, built from d,
-the mean integrated current J = N Z(N, p-1)/Z(N, p), and the phi-series
-(J/p) (ln F)' - 1 of the diffusion-coefficient formula.
+Rates u(n) = (1 - q^n)/(1 - q), from which the oracle and the Monte Carlo
+each form the one-site weights f(m) = 1/(u(1)...u(m)) of the series
+F(z) = sum_m f(m) z^m.  The series route reads only d_m, the closed-form
+coefficients of z (ln F)': the partition functions Z(N, k) = [z^k] F(z)^N,
+built from d, the mean integrated current J = N Z(N, p-1)/Z(N, p), and the
+phi-series (J/p) (ln F)' - 1 of the diffusion-coefficient formula.
 
 q = 1 is supported throughout this module (f(m) = 1/m!, F^N = e^(Nz));
 only the phi-series is restricted to q != 1.
@@ -62,17 +62,6 @@ def rate_u(n: int, params: ModelParams):
     if q == 1:
         return backend.integer(n)
     return (1 - q ** n) / (1 - q)
-
-
-def weight_series(params: ModelParams, degree: int) -> TruncSeries:
-    """F(z) = sum_m f(m) z^m truncated at the given degree.
-
-    f(0) = 1 and f(m) = f(m-1)/u(m), the one-site stationary weights.
-    """
-    coeffs = [params.backend.integer(1)]
-    for j in range(1, degree + 1):
-        coeffs.append(coeffs[-1] / rate_u(j, params))
-    return TruncSeries(coeffs)
 
 
 def log_derivative_coefficients(params: ModelParams, degree: int) -> list:

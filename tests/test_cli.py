@@ -281,6 +281,16 @@ class TestOracle:
         assert float(J) == pytest.approx(float(F(exact["result"]["J"])),
                                          rel=1e-12)
 
+    @pytest.mark.parametrize("q", ["1e200", "1e300", "1e308"])
+    def test_float_rates_overflow_exits_2(self, capsys, q):
+        # u(4) = 1 + q + q^2 + q^3 is infinite in float64, and so is R
+        code = main(["oracle", "--n", "4", "--p", "4", "--q", q,
+                     "--backend", "float"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "float64's largest value" in captured.err
+        assert "rational backend" in captured.err
+
 
 class TestSimulate:
     def test_runs_and_embeds_seed(self, capsys):
@@ -306,6 +316,16 @@ class TestSimulate:
                      "--seed", "1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_high_density_above_one(self, capsys):
+        # f(m) z^m spans beyond float64 here, and z^m alone overflows
+        doc = run_json(capsys, "simulate", "--n", "2", "--p", "50", "--q",
+                       "2", "--reps", "8", "--t-burn", "0.001",
+                       "--t-measure", "0.002")
+        res = doc["result"]
+        J = stationary.compute_stationary(
+            stationary.model(2, 50, F(2)), 50).J
+        assert abs(res["J_hat"] - float(J)) < 3 * res["se_J"]
 
     def test_negative_seed_exits_2(self, capsys):
         # numpy's SeedSequence takes no negative entropy
@@ -349,6 +369,14 @@ class TestAsymptotic:
         err = capsys.readouterr().err
         assert code == 4
         assert err.startswith("solver failure: ") and "z* = 3.02" in err
+
+    @pytest.mark.parametrize("rho,q", [("1e-200", "1/2"), ("1e-320", "2")])
+    def test_underflow_exits_4(self, capsys, rho, q):
+        # h_2 is about rho, and lambda divides by h_2^2, which is 0.0
+        code = main(["asymptotic", "--rho", rho, "--q", q])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("solver failure: ") and "underflows" in err
 
 
 class TestCrossover:

@@ -13,9 +13,10 @@ from qboson.numerics import (FloatBackend, FloatVector, InputError,
                              escalate_precision, geometric_factor,
                              negligible, poly_mul, rel_close,
                              verify_at_double_precision)
-from qboson.stationary import compute_stationary, model, weight_series
+from qboson.stationary import compute_stationary, model
 
 from test_cumulants import Q_REGIMES, _rationals_in
+from test_stationary import one_site_weights
 
 
 def S(*coeffs):
@@ -518,11 +519,11 @@ def test_power_equals_miller_power_of_weights(N, p, extra, q):
     # route tied to the rates.  Degree <= 24 bounds an example's cost.
     degree = min(p + extra, 24)
     m = model(N, p, q)
-    want = miller_power(weight_series(m, degree).coeffs, N)
+    want = miller_power(one_site_weights(m, degree), N)
     assert list(compute_stationary(m, degree).Zvals) == want
 
 
-# references at 1024 bits, by Miller's power of the weight series, lie far
+# references at 1024 bits, by Miller's power of the one-site weights, lie far
 # inside the 8 (k + 1) 2^-P bounds tested at P <= 256
 FINE = FloatBackend(1024)
 
@@ -533,7 +534,7 @@ def worst_error_ratio(N, p, q, prec):
     m = model(N, p, q, FloatBackend(prec))
     Z = compute_stationary(m, 2 * p - 1).Zvals
     fine = model(N, p, m.q, FINE)
-    ref = miller_power(weight_series(fine, 2 * p - 1).coeffs, N, FINE)
+    ref = miller_power(one_site_weights(fine, 2 * p - 1), N, FINE)
     return max(abs(FINE.ratio(z) - r) / (r * (k + 1))
                for k, (z, r) in enumerate(zip(Z, ref))) * 2 ** prec
 

@@ -24,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qboson.numerics import RATIONAL, poly_mul
-from qboson.stationary import (compute_stationary, model, phi_coefficients,
-                               weight_series)
+from qboson.stationary import compute_stationary, model, phi_coefficients
 from qboson.tq import build_first_order
 from qboson.cumulants import delta_exact_resummed
 
 from test_numerics import miller_power
+from test_stationary import one_site_weights
 
 
 def series_recip(s: list) -> list:
@@ -63,7 +63,7 @@ def delta_second_order(params, i_terms=300):
     stat = compute_stationary(params, p)
     D = p - 1
     # F^N as Miller's power of the weights, not the route under test
-    FN = miller_power(weight_series(params, D).coeffs, N)
+    FN = miller_power(one_site_weights(params, D), N)
     phi = phi_coefficients(params, stat.J, D).coeffs
     base = mul(FN, phi, D)
     fpoly = second_order_f(params)

@@ -10,10 +10,15 @@ from qboson.cli import main
 from qboson.numerics import InputError, SolverError
 from qboson.stationary import model
 from qboson.cumulants import delta_exact_resummed
-from qboson.simulate import (SimConfig, _gillespie, _rate_table,
-                             estimate_cumulants, initial_config,
-                             run_trajectory)
-from test_stationary import site_marginal
+from qboson.simulate import (SimConfig, _gillespie, estimate_cumulants,
+                             initial_config, run_trajectory)
+from test_stationary import one_site_weights, site_marginal
+
+
+def request(N, p, q, **window):
+    """A SimConfig of the model (N, p, q), whose set-up tests read."""
+    return SimConfig(params=model(N, p, q), **({"t_measure": 1.0, "reps": 3,
+                                                "seed": 1} | window))
 
 
 class TestConfigValidation:
@@ -49,9 +54,34 @@ class TestConfigValidation:
 class TestInitialConfig:
     @pytest.mark.parametrize("q", ["1/2", "1", "2", "-1/2"])
     def test_stationary_start_conserves_particles(self, q):
-        n = initial_config(model(5, 7, F(q)), np.random.default_rng(3))
+        n = initial_config(request(5, 7, F(q)), np.random.default_rng(3))
         assert n.sum() == 7
         assert (n >= 0).all()
+
+    @pytest.mark.parametrize("q", ["1/2", "1", "2", "-1/2"])
+    def test_start_weights_are_the_product_measure(self, q):
+        # f(m) z^m / sum_k f(k) z^k in Fraction, at the float z
+        m = model(5, 7, F(q))
+        z = F(1.4 if m.q == 1 else asymptotics.saddle_point(1.4, m.q))
+        exact = [f * z ** k for k, f in enumerate(one_site_weights(m, 7))]
+        got = request(5, 7, F(q)).start_weights
+        assert len(got) == 8
+        for w, e in zip(got, exact):
+            assert abs(F(w) / (e / sum(exact)) - 1) < 1e-12
+
+    def test_set_up_once_per_request(self, monkeypatch):
+        # the rate table is built once, not once per replica
+        calls = []
+        rate_u = simulate.rate_u
+
+        def counted(n, params):
+            calls.append(n)
+            return rate_u(n, params)
+
+        monkeypatch.setattr(simulate, "rate_u", counted)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        estimate_cumulants(request(4, 6, F(1, 2), t_measure=2.0, reps=8))
+        assert sorted(calls) == list(range(7))
 
 
 class TestTrajectories:
@@ -114,7 +144,7 @@ class TestKernel:
         # t_end = 0.4 allows one event; site 0 is empty
         n = [0, 2, 1]
         hist = [0.0] * 4
-        events = _gillespie(n, _rate_table(model(3, 3, F(1, 2))), 0.1, 0.4,
+        events = _gillespie(n, request(3, 3, F(1, 2)).rates, 0.1, 0.4,
                             SiteUniforms(0.0), hist)[1]
         assert events == 1
         assert n == [0, 1, 2]
@@ -129,7 +159,7 @@ class TestKernel:
     def test_extreme_uniforms_keep_occupations_nonnegative(self, value, n,
                                                            q):
         p = sum(n)
-        _gillespie(n, _rate_table(model(len(n), p, q)), 1.0, 300.0,
+        _gillespie(n, request(len(n), p, q).rates, 1.0, 300.0,
                    SiteUniforms(value), [0.0] * (p + 1))
         assert sum(n) == p and min(n) >= 0
 
@@ -182,10 +212,10 @@ class TestReplicaPool:
     def test_worker_error_surfaces(self, monkeypatch):
         caller = os.getpid()
 
-        def fails_in_workers(params, rng):
+        def fails_in_workers(cfg, rng):
             if os.getpid() != caller:
                 raise SolverError("initialiser failed in a worker")
-            return initial_config(params, rng)
+            return initial_config(cfg, rng)
 
         monkeypatch.setattr(simulate, "initial_config", fails_in_workers)
         cfg = SimConfig(params=model(4, 4, F(1, 2)), t_measure=10.0, reps=6,
