@@ -7,8 +7,7 @@ and the large-N KPZ / EW-crossover asymptotics.
 """
 
 from .numerics import (FloatBackend, InputError, PrecisionError, RATIONAL,
-                       SolverError, TruncSeries, geometric_factor,
-                       verify_at_double_precision)
+                       SolverError, TruncSeries, certify, geometric_factor)
 from .stationary import (ModelParams, StationaryData, compute_stationary,
                          intensive_quantities, model, phi_coefficients,
                          rate_u)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import partial
 
 from .numerics import (FloatBackend, InputError, PrecisionError, RATIONAL,
-                       SolverError, escalate_precision,
-                       verify_at_double_precision)
+                       SolverError, certify, escalate_precision)
 from . import asymptotics, cumulants, oracle, simulate, stationary, tq
 
 SCHEMA = 1
@@ -119,36 +119,35 @@ def _emit(args, kind: dict, result: dict) -> None:
     _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
 
 
+def _series(params) -> tuple:
+    """exact's values at params, and the bound on each one's error (None
+    on the rational backend, whose values are exact)."""
+    res = cumulants.delta_exact_resummed(params)
+    values = {"Z": res.Z, "J": res.J, "Delta": res.Delta, "pJ": res.pJ,
+              "S1": res.S1, "S2": res.S2,
+              **stationary.intensive_quantities(params, res.J, res.Delta)}
+    if res.errors is None:
+        return values, None
+    # the intensive values scale J and Delta by positive factors
+    return values, {**res.errors, **stationary.intensive_quantities(
+        params, res.errors["J"], res.errors["Delta"])}
+
+
 def _evaluate(make_params, backend):
     """The backend of exact's values, and the values.
 
     The rational backend runs the series once.  On the float backend each
-    precision P runs it at P and 2P bits and keeps the P-bit values only if
-    every one agrees (``verify_at_double_precision``); P starts at 256 bits
-    and doubles until they do (``escalate_precision``).  Runs are kept by
-    precision, so the 2P run of one level is the P run of the next: each
-    precision is computed once.  make_params builds the model afresh for
-    each backend, so a q like exp(-alpha/sqrt(N)) is recomputed at 2P too.
-    The returned backend is the accepted P-bit run's.
+    precision P runs it once, and keeps the values only if every one's
+    error bound, formed in that run, is at most DEFAULT_VERIFY_RTOL
+    relative (``numerics.certify``); P starts at 256 bits and doubles until
+    they are (``escalate_precision``).  make_params builds the model afresh
+    at each precision, so a q like exp(-alpha/sqrt(N)) is recomputed at
+    the new P too.  The returned backend is the accepted run's.
     """
-    def run(be):
-        params = make_params(be)
-        res = cumulants.delta_exact_resummed(params)
-        return {"Z": res.Z, "J": res.J, "Delta": res.Delta, "pJ": res.pJ,
-                "S1": res.S1, "S2": res.S2,
-                **stationary.intensive_quantities(params, res.J, res.Delta)}
-
     if backend.exact:
-        return backend, run(backend)
-    runs = {}   # prec_bits -> values
-
-    def payload(be):
-        if be.prec_bits not in runs:
-            runs[be.prec_bits] = run(be)
-        return runs[be.prec_bits]
-
+        return backend, _series(make_params(backend))[0]
     return escalate_precision(
-        lambda be: verify_at_double_precision(payload, be))
+        lambda be: certify(*_series(make_params(be)), be))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +290,12 @@ def _sweep_rows(args):
             def make_params(be, N=N, p=p):
                 qs = be.ctx.exp(be.integer(-1) * args.alpha
                                 / be.ctx.sqrt(N))
-                return stationary.model(N, p, qs, be)
+                # sqrt and the quotient round -alpha/sqrt(N) = x within
+                # 2 2^-P relative, which exp turns into 2|x| 2^-P, and
+                # exp's own rounding adds at most 2 2^-P
+                return stationary.model(
+                    N, p, qs, be,
+                    q_error=2 + 2 * abs(args.alpha) / math.sqrt(N))
 
             if rho not in predictions:
                 predictions[rho] = asymptotics.crossover_prediction(

@@ -9,11 +9,14 @@ Two interchangeable scalar backends are provided:
 * float    -- ``mpmath.mpf`` at a mantissa precision of P bits.  Used for
   large-N scaling sweeps.  Each scalar belongs to an mpmath context of its
   backend's precision and rounds every operation to P bits, whatever
-  mpmath's global precision is; nothing opens a precision scope.  Results
-  computed on this backend are accepted only after recomputation at 2P
-  bits agrees to a relative tolerance (see ``verify_at_double_precision``).
-  P is not an input: it starts at 256 bits and doubles until the
-  computation passes, up to ``MAX_PREC_BITS`` (see ``escalate_precision``).
+  mpmath's global precision is; nothing opens a precision scope.  A result
+  computed on this backend carries a first-order bound on its error,
+  formed in the same P-bit run (a running error bound, Higham, *Accuracy
+  and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, §3.3), and
+  is accepted only when the bound is at most ``DEFAULT_VERIFY_RTOL``
+  relative for every value (see ``certify``).  P is not an input: it
+  starts at 256 bits and doubles until the computation passes, up to
+  ``MAX_PREC_BITS`` (see ``escalate_precision``).
 
 ``TruncSeries`` holds the phi series; the oracle and the Monte Carlo form
 the weights f(m) of F from their own rates.  ``poly_mul`` is the full
@@ -39,7 +42,7 @@ class InputError(ValueError):
 
 
 class PrecisionError(ArithmeticError):
-    """Float-backend result failed the doubled-precision check (exit code 3)."""
+    """Float-backend result whose error bound is too wide (exit code 3)."""
 
 
 class SolverError(RuntimeError):
@@ -49,10 +52,11 @@ class SolverError(RuntimeError):
 
 DEFAULT_PREC_BITS = 256
 DEFAULT_VERIFY_RTOL = 1e-12
-# the precision escalate_precision gives up at: the least that passes
-# `exact --n 1 --p 40 --q 3`.  A request failing at every level pays for
-# each precision up to twice this once: 24-27 s at N = p = 256 on a 2-CPU
-# host, 17 s of it in the 8192-bit check of the last level
+# the precision escalate_precision gives up at: twice the least that
+# passes `exact --n 1 --p 40 --q 3` (2048 bits; Delta = pJ + 2 N^2/Z^2
+# (S1 + S2) cancels 1233 bits there).  A request failing at every level
+# runs once at each precision: 10.8 s at N = p = 256 on a 2-CPU host,
+# 7.3 s of it at 4096 bits
 MAX_PREC_BITS = 4096
 
 
@@ -75,17 +79,19 @@ class RationalBackend:
         """entries as a new list; Fractions need no decoding."""
         return list(entries)
 
-    def dot(self, *vectors) -> Fraction:
+    def dot(self, *vectors, with_abs=False):
         """sum_i prod_v vectors[v][i] over vectors of equal length.
 
         Each product is taken left to right and the sum runs in index
         order from zero, so the Fraction operations are those of the
-        written-out loop.
+        written-out loop.  with_abs returns (sum, None): an exact sum has
+        no rounding error for a sum of |products| to scale.
         """
         terms = vectors[0]
         for v in vectors[1:]:
             terms = map(operator.mul, terms, v)
-        return sum(terms, Fraction(0))
+        total = sum(terms, Fraction(0))
+        return (total, None) if with_abs else total
 
     def __repr__(self):
         return "RationalBackend()"
@@ -176,7 +182,7 @@ class FloatBackend:
         """entries, decoded once for dot."""
         return FloatVector(entries)
 
-    def dot(self, *vectors) -> mpmath.mpf:
+    def dot(self, *vectors, with_abs=False):
         """sum_i prod_v vectors[v][i], rounded once to prec_bits.
 
         Each vector is a FloatVector, or a sequence of mpf and ints, which
@@ -189,9 +195,11 @@ class FloatBackend:
         (a product whose exponent lies above it is shifted left exactly),
         and the sum of those ints is rounded to nearest once.  Flooring
         costs at most 2^-(prec_bits+31) of the largest product, so the
-        result is within 2^-(prec_bits-1) of the sum of |products|.  An
-        infinite or NaN entry raises PrecisionError.  mpmath's global
-        precision is not read.
+        result is within 2^-(prec_bits-1) of the sum of |products|.
+        with_abs returns (result, sum of |products|), the second summed
+        from the same shifted ints and rounded upwards.  An infinite or
+        NaN entry raises PrecisionError.  mpmath's global precision is not
+        read.
         """
         # each product's mantissa and exponent
         mans = exps = None
@@ -207,16 +215,17 @@ class FloatBackend:
         exps = list(compress(exps, mans))
         mans = list(filter(None, mans))
         if not mans:
-            return self.ctx.zero
+            return (self.ctx.zero,) * 2 if with_abs else self.ctx.zero
         top = max(map(operator.add, map(int.bit_length, mans), exps))
         floor = top - self.prec_bits - 32 - len(mans).bit_length()
-        total = sum([m << (e - floor) if e >= floor else m >> (floor - e)
-                     for m, e in zip(mans, exps)])
-        return self.ctx.make_mpf(
-            self._from_man_exp(total, floor, self.prec_bits, "n"))
-
-    def doubled(self) -> "FloatBackend":
-        return FloatBackend(2 * self.prec_bits)
+        terms = [m << (e - floor) if e >= floor else m >> (floor - e)
+                 for m, e in zip(mans, exps)]
+        total = self.ctx.make_mpf(
+            self._from_man_exp(sum(terms), floor, self.prec_bits, "n"))
+        if not with_abs:
+            return total
+        return total, self.ctx.make_mpf(self._from_man_exp(
+            sum(map(abs, terms)), floor, self.prec_bits, "u"))
 
     def __repr__(self):
         return f"FloatBackend(prec_bits={self.prec_bits})"
@@ -225,15 +234,6 @@ class FloatBackend:
 RATIONAL = RationalBackend()
 
 Backend = RationalBackend | FloatBackend
-
-
-def rel_close(a, b, rtol) -> bool:
-    """|a - b| <= rtol * max(|a|, |b|); relative at every magnitude.
-
-    Two exact zeros compare equal; a zero against a nonzero value never does.
-    """
-    scale = max(abs(a), abs(b))
-    return abs(a - b) <= rtol * scale
 
 
 def require_positive(name: str, value: float) -> float:
@@ -261,28 +261,22 @@ def negligible(what: str, x, scale, backend: Backend) -> bool:
         f"scale {backend.ctx.nstr(scale, 10)} at {backend.prec_bits} bits")
 
 
-def verify_at_double_precision(compute: Callable[[Backend], dict],
-                               backend: FloatBackend) -> dict:
-    """Run ``compute`` at P and 2P bits; accept only if all values agree.
+def certify(values: dict, errors: dict, backend: FloatBackend) -> dict:
+    """values, if each one's error bound is at most DEFAULT_VERIFY_RTOL
+    times its magnitude; PrecisionError naming the first that is not.
 
-    ``compute`` maps a backend to a flat dict of scalar values.  Returns the
-    P-bit result.  Raises PrecisionError naming the first key whose values
-    differ by more than DEFAULT_VERIFY_RTOL relative.  Coefficient growth
-    of F^N is hard to bound a priori, so acceptance by recomputation is the
-    contract of the float backend.
+    errors maps each key of values to a bound on the absolute error of
+    that value, formed in the same run.  A value of 0 passes only with a
+    bound of 0.
     """
-    base = compute(backend)
-    doubled = backend.doubled()
-    check = compute(doubled)
-    for key, val in base.items():
-        # compared in the 2P context, which holds both values exactly
-        val, ref = doubled.ctx.convert(val), doubled.ctx.convert(check[key])
-        if not rel_close(val, ref, DEFAULT_VERIFY_RTOL):
+    for key, val in values.items():
+        if not errors[key] <= DEFAULT_VERIFY_RTOL * abs(val):
+            nstr = backend.ctx.nstr
             raise PrecisionError(
-                f"value {key!r} changed from {backend.prec_bits} to "
-                f"{doubled.prec_bits} bits: {doubled.ctx.nstr(val, 20)} vs "
-                f"{doubled.ctx.nstr(ref, 20)} (rtol={DEFAULT_VERIFY_RTOL})")
-    return base
+                f"value {key!r} = {nstr(val, 20)} has an error bound of "
+                f"{nstr(errors[key], 10)} at {backend.prec_bits} bits "
+                f"(rtol={DEFAULT_VERIFY_RTOL})")
+    return values
 
 
 def escalate_precision(compute: Callable[[FloatBackend], object]) -> tuple:

@@ -145,7 +145,13 @@ class SimConfig:
                 "need reps >= 3: the jackknife error of the variance leaves "
                 "one replica out, and a variance needs two that remain")
         params = self.params
-        rates = tuple(float(rate_u(m, params)) for m in range(params.p + 1))
+        try:
+            rates = tuple(float(rate_u(m, params))
+                          for m in range(params.p + 1))
+        except OverflowError:
+            raise InputError(
+                f"the rates at q = {params.q} exceed float64's largest "
+                "value, 1.8e308, in which simulate runs") from None
         z = (float(params.rho) if params.q == 1 else
              asymptotics.saddle_point(float(params.rho), params.q))
         log_z = math.log(z)

@@ -15,8 +15,13 @@ the partition values:
 
 * bracket divisibility is, coefficient by coefficient, the q-difference
   identity of F^N, Z_k (q^k - 1) = sum_{j>=1} C(N, j) (q - 1)^j Z_{k-j}
-  for k < p, with Z_k = Z(N, k): G(qz) = (1 + (q - 1) z)^N G(z) for F^N
-  built from z (ln F)', another consequence of F's product form;
+  for k < p, with Z_k = Z(N, k): G(qz) = (1 + (q - 1) z)^N G(z).  For
+  -1 < q < 1, where F^N is built from z (ln F)', that is another
+  consequence of F's product form.  For q > 1 F^N is built from this
+  identity (``stationary.compute_stationary``), so divisibility only
+  re-checks the recurrence's arithmetic, through a second code path;
+  Q_1(1) = p, and a test that pins F^N to Miller's power of the weights
+  f(m), keep the link to F's weights there;
 * Q_1(1) = p ties Z(N, p) to Z(N, 0..p-1).
 
 The residual of the first-order relation, and lambda_1 = q_{p-1} = J,

@@ -165,14 +165,14 @@ class TestExact:
 
     @pytest.mark.parametrize("extra,builds", [
         (("--q", "1/2"), 1), (("--q", "1"), 1),
-        (("--q", "1/2", "--backend", "float"), 2),
-        (("--q", "1", "--backend", "float"), 2),
+        (("--q", "1/2", "--backend", "float"), 1),
+        (("--q", "1", "--backend", "float"), 1),
     ])
     def test_one_stationary_build_per_evaluation(self, capsys, monkeypatch,
                                                  extra, builds):
-        # a float run evaluates once at P and once at 2P bits; each builds
-        # F^N to the degree it reads: 2p - 1 = 5 for the series, p = 3 at
-        # q = 1
+        # a float run accepted at 256 bits evaluates once, its error bound
+        # formed in the same run; each build reads F^N to the degree it
+        # needs: 2p - 1 = 5 for the series, p = 3 at q = 1
         degree = 3 if extra[1] == "1" else 5
         calls = []
         original = stationary.compute_stationary
@@ -201,7 +201,7 @@ class TestExact:
         assert json.loads(out.read_text())["result"]["J"] == "12/7"
 
     def test_precision_failure_exits_3(self, capsys, monkeypatch):
-        # passes at 1024 bits only, so a cap of 256 bits must trip the
+        # passes at 512 bits only, so a cap of 256 bits must trip the
         # acceptance check and name the cap
         monkeypatch.setattr(numerics, "MAX_PREC_BITS", 256)
         code = main(["exact", "--n", "1", "--p", "24", "--q", "149/50",
@@ -211,11 +211,12 @@ class TestExact:
         assert captured.err.startswith("precision failure: no precision up "
                                        "to 256 bits passed")
 
-    @pytest.mark.parametrize("n,p,q,bits", [("1", "24", "149/50", 1024),
-                                            ("1", "40", "3", 4096)])
+    @pytest.mark.parametrize("n,p,q,bits", [("1", "24", "149/50", 512),
+                                            ("1", "40", "3", 2048)])
     def test_precision_escalates(self, capsys, monkeypatch, n, p, q, bits):
-        # the F^N recurrence cancels at q > 1 and small N: each request
-        # fails at 256 bits and passes once the precision has doubled
+        # pJ + 2 N^2/Z^2 (S1 + S2) cancels about 430 and 1230 bits at
+        # q > 1 and N = 1: each request's error bound is too wide at 256
+        # bits, and narrow enough once the precision has doubled
         want = run_json(capsys, "exact", "--n", n, "--p", p, "--q", q)
         precisions = []
         compute = cumulants.compute_stationary
@@ -228,12 +229,23 @@ class TestExact:
         got = run_json(capsys, "exact", "--n", n, "--p", p, "--q", q,
                        "--backend", "float")
         assert got["backend"] == {"kind": "float", "prec_bits": bits}
-        # one series run per precision, up to the accepted one's 2P check
-        assert precisions == [2 ** k
-                              for k in range(8, (2 * bits).bit_length())]
+        # one series run per precision, up to the accepted one
+        assert precisions == [2 ** k for k in range(8, bits.bit_length())]
         for key in ("J", "Delta"):
             assert float(got["result"][key]) == pytest.approx(
                 float(F(want["result"][key])), rel=1e-12)
+
+    def test_single_particle_float(self, capsys):
+        # at p = 1, S1 = S2 = 0 identically, and Delta = pJ = J; at this q
+        # the float J d_1 - 1 is not exactly 0, so the series' own A_0
+        # check has only that one term to scale it
+        doc = run_json(capsys, "exact", "--n", "3", "--p", "1",
+                       "--q=-2/39", "--backend", "float")
+        res = doc["result"]
+        assert doc["backend"] == {"kind": "float", "prec_bits": 256}
+        assert (res["S1"], res["S2"]) == ("0.0", "0.0")
+        assert res["Delta"] == res["J"] == res["pJ"]
+        assert abs(F(res["J"]) - 1) < F(1, 10 ** 70)
 
     def test_nonzero_a0_exits_4(self, capsys, monkeypatch):
         # A_0 = 0 is an identity; a rational A_0 off by 1 is a failed
@@ -241,8 +253,8 @@ class TestExact:
         coefficients = cumulants._a_coefficients
 
         def corrupted(*args):
-            A = coefficients(*args)
-            return [A[0] + 1] + A[1:]
+            A, scales = coefficients(*args)
+            return [A[0] + 1] + A[1:], scales
 
         monkeypatch.setattr(cumulants, "_a_coefficients", corrupted)
         code = main(["exact", "--n", "4", "--p", "3", "--q", "1/2"])
@@ -326,6 +338,17 @@ class TestSimulate:
         J = stationary.compute_stationary(
             stationary.model(2, 50, F(2)), 50).J
         assert abs(res["J_hat"] - float(J)) < 3 * res["se_J"]
+
+    def test_rates_beyond_float64_exit_2(self, capsys):
+        # u(1100) = 2^1100 - 1 has no float64; the set-up says so rather
+        # than die with an OverflowError, as the float oracle does
+        code = main(["simulate", "--n", "2", "--p", "1100", "--q", "2",
+                     "--reps", "3", "--t-burn", "1e-300",
+                     "--t-measure", "1e-300"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: the rates at q = 2 exceed "
+                                       "float64")
 
     def test_negative_seed_exits_2(self, capsys):
         # numpy's SeedSequence takes no negative entropy
@@ -750,8 +773,27 @@ class TestVerifyTqFloat:
                        "--q", "1/2")
         assert doc["result"]["max_relative_residual"] == "0/1"
 
+    @staticmethod
+    def partition_function_losing_bits(monkeypatch, bits):
+        """Make verify-tq read each Z(N, k) moved by k 2^-(P - bits)
+        relative: an F^N recurrence that loses that many bits at every
+        precision P, as z (ln F)' did for q > 1 at small N."""
+        compute = tq.compute_stationary
+
+        def lossy(params, degree):
+            be = params.backend
+            eps = be.integer(2) ** (bits - be.prec_bits)
+            Z = [z * (1 + k * eps)
+                 for k, z in enumerate(compute(params, degree).Zvals)]
+            return stationary.StationaryData(
+                Zvals=tuple(Z), J=params.N * Z[params.p - 1] / Z[params.p])
+
+        monkeypatch.setattr(tq, "compute_stationary", lossy)
+
     def test_precision_shortfall_exits_3(self, capsys, monkeypatch):
-        # the bracket of T_1 is not negligible at 256 bits; at 512 it is
+        # 140 bits lost leave 116 at 256 bits, where the bracket of T_1 is
+        # not negligible (2^-128 of its scale), and 372 at 512, where it is
+        self.partition_function_losing_bits(monkeypatch, 140)
         argv = ["verify-tq", "--n", "8", "--p", "40", "--q", "5",
                 "--backend", "float"]
         doc = run_json(capsys, *argv)
@@ -767,14 +809,14 @@ class TestVerifyTqFloat:
 
     def test_escalation_builds_f_n_to_degree_p(self, capsys, monkeypatch):
         # F^N is built to degree p at each precision tried, and the check
-        # still passes at 512 bits only, as test_precision_shortfall_exits_3
-        # pins
+        # passes at 512 bits only, as test_precision_shortfall_exits_3 pins
+        self.partition_function_losing_bits(monkeypatch, 140)
         builds = []
-        compute = tq.compute_stationary
+        lossy = tq.compute_stationary
 
         def counted(params, degree):
             builds.append((params.backend.prec_bits, degree))
-            return compute(params, degree)
+            return lossy(params, degree)
 
         monkeypatch.setattr(tq, "compute_stationary", counted)
         doc = run_json(capsys, "verify-tq", "--n", "8", "--p", "40", "--q",

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qboson import cumulants
-from qboson.cli import _evaluate
+from qboson.cli import _evaluate, _series
 from qboson.numerics import FloatBackend, RATIONAL, geometric_factor
-from qboson.stationary import compute_stationary, model, phi_coefficients
+from qboson.stationary import (compute_stationary, model, partition_error,
+                               phi_coefficients)
 from qboson.cumulants import delta_exact_resummed
 from qboson.oracle import lambda_derivatives
 
@@ -240,17 +241,16 @@ class TestFloatBackend:
     def test_a0_guard_fires_on_garbage_precision(self):
         # the guard compares |A_0| against the cancelling-term scale; feeding
         # an inconsistent J through the internal helpers must trip it
-        from qboson.cumulants import _check_a0
+        from qboson.cumulants import _a_coefficients, _check_a0
         from qboson.numerics import PrecisionError
         from qboson.stationary import compute_stationary, phi_coefficients
         be = FloatBackend(64)
         m = model(3, 3, F(1, 2), be)
         stat = compute_stationary(m, 3)
         bad_phi = phi_coefficients(m, stat.J * (1 + be.ratio(1, 1000)), 2)
-        C = stat.Zvals
-        a0 = sum(C[2 - b] * bad_phi.coeff(b) for b in range(3))
+        A, scales = _a_coefficients(3, stat.Zvals, bad_phi, be)
         with pytest.raises(PrecisionError):
-            _check_a0(a0, 3, C, bad_phi, be)
+            _check_a0(A[0], scales[0], be)
 
 
 def _rationals_in(lo, hi):
@@ -270,41 +270,70 @@ Q_REGIMES = st.one_of(
 REFERENCE = FloatBackend(1024)
 
 
+def _fraction(x) -> F:
+    """An mpf as the Fraction it represents, with no rounding."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * F(2) ** exp
+
+
 def _float_and_exact(N, p, q):
-    """(value at the precision P exact's float run accepts, at 2P, exact)
-    for F^N's coefficients and for exact's J and Delta."""
+    """At the precision P that exact's float run accepts: (value, error
+    bound, exact value) by key for each value exact prints, and as a list
+    for each Z(N, k), k < 2p, whose bound is twice partition_error's, as
+    gamma's is."""
     make = partial(model, N, p, q)
     be, values = _evaluate(make, FloatBackend())
+    m = make(be)
+    got, errors = _series(m)
+    assert got == values
     _, exact = _evaluate(make, RATIONAL)
-    check = delta_exact_resummed(make(be.doubled()))
-    return [(values["J"], check.J, exact["J"]),
-            (values["Delta"], check.Delta, exact["Delta"]),
-            *zip(*(compute_stationary(make(b), 2 * p).Zvals
-                   for b in (be, be.doubled(), RATIONAL)))]
+    unit = 2 * be.integer(2) ** -be.prec_bits
+    power = [(z, unit * sum(partition_error(m, k)) * z, ref)
+             for k, (z, ref) in enumerate(zip(
+                 compute_stationary(m, 2 * p - 1).Zvals,
+                 compute_stationary(make(RATIONAL), 2 * p - 1).Zvals))]
+    return {key: (values[key], errors[key], exact[key])
+            for key in values}, power
+
+
+def _near_unit(d):
+    """1 - 1/d, 1 + 1/d and -1 + 1/d: within 2^-20 of 1 or -1 for
+    d >= 2^20."""
+    return st.sampled_from((1 - F(1, d), 1 + F(1, d), F(1, d) - 1))
+
+
+# (N, p, q): q in (-1, 0), in [0, 1), in (1, 3) with N <= 4, where F^N and
+# Delta cancel most, and within 2^-20 of 1 or -1, where 1 - |q| amplifies
+# q's rounding.  Near 1 the shadows of S1 and S2 grow like 1/(1 - q) too;
+# near -1 Z(N, k) itself grows like (1 + q)^(-k/2), and only the bound's
+# input term covers it.  N <= 16 and p <= 12 bound an example's cost
+BOUND_CASES = st.one_of(
+    st.tuples(st.integers(1, 16), st.integers(1, 12),
+              _rationals_in(F(-1), F(0))),
+    st.tuples(st.integers(1, 16), st.integers(1, 12),
+              _rationals_in(F(0), F(1)) | st.just(F(0))),
+    st.tuples(st.integers(1, 4), st.integers(1, 12),
+              _rationals_in(F(1), F(3))),
+    st.tuples(st.integers(1, 16), st.integers(1, 12),
+              st.integers(2 ** 20, 2 ** 24).flatmap(_near_unit)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 16), st.integers(1, 12), Q_REGIMES)
-def test_float_series_equals_rational(N, p, q):
-    # Each P-bit value lies within 2^-200 of the exact one, unless its
-    # 2P-bit value differs from it by at least half its error, so that
-    # the doubled-precision check sees the loss; that happens only for
-    # q > 1 at small N (test_power_loses_bits_above_one).  Degree 2p <= 24
-    # bounds the cost of an example.
-    for x, x2, ref in _float_and_exact(N, p, q):
-        ref = REFERENCE.ratio(ref)
-        err = abs(ref - x)
-        assert err <= abs(ref) * REFERENCE.integer(2) ** -200 \
-            or abs(x2 - x) >= err / 2, (N, p, q)
+@given(BOUND_CASES)
+def test_float_series_equals_rational(case):
+    # each value's error bound, formed in its one P-bit run, is at least
+    # its true error against the exact value at the unrounded q
+    printed, power = _float_and_exact(*case)
+    for x, bound, ref in [*printed.values(), *power]:
+        assert abs(_fraction(x) - ref) <= _fraction(bound), case
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="F^N's recurrence cancels for q > 1 at small N, "
-                   "where d_m alternates in sign: F^1 loses about 430 "
-                   "bits at degree 24")
 def test_power_loses_bits_above_one():
-    # the float run passes the 2P check at P = 256 bits, so the precision
-    # never escalates here
-    for x, _, ref in _float_and_exact(1, 12, F(149, 50)):
+    # F^N from the q-difference identity, and J from it, keep their bits
+    # for q > 1 at small N.  Delta, S1 and S2 cancel about 100 bits more
+    # in pJ + 2 N^2/Z^2 (S1 + S2) itself; their bounds certify them
+    # (test_float_series_equals_rational)
+    printed, power = _float_and_exact(1, 12, F(149, 50))
+    for x, _, ref in [printed["J"], *power]:
         ref = REFERENCE.ratio(ref)
         assert abs(ref - x) <= abs(ref) * REFERENCE.integer(2) ** -200

@@ -8,12 +8,12 @@ from mpmath.libmp import from_man_exp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qboson.numerics import (FloatBackend, FloatVector, InputError,
-                             PrecisionError, RATIONAL, TruncSeries,
-                             escalate_precision, geometric_factor,
-                             negligible, poly_mul, rel_close,
-                             verify_at_double_precision)
-from qboson.stationary import compute_stationary, model
+from qboson.numerics import (DEFAULT_VERIFY_RTOL, FloatBackend, FloatVector,
+                             InputError, PrecisionError, RATIONAL,
+                             TruncSeries, certify, escalate_precision,
+                             geometric_factor, negligible, poly_mul)
+from qboson.stationary import (compute_stationary, model,
+                               partition_error)
 
 from test_cumulants import Q_REGIMES, _rationals_in
 from test_stationary import one_site_weights
@@ -239,25 +239,18 @@ class TestFloatBackend:
         with pytest.raises(InputError):
             FloatBackend(16)
 
-    def test_verify_at_double_precision_accepts(self):
+    def test_certify_accepts(self):
         be = FloatBackend(64)
+        values = {"x": be.ratio(1, 3), "y": be.ratio(-7, 2)}
+        errors = {key: abs(x) * be.ratio(DEFAULT_VERIFY_RTOL)
+                  for key, x in values.items()}
+        assert certify(values, errors, be) is values
 
-        def compute(b):
-            return {"x": b.ratio(1, 3) * 3}
-
-        out = verify_at_double_precision(compute, be)
-        assert rel_close(out["x"], 1, 1e-15)
-
-    def test_verify_at_double_precision_rejects(self):
+    def test_certify_rejects(self):
         be = FloatBackend(64)
-
-        def compute(b):
-            # catastrophic cancellation whose survivor depends on precision
-            big = b.integer(2) ** 70
-            return {"x": (big + 1) - big}
-
-        with pytest.raises(PrecisionError):
-            verify_at_double_precision(compute, be)
+        x = be.ratio(1, 3)
+        with pytest.raises(PrecisionError, match="'x'.* at 64 bits"):
+            certify({"x": x}, {"x": 2 * x * DEFAULT_VERIFY_RTOL}, be)
 
 
 class TestEscalatePrecision:
@@ -391,6 +384,9 @@ class TestFloatDot:
         bound = sum(map(abs, terms), F(0)) / F(2) ** (prec - 1)
         assert abs(exact(got) - want) <= bound
         assert got._mpf_[3] <= prec
+        value, scale = FloatBackend(prec).dot(*vectors, with_abs=True)
+        assert value == got
+        assert abs(exact(scale) - bound * F(2) ** (prec - 1)) <= bound
 
     def test_zero_and_empty_vectors(self):
         be = FloatBackend(256)
@@ -470,32 +466,34 @@ class TestNegligible:
             negligible("x", tiny, be.integer(0), be)
 
 
-class TestRelClose:
+class TestCertify:
     def test_tiny_values_compared_relatively(self):
-        # equal in 12 digits, different in the 13th: not equal at 1e-12
+        # near 1e-20, a bound in the 13th digit passes and one in the 12th
+        # does not
         be = FloatBackend(128)
-        a = be.ratio(F("1.000000000000e-20"))
-        b = be.ratio(F("1.000000000005e-20"))
-        assert not rel_close(a, b, 1e-12)
-        assert rel_close(a, b, 1e-11)
-
-    def test_exact_zeros_equal(self):
-        assert rel_close(0, 0, 1e-12)
-        assert rel_close(mpmath.mpf(0), mpmath.mpf(0), 0)
-
-    def test_zero_against_nonzero(self):
-        assert not rel_close(mpmath.mpf(0), mpmath.mpf("1e-300"), 1e-12)
-
-    def test_verify_rejects_tiny_value_that_moves(self):
-        be = FloatBackend(64)
-
-        def compute(b):
-            # near 1e-20; the 2P value differs in the 13th digit
-            return {"x": b.ratio(1, 10 ** 20) *
-                    (1 + b.ratio(5, 10 ** 12) * (b.prec_bits // 64))}
-
+        x = be.ratio(F("1e-20"))
+        certify({"x": x}, {"x": x * be.ratio(F("1e-13"))}, be)
         with pytest.raises(PrecisionError):
-            verify_at_double_precision(compute, be)
+            certify({"x": x}, {"x": x * be.ratio(F("1e-11"))}, be)
+
+    def test_zero_with_zero_bound_passes(self):
+        be = FloatBackend(64)
+        certify({"x": be.integer(0)}, {"x": be.integer(0)}, be)
+
+    def test_zero_with_nonzero_bound_fails(self):
+        be = FloatBackend(64)
+        with pytest.raises(PrecisionError, match="'x'"):
+            certify({"x": be.integer(0)}, {"x": be.ratio(F("1e-300"))}, be)
+
+    @pytest.mark.parametrize("exp", [-300, -20, 0, 20, 300])
+    def test_rejects_bound_past_rtol_at_any_magnitude(self, exp):
+        be = FloatBackend(128)
+        x = be.ratio(F(10) ** exp) / 3
+        rtol = be.ratio(DEFAULT_VERIFY_RTOL)
+        certify({"x": x}, {"x": x * rtol * (1 - be.ratio(1, 10 ** 6))}, be)
+        with pytest.raises(PrecisionError):
+            certify({"x": x}, {"x": x * rtol * (1 + be.ratio(1, 10 ** 6))},
+                    be)
 
 
 def test_float_series_roundtrip_matches_rational():
@@ -507,7 +505,8 @@ def test_float_series_roundtrip_matches_rational():
             want = compute_stationary(model(N, p, q), p).Zvals
             got = compute_stationary(model(N, p, q, be), p).Zvals
             for k in range(p + 1):
-                assert rel_close(got[k], be.ratio(want[k]), rtol)
+                ref = be.ratio(want[k])
+                assert abs(got[k] - ref) <= rtol * ref
 
 
 @settings(max_examples=60, deadline=None)
@@ -568,6 +567,21 @@ def test_float_power_error_bound_on_random_systems(N, p, q, prec):
     assert worst_error_ratio(N, p, q, prec) <= ERROR_CONSTANT
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 12), _rationals_in(F(1), F(4)),
+       st.sampled_from((53, 256)))
+def test_float_power_error_bound_above_one(N, p, q, prec):
+    # for q > 1, F^N from the q-difference identity is within
+    # (k^2 + 4k) 2^-P of F^N at the same, rounded q, computed exactly;
+    # degree 2p - 1 <= 23 bounds an example's cost
+    m = model(N, p, q, FloatBackend(prec))
+    got = compute_stationary(m, 2 * p - 1).Zvals
+    want = compute_stationary(model(N, p, exact(m.q)), 2 * p - 1).Zvals
+    for k, (z, ref) in enumerate(zip(got, want)):
+        rounding, _ = partition_error(m, k)
+        assert abs(exact(z) - ref) <= rounding * ref / F(2) ** prec
+
+
 @pytest.mark.parametrize("q", [F(1, 2), F(-1, 2), F(3, 2), F(99, 100)])
 @pytest.mark.parametrize("N,p", [(1, 3), (5, 4), (12, 9), (32, 28)])
 def test_power_satisfies_q_difference_identity(q, N, p):
@@ -580,13 +594,13 @@ def test_power_satisfies_q_difference_identity(q, N, p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 10),
-       st.fractions(min_value=F(1), max_value=F(4),
-                    max_denominator=50).filter(lambda q: q > 1))
+@given(st.integers(1, 12), st.integers(1, 10), Q_BELOW_ONE)
 def test_power_coefficients_satisfy_q_difference_recurrence(N, p, q):
-    # for q > 1, coefficient k of G(qz) = (1 + (q-1) z)^N G(z) reads
-    # g_k (q^k - 1) = sum_{j=1..min(N,k)} C(N, j) (q-1)^j g_{k-j}, a sum of
-    # positive terms, so a recurrence for F^N that cannot cancel
+    # coefficient k of G(qz) = (1 + (q-1) z)^N G(z) reads
+    # g_k (q^k - 1) = sum_{j=1..min(N,k)} C(N, j) (q-1)^j g_{k-j}; for
+    # -1 < q < 1 F^N is built from z (ln F)', so this is a second route.
+    # For q > 1 F^N is built from this identity, which would then be
+    # tested against itself
     g = compute_stationary(model(N, p, q), 2 * p).Zvals
     assert g[0] == 1
     for k in range(1, len(g)):
