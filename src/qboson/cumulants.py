@@ -2,24 +2,52 @@
 
 Delta = pJ + (2 N^2 / Z(N,p)^2) (S1 + S2), where with C_a = Z(N, a) the
 a-th coefficient of F^N, phi_b the phi-series coefficients, r the geometric
-ratio (|r| < 1), and A_k = sum_{a+b=p-1-k} C_a phi_b:
+ratio (|r| < 1), g(a) = r^a / (1 - r^a), m = p-1-k and
+A_k = sum_{a+b=m} C_a phi_b:
 
     S1 = sum_{k=0}^{p-1} Z(N, p+k) A_k
 
-    S2 = sum_{k=0}^{p-1} Z(N, p+k) [ sum_{b=0}^{p-1-k} C_{p-1-k-b} phi_b
-                                      * r^{k+1+b} / (1 - r^{k+1+b})
-                                    + (k >= 1) A_k * r^k / (1 - r^k) ]
+    S2 = sum_{k=0}^{p-1} Z(N, p+k) [ sum_{b=0}^{m} C_{m-b} phi_b g(k+1+b)
+                                    + (k >= 1) A_k g(k) ]
 
 S2 is the closed-form geometric resummation of an infinite sum of kernel
 contributions indexed by i >= 1; the tests keep the term-by-term i-sum, with
-its geometric tail bound, as a reference.  The i-independent k = 0 branch
-carries the coefficient A_0, which vanishes identically because
+its geometric tail bound, as a reference.
+
+Both sums over b are summed in closed form too, from the product form of
+F, so after F^N the resummation costs O(p).  phi_b = (J/p) d_(b+1) - [b = 0]
+with d the coefficients of z (ln F)', and for q != 1
+
+    d_(b+1) = s c^(b+1) / (1 - r^(b+1)),
+
+with r = q, c = 1 - q, s = 1 for -1 < q < 1 and r = 1/q, c = r - 1,
+s = -1 for q > 1.  Then:
+
+* X_m = sum_b C_{m-b} d_(b+1) = (m + 1) C_(m+1) / N, which is z G' =
+  N z (ln F)' G at z^(m+1) for G = F^N; so A_k = (J/p) X_m - C_m.
+* With H_m = c H_(m-1) + C_m (H_(-1) = 0) and
+  V_k = c (V_(k+1) + C_m g(k+1)) (V_p = 0), for k >= 1
+
+      sum_b C_{m-b} d_(b+1) g(k+1+b) = s g(k) (s X_m - c H_m - V_k),
+
+  by 1/((1 - x)(1 - xy)) = [1/(1 - x) - y/(1 - xy)] / (1 - y) at
+  x = r^(b+1), y = r^k.  So the bracket of S2 is, for k >= 1,
+  g(k) [(J/p) (X_m - s (c H_m + V_k)) + A_k] - C_m g(k+1).
+
+At k = 0, y = 1 and g(0) diverges, so the bracket of S2 stays one dot of
+length p, and so does A_0, which the identity for X would make zero by
+construction.  A_0 is kept as a check: the i-independent k = 0 branch
+carries it, and it vanishes identically because
 
     A_0 = [y^{p-1}] (F^N phi) = (J/N) Z(N,p) - Z(N,p-1) = 0
 
-by the definition of J.  On the rational backend A_0 = 0 is asserted
-exactly; on the float backend |A_0| must be negligible against the size of
-the cancelling terms, otherwise the computation aborts.
+by the definition of J.  For q <= 1, where F^N is built from d
+(``stationary.compute_stationary``), the check is a consequence of F^N's
+own recurrence; for q > 1, where F^N comes from the q-difference identity,
+it checks the product-form d against that Z.  On the rational backend
+A_0 = 0 is asserted exactly; on the float backend |A_0| must be negligible
+against the size of the cancelling terms, otherwise the computation
+aborts.
 
 On the float backend every value carries a bound on its error, formed in
 the same run: gamma times its absolute-value shadow, the same expression
@@ -72,27 +100,33 @@ def error_unit(params: ModelParams):
     times its absolute-value shadow of its value at the q the request
     stands for, and so do J/N, Delta/N^2 and the per-particle values.
 
-    With u = 2^-P, e = params.q_error and kappa = q_amplification (the
+    With u = 2^-P, e = params.q_error, kappa = q_amplification (the
     factor by which 1 - q, 1 - q^m and 1 - r^a amplify a relative error of
-    q or of r^a), to first order:
+    q or of r^a) and e' = e + [q > 1] (r = 1/q adds one rounding), to
+    first order, relative to each shadow and in units of u:
 
-    * input errors: q is within e u, and for q > 1 r = 1/q within (e + 1) u.
-      They move Z(N, k), k < 2p, by Z_in (``partition_error``), each d_m,
-      m <= p, by at most (p + 1) kappa e u, and each
-      r^a/(1 - r^a), a <= p, by (a + kappa) times r's error, since
-      a/|1 - r^a| <= a + kappa; r^a, rounded within 2u, moves 1 - r^a by
-      at most kappa u more.  So
-      input = 6 Z_in + (p + 1) kappa e + (p + kappa) (e + [q > 1]) + kappa;
+    * input errors: they move Z(N, k), k < 2p, by Z_in
+      (``partition_error``), each d_m, m <= p, by at most (p + 1) kappa e,
+      c by kappa e' and so each c^j, j < p, by (p - 1) kappa e', and each
+      g(a), a <= p, by (a + kappa) e', since a/|1 - r^a| <= a + kappa;
+      r^a, rounded within 2u, moves 1 - r^a by at most kappa u more.  A
+      k >= 1 bracket of S2 holds c^j and two g's (g(k), and g(k+1..p) in
+      V_k); the k = 0 bracket holds d and one g.  So
+      input = 6 Z_in + (p + 1) kappa e' + 2 (p + kappa) e' + 2 kappa;
       it is 0 at q = 1, which is exact.
-    * roundings along the path, relative to each shadow: Z(N, k) within
-      Z_r (``partition_error``), J = N Z(N, p-1)/Z(N, p) within 2 Z_r + 2,
-      d_m within 4p, phi_b = (J/p) d_(b+1) - [b = 0] within
-      2 Z_r + 4p + 5, r^a/(1 - r^a) within 4 (two roundings with the
-      pow's).  A dot adds 2 (FloatBackend.dot), and one more rounding 1:
-      A_k within 3 Z_r + 4p + 7, the inner sums within 3 Z_r + 4p + 13,
-      S1 and S2 within 4 Z_r + 4p + 15 and Delta within 6 Z_r + 4p + 20;
-      J/N and the per-particle values add at most 5 roundings more.  So
-      rounding = 6 Z_r + 4p + 25.
+    * roundings along the path: Z(N, k) within Z_r (``partition_error``),
+      J = N Z(N, p-1)/Z(N, p) within 2 Z_r + 2, J/p within 2 Z_r + 3,
+      X_m within Z_r + 2, A_k (k >= 1) within 3 Z_r + 7, c within 1,
+      r^a/(1 - r^a) within 4 (two roundings with the pow's).  Each step
+      of H and V adds c's 1 and 2 more (a product and a sum) to its
+      terms, and V_k's terms start within Z_r + 5; over at most p - 1
+      steps the k >= 1 bracket is within 3 Z_r + 3p + 15.  d_m is within 4p and
+      phi_b = (J/p) d_(b+1) - [b = 0] within 2 Z_r + 4p + 5, and a dot
+      adds 2 (FloatBackend.dot), so the k = 0 dots put A_0 within
+      3 Z_r + 4p + 7 and its bracket within 3 Z_r + 4p + 13, the larger
+      bracket for p >= 2.  Then S1 and S2 within 4 Z_r + 4p + 15 and
+      Delta within 6 Z_r + 4p + 20; J/N and the per-particle values add
+      at most 5 roundings more.  So rounding = 6 Z_r + 4p + 25.
 
     gamma = 2 (input + rounding) u: the factor 2 covers the higher-order
     terms, which are below gamma^2 times a shadow, while a bound that
@@ -104,9 +138,10 @@ def error_unit(params: ModelParams):
     if q == 1:
         scale = rounding
     else:
-        kappa, e = q_amplification(params), backend.ratio(params.q_error)
+        kappa = q_amplification(params)
+        e = backend.ratio(params.q_error) + int(q > 1)
         scale = (rounding + 6 * z_input + (p + 1) * kappa * e
-                 + (p + kappa) * (e + int(q > 1)) + kappa)
+                 + 2 * (p + kappa) * e + 2 * kappa)
     return 2 * scale * backend.integer(2) ** -backend.prec_bits
 
 
@@ -120,13 +155,19 @@ def _bounded(params: ModelParams, shadows: dict, **values) -> DeltaResult:
                                          for key, shadow in shadows.items()})
 
 
-def _a_coefficients(p: int, C, phi: TruncSeries, backend: Backend) -> tuple:
-    """(A, scales): A_k = sum_{a+b=p-1-k} C_a phi_b for k = 0..p-1, and
-    the sum of the |C_a phi_b| of each (None on the rational backend)."""
-    C, phi = backend.vector(C[:p]), backend.vector(phi.coeffs)
-    pairs = [backend.dot(C[p - 1 - k::-1], phi[:p - k], with_abs=True)
-             for k in range(p)]
-    return [a for a, _ in pairs], [s for _, s in pairs]
+def _k0_sums(p: int, C, phi: TruncSeries, gf, backend: Backend) -> tuple:
+    """(A_0, its shadow, bracket_0, its shadow): A_0 = sum_b C_(p-1-b) phi_b
+    and S2's k = 0 bracket sum_b C_(p-1-b) phi_b g(b+1), one dot each.
+    The shadows are None on the rational backend."""
+    Cv, phiv = backend.vector(C[p - 1::-1]), backend.vector(phi.coeffs)
+    a0, a0_abs = backend.dot(Cv, phiv, with_abs=True)
+    b0, b0_abs = backend.dot(Cv, phiv, gf, with_abs=True)
+    if not backend.exact:
+        # phi_0's shadow (J/p) d_1 + 1 in place of the |phi_0| the dots hold
+        phi0 = phi.coeff(0)
+        excess = (abs(phi0 + 1) + 1 - abs(phi0)) * C[p - 1]
+        a0_abs, b0_abs = a0_abs + excess, b0_abs + excess * abs(gf[0])
+    return a0, a0_abs, b0, b0_abs
 
 
 def _check_a0(a0, scale, backend: Backend):
@@ -139,14 +180,23 @@ def _check_a0(a0, scale, backend: Backend):
 
 
 def delta_exact_resummed(params: ModelParams) -> DeltaResult:
-    """Exact Delta with the i-sum resummed in closed form per (k, b).
+    """Exact Delta with the i-sum resummed in closed form per (k, b), and
+    the sums over b in closed form for k >= 1 (module docstring): after
+    F^N to degree 2p - 1, A_k = (J/p) X_m - C_m with
+    X_m = (m + 1) C_(m+1)/N, and S2's bracket
+    g(k) [(J/p) (X_m - s (c H_m + V_k)) + A_k] - C_m g(k+1), with H run
+    forward and V backward, both in the one loop over k = p-1..1.  Only
+    k = 0 takes two dots of length p: A_0, which is checked to vanish, and
+    its bracket.
 
     On the float backend the shadows are: Z, J and pJ themselves (sums
-    of positive terms); |phi_b| for b >= 1 and (J/p) d_1 + 1 for phi_0;
-    for A_k and the inner sums the sums of |products| from their dots,
-    with phi_0's shadow in place of |phi_0|; S1 and S2 the dots of Z
-    with those; and pJ + (2 N^2 / Z^2) times the sum of S1's and S2's for
-    Delta.
+    of positive terms); for A_0 and the k = 0 bracket the sums of
+    |products| from their dots, with (J/p) d_1 + 1 in place of |phi_0|;
+    (J/p) X_m + C_m for A_k, k >= 1; H and V run with |c| and |g| in
+    place of c and g, and the k >= 1 bracket's shadow is
+    |g(k)| [(J/p) (X_m + |c| H_m + V_k) + shadow(A_k)] + C_m |g(k+1)|;
+    S1 and S2 the dots of Z with those; and pJ + (2 N^2 / Z^2) times the
+    sum of S1's and S2's for Delta.
     """
     backend = params.backend
     p, N = params.p, params.N
@@ -160,40 +210,47 @@ def delta_exact_resummed(params: ModelParams) -> DeltaResult:
                                  for key, val in values.items()}, **values)
     # S1 and S2 read Z(N, 0..2p-1)
     stat = compute_stationary(params, 2 * p - 1)
-    Z = stat.Zvals
-    phi = phi_coefficients(params, stat.J, p - 1)
-    A, A_abs = _a_coefficients(p, Z, phi, backend)
-    if not backend.exact:
-        # phi_0's shadow minus |phi_0|, which the sums of |products| hold
-        phi0 = phi.coeff(0)
-        excess = abs(phi0 + 1) + 1 - abs(phi0)
-        A_abs = [s + abs(c) * excess for s, c in zip(A_abs, Z[p - 1::-1])]
-    _check_a0(A[0], A_abs[0], backend)
-    # gf[a - 1] = r^a / (1 - r^a) for a = 1..p
-    r = backend.integer(1) / q if q > 1 else q
+    Z, J = stat.Zvals, stat.J
+    phi = phi_coefficients(params, J, p - 1)
+    # d_(b+1) = s c^(b+1) / (1 - r^(b+1)), |r| < 1
+    if q > 1:
+        r = backend.integer(1) / q
+        c, s = r - 1, -1
+    else:
+        r, c, s = q, 1 - q, 1
+    # gf[a - 1] = g(a) = r^a / (1 - r^a) for a = 1..p
     gf = [geometric_factor(r, a) for a in range(1, p + 1)]
-    C, phiv, gfv = map(backend.vector, (Z[:p], phi.coeffs, gf))
-    inner, inner_abs = map(list, zip(*[
-        backend.dot(C[p - 1 - k::-1], phiv[:p - k], gfv[k:], with_abs=True)
-        for k in range(p)]))
+    A0, A0_abs, bracket0, bracket0_abs = _k0_sums(p, Z, phi, gf, backend)
+    _check_a0(A0, A0_abs, backend)
     # A_0 = 0 carries the divergent i-independent branch; it is dropped
-    for k in range(1, p):
-        inner[k] = inner[k] + A[k] * gf[k - 1]
-    sign = -1 if q > 1 else 1
-    S1 = sign * backend.dot(Z[p:2 * p], A)
-    S2 = sign * backend.dot(Z[p:2 * p], inner)
-    pJ = p * stat.J
+    ratio = J / p
+    A, bracket = [A0] * p, [bracket0] * p
+    if not backend.exact:
+        A_abs, bracket_abs = [A0_abs] * p, [bracket0_abs] * p
+        ac, H_abs, V_abs = abs(c), 0, 0
+    H = V = 0
+    for k in range(p - 1, 0, -1):
+        m = p - 1 - k
+        X, t = (m + 1) * Z[m + 1] / N, Z[m] * gf[k]
+        H, V = c * H + Z[m], c * (V + t)
+        A[k] = ratio * X - Z[m]
+        bracket[k] = gf[k - 1] * (ratio * (X - s * (c * H + V)) + A[k]) - t
+        if not backend.exact:
+            t_abs = abs(t)
+            H_abs, V_abs = ac * H_abs + Z[m], ac * (V_abs + t_abs)
+            A_abs[k] = ratio * X + Z[m]
+            bracket_abs[k] = abs(gf[k - 1]) * (
+                ratio * (X + ac * H_abs + V_abs) + A_abs[k]) + t_abs
+    S1 = s * backend.dot(Z[p:2 * p], A)
+    S2 = s * backend.dot(Z[p:2 * p], bracket)
+    pJ = p * J
     scale = 2 * backend.integer(N) ** 2 / Z[p] ** 2
     Delta = pJ + scale * (S1 + S2)
-    values = dict(Delta=Delta, J=stat.J, Z=Z[p], pJ=pJ, S1=S1, S2=S2)
+    values = dict(Delta=Delta, J=J, Z=Z[p], pJ=pJ, S1=S1, S2=S2)
     if backend.exact:
         return DeltaResult(**values)
-    inner_abs = [s + abs(c) * excess * abs(g)
-                 for s, c, g in zip(inner_abs, Z[p - 1::-1], gf)]
-    for k in range(1, p):
-        inner_abs[k] = inner_abs[k] + A_abs[k] * abs(gf[k - 1])
     S1_abs = backend.dot(Z[p:2 * p], A_abs)
-    S2_abs = backend.dot(Z[p:2 * p], inner_abs)
+    S2_abs = backend.dot(Z[p:2 * p], bracket_abs)
     return _bounded(params, dict(
-        Delta=pJ + scale * (S1_abs + S2_abs), J=stat.J, Z=Z[p], pJ=pJ,
+        Delta=pJ + scale * (S1_abs + S2_abs), J=J, Z=Z[p], pJ=pJ,
         S1=S1_abs, S2=S2_abs), **values)

@@ -250,13 +250,13 @@ class TestExact:
     def test_nonzero_a0_exits_4(self, capsys, monkeypatch):
         # A_0 = 0 is an identity; a rational A_0 off by 1 is a failed
         # construction, reported as exit 4 and not as a traceback
-        coefficients = cumulants._a_coefficients
+        k0_sums = cumulants._k0_sums
 
         def corrupted(*args):
-            A, scales = coefficients(*args)
-            return [A[0] + 1] + A[1:], scales
+            a0, *rest = k0_sums(*args)
+            return a0 + 1, *rest
 
-        monkeypatch.setattr(cumulants, "_a_coefficients", corrupted)
+        monkeypatch.setattr(cumulants, "_k0_sums", corrupted)
         code = main(["exact", "--n", "4", "--p", "3", "--q", "1/2"])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
@@ -883,6 +883,43 @@ def test_float_outputs_ignore_mpmath_global_precision():
             assert corpus_entry(argv) == entry, argv
 
 
+def corpus_entries(text: str) -> dict:
+    """Each request's stdout by its "$" line."""
+    return dict(entry.split("\n", 1)
+                for entry in re.split(r"(?m)^(?=\$ )", text)[1:])
+
+
+def moved_keys(old: str, new: str) -> list:
+    """What differs between two stdouts of one request: the dotted keys of
+    a JSON document whose values differ, or else the 1-based numbers of
+    the lines that differ (a sweep's CSV rows, header line 1)."""
+    try:
+        docs = json.loads(old), json.loads(new)
+    except ValueError:
+        lines = [text.splitlines() for text in (old, new)]
+        return [f"line {i}" for i, pair in enumerate(
+            itertools.zip_longest(*lines), 1) if pair[0] != pair[1]]
+
+    def flat(doc, prefix=""):
+        if not isinstance(doc, dict):
+            return {prefix[:-1]: doc}
+        return {key: val for name, sub in doc.items()
+                for key, val in flat(sub, f"{prefix}{name}.").items()}
+
+    old_flat, new_flat = map(flat, docs)
+    return sorted(key for key in old_flat.keys() | new_flat.keys()
+                  if old_flat.get(key) != new_flat.get(key))
+
+
 if __name__ == "__main__":
-    CORPUS.write_bytes(corpus_text(
-        corpus_requests(CORPUS.read_bytes().decode())).encode())
+    # rewrite the corpus, and print each request whose stdout moved with
+    # what moved in it
+    before = CORPUS.read_bytes().decode()
+    after = corpus_text(corpus_requests(before))
+    CORPUS.write_bytes(after.encode())
+    old = corpus_entries(before)
+    for line, out in corpus_entries(after).items():
+        if line not in old:
+            print(f"{line}\n    new request")
+        elif out != old[line]:
+            print(f"{line}\n    {', '.join(moved_keys(old[line], out))}")

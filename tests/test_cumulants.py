@@ -3,7 +3,7 @@ from functools import partial
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qboson import cumulants
@@ -60,6 +60,31 @@ def delta_truncated(params, i_max):
     return SimpleNamespace(Delta=pJ + prefactor * (S1 + S2), Z=Z[p], pJ=pJ,
                            S1=S1, S2=S2, prefactor=prefactor,
                            tail_bound=tail)
+
+
+def delta_dot_resummation(params):
+    """(S1, S2, Delta) with every sum over b taken term by term.
+
+    A reference for the O(p) identities of ``cumulants``: A_k and S2's
+    bracket as the module docstring writes them, each a sum of p - k
+    products, O(p^2) in all.  Rational backend, q != 1.
+    """
+    p, N, q = params.p, params.N, params.q
+    r = 1 / q if q > 1 else q
+    stat = compute_stationary(params, 2 * p - 1)
+    Z = stat.Zvals
+    phi = phi_coefficients(params, stat.J, p - 1).coeffs
+    # g[a] = r^a / (1 - r^a), a = 1..p
+    g = [None] + [geometric_factor(r, a) for a in range(1, p + 1)]
+    A = [sum(Z[p - 1 - k - b] * phi[b] for b in range(p - k))
+         for k in range(p)]
+    inner = [sum(Z[p - 1 - k - b] * phi[b] * g[k + 1 + b]
+                 for b in range(p - k)) + (A[k] * g[k] if k else 0)
+             for k in range(p)]
+    sign = -1 if q > 1 else 1
+    S1 = sign * sum(Z[p + k] * A[k] for k in range(p))
+    S2 = sign * sum(Z[p + k] * inner[k] for k in range(p))
+    return S1, S2, p * stat.J + 2 * N ** 2 / Z[p] ** 2 * (S1 + S2)
 
 
 def delta_fss(params):
@@ -241,16 +266,16 @@ class TestFloatBackend:
     def test_a0_guard_fires_on_garbage_precision(self):
         # the guard compares |A_0| against the cancelling-term scale; feeding
         # an inconsistent J through the internal helpers must trip it
-        from qboson.cumulants import _a_coefficients, _check_a0
+        from qboson.cumulants import _check_a0, _k0_sums
         from qboson.numerics import PrecisionError
-        from qboson.stationary import compute_stationary, phi_coefficients
         be = FloatBackend(64)
         m = model(3, 3, F(1, 2), be)
         stat = compute_stationary(m, 3)
         bad_phi = phi_coefficients(m, stat.J * (1 + be.ratio(1, 1000)), 2)
-        A, scales = _a_coefficients(3, stat.Zvals, bad_phi, be)
+        gf = [geometric_factor(m.q, a) for a in (1, 2, 3)]
+        a0, scale, _, _ = _k0_sums(3, stat.Zvals, bad_phi, gf, be)
         with pytest.raises(PrecisionError):
-            _check_a0(A[0], scales[0], be)
+            _check_a0(a0, scale, be)
 
 
 def _rationals_in(lo, hi):
@@ -265,6 +290,25 @@ Q_REGIMES = st.one_of(
     st.builds(lambda sign, d: 1 + sign * F(1, d), st.sampled_from((-1, 1)),
               st.integers(101, 10_000)))
 
+
+
+# (N, p, q) with q in (-1, 0), in [0, 1) and in (1, 4), and p > N in
+# about half the examples
+LINEAR_CASES = st.tuples(
+    st.integers(1, 6), st.integers(1, 12),
+    st.one_of(_rationals_in(F(-1), F(0)),
+              _rationals_in(F(0), F(1)) | st.just(F(0)),
+              _rationals_in(F(1), F(4))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(LINEAR_CASES)
+@example((2, 7, F(-3, 7))).via("p > N at q < 0")
+@example((3, 5, F(3, 2))).via("p > N at q > 1")
+def test_linear_resummation_equals_dot_sums(case):
+    # the O(p) identities of cumulants give the O(p^2) sums exactly
+    res = delta_exact_resummed(model(*case))
+    assert (res.S1, res.S2, res.Delta) == delta_dot_resummation(model(*case))
 
 # exact references rounded to 1024 bits, far past any P-bit error tested
 REFERENCE = FloatBackend(1024)
