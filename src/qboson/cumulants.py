@@ -51,7 +51,8 @@ aborts.
 
 On the float backend every value carries a bound on its error, formed in
 the same run: gamma times its absolute-value shadow, the same expression
-with every term in absolute value (see ``error_unit``).
+with every term in absolute value (see ``error_unit``), which the code
+that forms the value computes from absolute inputs.
 
 Regime handling: for |q| < 1 the sums enter with a plus sign; for q > 1
 the perturbative construction iterates the underlying q-difference
@@ -68,10 +69,10 @@ Delta = pJ; only J is computed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .numerics import (Backend, SolverError, TruncSeries, geometric_factor,
-                       negligible)
+from .numerics import SolverError, geometric_factor, negligible
 from .stationary import (ModelParams, compute_stationary, partition_error,
                          phi_coefficients, q_amplification)
 
@@ -130,7 +131,12 @@ def error_unit(params: ModelParams):
 
     gamma = 2 (input + rounding) u: the factor 2 covers the higher-order
     terms, which are below gamma^2 times a shadow, while a bound that
-    certify accepts has gamma <= DEFAULT_VERIFY_RTOL.  Float backend only.
+    certify accepts has gamma <= DEFAULT_VERIFY_RTOL.  It also covers the
+    shadows' own rounding: each is the value code run on absolute values
+    (``_sums``), the k = 0 dots among it rounded to nearest, not upwards,
+    so a shadow may fall short of its exact sum of absolute values by
+    (rounding) u of itself, which adds below gamma^2 to gamma.  Float
+    backend only.
     """
     backend, p, q = params.backend, params.p, params.q
     z_rounding, z_input = partition_error(params, 2 * p - 1)
@@ -155,48 +161,45 @@ def _bounded(params: ModelParams, shadows: dict, **values) -> DeltaResult:
                                          for key, shadow in shadows.items()})
 
 
-def _k0_sums(p: int, C, phi: TruncSeries, gf, backend: Backend) -> tuple:
-    """(A_0, its shadow, bracket_0, its shadow): A_0 = sum_b C_(p-1-b) phi_b
-    and S2's k = 0 bracket sum_b C_(p-1-b) phi_b g(b+1), one dot each.
-    The shadows are None on the rational backend."""
-    Cv, phiv = backend.vector(C[p - 1::-1]), backend.vector(phi.coeffs)
-    a0, a0_abs = backend.dot(Cv, phiv, with_abs=True)
-    b0, b0_abs = backend.dot(Cv, phiv, gf, with_abs=True)
-    if not backend.exact:
-        # phi_0's shadow (J/p) d_1 + 1 in place of the |phi_0| the dots hold
-        phi0 = phi.coeff(0)
-        excess = (abs(phi0 + 1) + 1 - abs(phi0)) * C[p - 1]
-        a0_abs, b0_abs = a0_abs + excess, b0_abs + excess * abs(gf[0])
-    return a0, a0_abs, b0, b0_abs
+def _sums(params: ModelParams, Z, ratio, phi, c, s, g, sign) -> tuple:
+    """(A_0, S1, S2) from Z = Z(N, 0..2p-1), ratio = J/p, phi_0..phi_(p-1),
+    c, s and g (g[a - 1] = g(a), a = 1..p), with sign = -1.
 
-
-def _check_a0(a0, scale, backend: Backend):
-    """A_0 vanishes identically; enforce before dropping its divergent
-    branch.  scale, A_0's shadow, is read on the float backend only."""
-    if not negligible("A_0", a0, scale, backend):
-        raise SolverError(
-            f"internal identity violated: A_0 = {a0} != 0 on the "
-            "rational backend")
+    A_0 and S2's k = 0 bracket are one dot each, and the k >= 1 terms run
+    in the one loop over k = p-1..1 (module docstring): H forward, V
+    backward, A_k = (J/p) X_m - C_m and the bracket
+    g(k) [(J/p) (X_m - s (c H_m + V_k)) + A_k] - C_m g(k+1).  With sign +1
+    and absolute inputs, every minus becomes a plus: the result is then
+    the absolute-value shadow of each of the three.
+    """
+    backend, N, p = params.backend, params.N, params.p
+    minus = operator.sub if sign < 0 else operator.add
+    # X_m - s (c H_m + V_k) as one subtraction or addition: s = +-1
+    minus_s = operator.sub if sign * s < 0 else operator.add
+    C, phi = backend.vector(Z[p - 1::-1]), backend.vector(phi)
+    A0 = backend.dot(C, phi)
+    A, bracket = [A0] * p, [backend.dot(C, phi, g)] * p
+    H = V = 0
+    for k in range(p - 1, 0, -1):
+        m = p - 1 - k
+        X, t = (m + 1) * Z[m + 1] / N, Z[m] * g[k]
+        H, V = c * H + Z[m], c * (V + t)
+        A[k] = minus(ratio * X, Z[m])
+        bracket[k] = minus(
+            g[k - 1] * (ratio * minus_s(X, c * H + V) + A[k]), t)
+    return (A0, s * backend.dot(Z[p:2 * p], A),
+            s * backend.dot(Z[p:2 * p], bracket))
 
 
 def delta_exact_resummed(params: ModelParams) -> DeltaResult:
     """Exact Delta with the i-sum resummed in closed form per (k, b), and
-    the sums over b in closed form for k >= 1 (module docstring): after
-    F^N to degree 2p - 1, A_k = (J/p) X_m - C_m with
-    X_m = (m + 1) C_(m+1)/N, and S2's bracket
-    g(k) [(J/p) (X_m - s (c H_m + V_k)) + A_k] - C_m g(k+1), with H run
-    forward and V backward, both in the one loop over k = p-1..1.  Only
-    k = 0 takes two dots of length p: A_0, which is checked to vanish, and
-    its bracket.
+    the sums over b in closed form (module docstring), from F^N to degree
+    2p - 1 in O(p) (``_sums``).  A_0 is checked to vanish.
 
-    On the float backend the shadows are: Z, J and pJ themselves (sums
-    of positive terms); for A_0 and the k = 0 bracket the sums of
-    |products| from their dots, with (J/p) d_1 + 1 in place of |phi_0|;
-    (J/p) X_m + C_m for A_k, k >= 1; H and V run with |c| and |g| in
-    place of c and g, and the k >= 1 bracket's shadow is
-    |g(k)| [(J/p) (X_m + |c| H_m + V_k) + shadow(A_k)] + C_m |g(k+1)|;
-    S1 and S2 the dots of Z with those; and pJ + (2 N^2 / Z^2) times the
-    sum of S1's and S2's for Delta.
+    On the float backend the shadows of Z, J and pJ are those values
+    (sums of positive terms); A_0's, S1's and S2's are the same helper on
+    absolute inputs, and Delta's is pJ + (2 N^2 / Z^2) times the sum of
+    S1's and S2's.
     """
     backend = params.backend
     p, N = params.p, params.N
@@ -220,37 +223,23 @@ def delta_exact_resummed(params: ModelParams) -> DeltaResult:
         r, c, s = q, 1 - q, 1
     # gf[a - 1] = g(a) = r^a / (1 - r^a) for a = 1..p
     gf = [geometric_factor(r, a) for a in range(1, p + 1)]
-    A0, A0_abs, bracket0, bracket0_abs = _k0_sums(p, Z, phi, gf, backend)
-    _check_a0(A0, A0_abs, backend)
-    # A_0 = 0 carries the divergent i-independent branch; it is dropped
-    ratio = J / p
-    A, bracket = [A0] * p, [bracket0] * p
-    if not backend.exact:
-        A_abs, bracket_abs = [A0_abs] * p, [bracket0_abs] * p
-        ac, H_abs, V_abs = abs(c), 0, 0
-    H = V = 0
-    for k in range(p - 1, 0, -1):
-        m = p - 1 - k
-        X, t = (m + 1) * Z[m + 1] / N, Z[m] * gf[k]
-        H, V = c * H + Z[m], c * (V + t)
-        A[k] = ratio * X - Z[m]
-        bracket[k] = gf[k - 1] * (ratio * (X - s * (c * H + V)) + A[k]) - t
-        if not backend.exact:
-            t_abs = abs(t)
-            H_abs, V_abs = ac * H_abs + Z[m], ac * (V_abs + t_abs)
-            A_abs[k] = ratio * X + Z[m]
-            bracket_abs[k] = abs(gf[k - 1]) * (
-                ratio * (X + ac * H_abs + V_abs) + A_abs[k]) + t_abs
-    S1 = s * backend.dot(Z[p:2 * p], A)
-    S2 = s * backend.dot(Z[p:2 * p], bracket)
-    pJ = p * J
+    ratio, pJ = J / p, p * J
     scale = 2 * backend.integer(N) ** 2 / Z[p] ** 2
-    Delta = pJ + scale * (S1 + S2)
-    values = dict(Delta=Delta, J=J, Z=Z[p], pJ=pJ, S1=S1, S2=S2)
-    if backend.exact:
-        return DeltaResult(**values)
-    S1_abs = backend.dot(Z[p:2 * p], A_abs)
-    S2_abs = backend.dot(Z[p:2 * p], bracket_abs)
-    return _bounded(params, dict(
-        Delta=pJ + scale * (S1_abs + S2_abs), J=J, Z=Z[p], pJ=pJ,
-        S1=S1_abs, S2=S2_abs), **values)
+
+    def breakdown(S1, S2) -> dict:
+        return dict(Delta=pJ + scale * (S1 + S2), J=J, Z=Z[p], pJ=pJ, S1=S1,
+                    S2=S2)
+
+    A0, *sums = _sums(params, Z, ratio, phi.coeffs, c, s, gf, -1)
+    A0_abs = shadows = None
+    if not backend.exact:
+        # phi_0 = (J/p) d_1 - 1 enters the shadow as (J/p) |d_1| + 1
+        phi_abs = [abs(phi.coeff(0) + 1) + 1, *map(abs, phi.coeffs[1:])]
+        A0_abs, *shadows = _sums(params, Z, ratio, phi_abs, abs(c), 1,
+                                 [abs(x) for x in gf], 1)
+        shadows = breakdown(*shadows)
+    # A_0 = 0 carries the divergent i-independent branch, which is dropped
+    if not negligible("A_0", A0, A0_abs, backend):
+        raise SolverError(f"internal identity violated: A_0 = {A0} != 0 on "
+                          "the rational backend")
+    return _bounded(params, shadows, **breakdown(*sums))

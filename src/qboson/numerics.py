@@ -79,19 +79,17 @@ class RationalBackend:
         """entries as a new list; Fractions need no decoding."""
         return list(entries)
 
-    def dot(self, *vectors, with_abs=False):
+    def dot(self, *vectors) -> Fraction:
         """sum_i prod_v vectors[v][i] over vectors of equal length.
 
         Each product is taken left to right and the sum runs in index
         order from zero, so the Fraction operations are those of the
-        written-out loop.  with_abs returns (sum, None): an exact sum has
-        no rounding error for a sum of |products| to scale.
+        written-out loop.
         """
         terms = vectors[0]
         for v in vectors[1:]:
             terms = map(operator.mul, terms, v)
-        total = sum(terms, Fraction(0))
-        return (total, None) if with_abs else total
+        return sum(terms, Fraction(0))
 
     def __repr__(self):
         return "RationalBackend()"
@@ -182,7 +180,7 @@ class FloatBackend:
         """entries, decoded once for dot."""
         return FloatVector(entries)
 
-    def dot(self, *vectors, with_abs=False):
+    def dot(self, *vectors) -> mpmath.mpf:
         """sum_i prod_v vectors[v][i], rounded once to prec_bits.
 
         Each vector is a FloatVector, or a sequence of mpf and ints, which
@@ -195,11 +193,10 @@ class FloatBackend:
         (a product whose exponent lies above it is shifted left exactly),
         and the sum of those ints is rounded to nearest once.  Flooring
         costs at most 2^-(prec_bits+31) of the largest product, so the
-        result is within 2^-(prec_bits-1) of the sum of |products|.
-        with_abs returns (result, sum of |products|), the second summed
-        from the same shifted ints and rounded upwards.  An infinite or
-        NaN entry raises PrecisionError.  mpmath's global precision is not
-        read.
+        result is within 2^-(prec_bits-1) of the sum of |products|, which
+        a caller forms as the dot of the entries' absolute values.  An
+        infinite or NaN entry raises PrecisionError.  mpmath's global
+        precision is not read.
         """
         # each product's mantissa and exponent
         mans = exps = None
@@ -215,17 +212,13 @@ class FloatBackend:
         exps = list(compress(exps, mans))
         mans = list(filter(None, mans))
         if not mans:
-            return (self.ctx.zero,) * 2 if with_abs else self.ctx.zero
+            return self.ctx.zero
         top = max(map(operator.add, map(int.bit_length, mans), exps))
         floor = top - self.prec_bits - 32 - len(mans).bit_length()
         terms = [m << (e - floor) if e >= floor else m >> (floor - e)
                  for m, e in zip(mans, exps)]
-        total = self.ctx.make_mpf(
+        return self.ctx.make_mpf(
             self._from_man_exp(sum(terms), floor, self.prec_bits, "n"))
-        if not with_abs:
-            return total
-        return total, self.ctx.make_mpf(self._from_man_exp(
-            sum(map(abs, terms)), floor, self.prec_bits, "u"))
 
     def __repr__(self):
         return f"FloatBackend(prec_bits={self.prec_bits})"

@@ -51,6 +51,7 @@ if TYPE_CHECKING:
 _RESYNC_EVERY = 1 << 20
 _DRAW_BLOCK = 1024   # events per block of uniforms drawn from the stream
 _LEAST_POSITIVE = 5e-324   # the least positive double
+_RECOMPUTE_BELOW = 1e-6   # f of _gillespie
 
 
 def _gillespie(n, ut, t_burn, t_end, rng, hist):
@@ -67,11 +68,23 @@ def _gillespie(n, ut, t_burn, t_end, rng, hist):
     time: the first sets the waiting time, the second picks the first site
     whose cumulative rate reaches it times R.  The site picked always has
     a positive rate.
+
+    R += ra - rates[site] + rb - rates[j] rounds four times, each by at
+    most u = 2^-53 times a sum no larger than R + R' (R' the new total),
+    so it errs by at most 8u max(R, R'): 8u/f of R' while R' >= f R, with
+    R's earlier relative error grown by at most 1/f.  An R' below f R is
+    summed afresh from the rates.  f = _RECOMPUTE_BELOW = 1e-6 keeps each
+    update within 8u/f < 1e-9 of R', and needs rates a millionfold apart
+    to fire: at q = 1e17 a particle leaving a pair takes R from 1e17 to
+    about p, which the running sum would round to nothing.  At q = 1/2, 2
+    and 3/2 with p <= 24 it never fires.
     """
     N = len(n)
     rates = [ut[m] for m in n]
     R = sum(rates)
     log = math.log
+    below = _RECOMPUTE_BELOW
+    following = [*range(1, N), 0]   # site i's particles hop to i + 1
     t = 0.0
     Y_burn = 0
     events = 0
@@ -98,9 +111,7 @@ def _gillespie(n, ut, t_burn, t_end, rng, hist):
                     break
             else:   # rounding left the sum below u: the last occupied site
                 site = max(i for i, r in enumerate(rates) if r)
-            j = site + 1
-            if j == N:
-                j = 0
+            j = following[site]
             if j != site:
                 a = n[site] - 1
                 b = n[j] + 1
@@ -108,9 +119,12 @@ def _gillespie(n, ut, t_burn, t_end, rng, hist):
                 n[j] = b
                 ra = ut[a]
                 rb = ut[b]
+                low = below * R
                 R += ra - rates[site] + rb - rates[j]
                 rates[site] = ra
                 rates[j] = rb
+                if R < low:   # the update cancelled
+                    R = sum(rates)
             events += 1
         # blocks hold _DRAW_BLOCK events, which divides _RESYNC_EVERY
         if events % _RESYNC_EVERY == 0:

@@ -250,13 +250,14 @@ class TestExact:
     def test_nonzero_a0_exits_4(self, capsys, monkeypatch):
         # A_0 = 0 is an identity; a rational A_0 off by 1 is a failed
         # construction, reported as exit 4 and not as a traceback
-        k0_sums = cumulants._k0_sums
+        sums = cumulants._sums
 
         def corrupted(*args):
-            a0, *rest = k0_sums(*args)
-            return a0 + 1, *rest
+            a0, *rest = sums(*args)
+            # the last argument is sign: -1 for the values
+            return (a0 + 1 if args[-1] == -1 else a0), *rest
 
-        monkeypatch.setattr(cumulants, "_k0_sums", corrupted)
+        monkeypatch.setattr(cumulants, "_sums", corrupted)
         code = main(["exact", "--n", "4", "--p", "3", "--q", "1/2"])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
@@ -337,6 +338,18 @@ class TestSimulate:
         res = doc["result"]
         J = stationary.compute_stationary(
             stationary.model(2, 50, F(2)), 50).J
+        assert abs(res["J_hat"] - float(J)) < 3 * res["se_J"]
+
+    def test_cancelling_total_rate_is_recomputed(self, capsys):
+        # a pair's rate 1 + q = 1e17 leaves R at about p, below the spacing
+        # of doubles near 1e17: the running total cancels to 0.0 unless the
+        # kernel sums it afresh
+        doc = run_json(capsys, "simulate", "--n", "4", "--p", "4", "--q",
+                       "1e17", "--reps", "16", "--t-burn", "1",
+                       "--t-measure", "100")
+        res = doc["result"]
+        J = stationary.compute_stationary(
+            stationary.model(4, 4, F(10 ** 17)), 4).J
         assert abs(res["J_hat"] - float(J)) < 3 * res["se_J"]
 
     def test_rates_beyond_float64_exit_2(self, capsys):

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from qboson import cumulants
 from qboson.cli import _evaluate, _series
-from qboson.numerics import FloatBackend, RATIONAL, geometric_factor
+from qboson.numerics import (FloatBackend, RATIONAL, escalate_precision,
+                             geometric_factor)
 from qboson.stationary import (compute_stationary, model, partition_error,
                                phi_coefficients)
-from qboson.cumulants import delta_exact_resummed
+from qboson.cumulants import delta_exact_resummed, error_unit
 from qboson.oracle import lambda_derivatives
 
 ALL_Q = (F(-1, 2), F(0), F(1, 3), F(1, 2), F(2), F(3))
@@ -263,19 +264,20 @@ class TestFloatBackend:
         want = delta_exact_resummed(model(4, 3, be.ratio(1, 3), be))
         assert got.Delta == want.Delta
 
-    def test_a0_guard_fires_on_garbage_precision(self):
-        # the guard compares |A_0| against the cancelling-term scale; feeding
-        # an inconsistent J through the internal helpers must trip it
-        from qboson.cumulants import _check_a0, _k0_sums
+    def test_a0_guard_fires_on_garbage_precision(self, monkeypatch):
+        # the guard compares |A_0| against its shadow; a phi series read
+        # from an inconsistent J must trip it
         from qboson.numerics import PrecisionError
         be = FloatBackend(64)
         m = model(3, 3, F(1, 2), be)
-        stat = compute_stationary(m, 3)
-        bad_phi = phi_coefficients(m, stat.J * (1 + be.ratio(1, 1000)), 2)
-        gf = [geometric_factor(m.q, a) for a in (1, 2, 3)]
-        a0, scale, _, _ = _k0_sums(3, stat.Zvals, bad_phi, gf, be)
-        with pytest.raises(PrecisionError):
-            _check_a0(a0, scale, be)
+
+        def bad_phi(params, J, degree):
+            return phi_coefficients(params, J * (1 + be.ratio(1, 1000)),
+                                    degree)
+
+        monkeypatch.setattr(cumulants, "phi_coefficients", bad_phi)
+        with pytest.raises(PrecisionError, match="A_0"):
+            delta_exact_resummed(m)
 
 
 def _rationals_in(lo, hi):
@@ -370,6 +372,37 @@ def test_float_series_equals_rational(case):
     printed, power = _float_and_exact(*case)
     for x, bound, ref in [*printed.values(), *power]:
         assert abs(_fraction(x) - ref) <= _fraction(bound), case
+
+
+def exact_shadows(params) -> dict:
+    """The absolute-value shadow of each value of delta_exact_resummed,
+    exactly: ``cumulants._sums`` on absolute inputs, |c|, s = 1, |g|, phi
+    with (J/p) d_1 + 1 at b = 0 and sign +1, for S1 and S2, and Z, J and
+    pJ themselves.  Rational backend, q != 1 and p >= 2."""
+    p, N, q = params.p, params.N, params.q
+    stat = compute_stationary(params, 2 * p - 1)
+    Z, J = stat.Zvals, stat.J
+    phi = phi_coefficients(params, J, p - 1).coeffs
+    r, c = (1 / q, 1 / q - 1) if q > 1 else (q, 1 - q)
+    g = [abs(geometric_factor(r, a)) for a in range(1, p + 1)]
+    phi_abs = [abs(phi[0] + 1) + 1, *map(abs, phi[1:])]
+    _, S1, S2 = cumulants._sums(params, Z, J / p, phi_abs, abs(c), 1, g, 1)
+    return dict(Delta=p * J + 2 * N ** 2 / Z[p] ** 2 * (S1 + S2), J=J,
+                Z=Z[p], pJ=p * J, S1=S1, S2=S2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(BOUND_CASES.filter(lambda case: case[1] >= 2))
+def test_float_shadows_are_the_exact_shadows(case):
+    # each float bound is gamma times a shadow formed in the P-bit run,
+    # which is the exact shadow at the unrounded q to within 2^-200: the
+    # roundings, q's included, move it far less
+    make = partial(model, *case)
+    be, res = escalate_precision(lambda be: delta_exact_resummed(make(be)))
+    want, gamma = exact_shadows(make()), error_unit(make(be))
+    for key, ref in want.items():
+        got = _fraction(res.errors[key] / gamma)
+        assert abs(got - ref) <= ref * F(2) ** -200, (case, key)
 
 
 def test_power_loses_bits_above_one():
