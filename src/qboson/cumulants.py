@@ -45,9 +45,10 @@ by the definition of J.  For q <= 1, where F^N is built from d
 (``stationary.compute_stationary``), the check is a consequence of F^N's
 own recurrence; for q > 1, where F^N comes from the q-difference identity,
 it checks the product-form d against that Z.  On the rational backend
-A_0 = 0 is asserted exactly; on the float backend |A_0| must be negligible
-against the size of the cancelling terms, otherwise the computation
-aborts.
+A_0 = 0 is asserted exactly; on the float backend |A_0| must lie within
+its rounding bound, 2 (3 Z_r + 4p + 7) 2^-P times its absolute-value
+shadow (``error_unit``), or the run raises PrecisionError.  A_0 = 0 holds
+at the rounded q too, so no input error enters that bound.
 
 On the float backend every value carries a bound on its error, formed in
 the same run: gamma times its absolute-value shadow, the same expression
@@ -72,7 +73,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .numerics import SolverError, geometric_factor, negligible
+from .numerics import PrecisionError, SolverError, geometric_factor
 from .stationary import (ModelParams, compute_stationary, partition_error,
                          phi_coefficients, q_amplification)
 
@@ -149,6 +150,15 @@ def error_unit(params: ModelParams):
         scale = (rounding + 6 * z_input + (p + 1) * kappa * e
                  + 2 * (p + kappa) * e + 2 * kappa)
     return 2 * scale * backend.integer(2) ** -backend.prec_bits
+
+
+def _a0_unit(params: ModelParams):
+    """A_0's rounding part of gamma, 2 (3 Z_r + 4p + 7) 2^-P
+    (``error_unit``).  Float backend only."""
+    backend, p = params.backend, params.p
+    z_rounding = partition_error(params, 2 * p - 1)[0]
+    return (2 * (3 * z_rounding + 4 * p + 7)
+            * backend.integer(2) ** -backend.prec_bits)
 
 
 def _bounded(params: ModelParams, shadows: dict, **values) -> DeltaResult:
@@ -239,7 +249,13 @@ def delta_exact_resummed(params: ModelParams) -> DeltaResult:
                                  [abs(x) for x in gf], 1)
         shadows = breakdown(*shadows)
     # A_0 = 0 carries the divergent i-independent branch, which is dropped
-    if not negligible("A_0", A0, A0_abs, backend):
-        raise SolverError(f"internal identity violated: A_0 = {A0} != 0 on "
-                          "the rational backend")
+    if backend.exact:
+        if A0 != 0:
+            raise SolverError(f"internal identity violated: A_0 = {A0} != 0 "
+                              "on the rational backend")
+    elif abs(A0) > _a0_unit(params) * A0_abs:
+        raise PrecisionError(
+            f"A_0 = {backend.ctx.nstr(A0, 10)} exceeds its rounding bound "
+            f"against the scale {backend.ctx.nstr(A0_abs, 10)} at "
+            f"{backend.prec_bits} bits")
     return _bounded(params, shadows, **breakdown(*sums))

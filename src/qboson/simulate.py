@@ -7,8 +7,14 @@ Y increases by 1.
 
 The event loop is the only hot kernel in the package: one plain-Python
 loop over list state that draws its uniforms from its replica's own
-``np.random.Generator`` in fixed blocks.  The ``monte-carlo`` workload of
-perfbench/ measures the kernel's events per second.
+``np.random.Generator`` in fixed blocks.  A replica's burn-in and
+measuring window are two runs of it on one stream, the second restarting
+the clock at 0 in the state the first left: exact, as the waiting times
+are memoryless.  One CPU of a 2-CPU Intel Xeon host runs about 1.0e6
+events/s at N = p = 16 and 5.6e5 at N = p = 64 (q = 1/2, CPython 3.11),
+as the ``monte-carlo`` workload of perfbench/ measures.  A request asks
+for about reps (t_burn + t_measure) J events; ``SimConfig`` refuses one
+whose bound on that exceeds EVENT_BUDGET before any replica runs.
 
 Every replica starts from an exact draw of the stationary measure: i.i.d.
 site occupations with weights f(m) z^m at the saddle-point fugacity z,
@@ -22,15 +28,12 @@ streams, one for its initial configuration and one for its kernel, from
 SeedSequence([seed, rep_index]), whose spawning contract guarantees
 stream independence; numpy's global random state is never touched.
 
-Replicas are independent, so ``estimate_cumulants`` runs them in
-min(reps, usable CPUs) processes: the caller runs the first contiguous
-share of the replicas and forked workers the others, each returning its
-windows through a pipe.  The windows are put back in replica order, so the
-estimate is the serial one, byte for byte.  The workers are forked rather
-than spawned because a fresh interpreter's imports cost about as much as a
-share of the benchmark's replicas.  The fork is safe because the program
-starts no Python threads, and the workers call no BLAS routine, whose
-threads a fork would leave behind.
+``estimate_cumulants`` runs the replicas in min(reps, usable CPUs)
+processes: the caller runs the first contiguous share and forked workers
+the others, each returning its windows through a pipe, put back in replica
+order so that the estimate is the serial one, byte for byte.  Forking is
+cheaper than a fresh interpreter's imports, and safe: the program starts
+no Python threads, and the workers call no BLAS routine.
 """
 
 from __future__ import annotations
@@ -42,74 +45,64 @@ from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .numerics import InputError, SolverError, require_positive
-from .stationary import ModelParams, rate_u
+from .stationary import ModelParams, float64_current, rate_u
 from . import asymptotics
 
 if TYPE_CHECKING:
     import numpy as np
 
-_RESYNC_EVERY = 1 << 20
 _DRAW_BLOCK = 1024   # events per block of uniforms drawn from the stream
-_LEAST_POSITIVE = 5e-324   # the least positive double
+# the most events a request may ask for: about an hour of one CPU at
+# N = 64 (5.6e5 events/s), half an hour at N = 16 (1.0e6 events/s)
+EVENT_BUDGET = 2 * 10 ** 9
 _RECOMPUTE_BELOW = 1e-6   # f of _gillespie
 
 
-def _gillespie(n, ut, t_burn, t_end, rng, hist):
-    """Run one trajectory to t_end; the lists n and hist are modified in place.
+def _gillespie(n, ut, duration, rng, hist):
+    """Run one window of length duration from t = 0, modifying the lists n
+    and hist in place; hist[m] gains the time site 0 held m particles.
+    Returns the event count, also the displacement, as every event moves
+    one particle one site forward.
 
-    Returns (Y_burn, events, max_drift).  Every event moves one particle
-    one site forward, so the displacement equals the event count: Y_burn
-    is the count at t_burn, and events the count, and the displacement, at
-    t_end.  hist accumulates the time-weighted occupation of site 0 over
-    [t_burn, t_end).  max_drift is the largest deviation between the
-    incrementally maintained total rate and its from-scratch recomputation
-    (the rate is resynced each time, after every _RESYNC_EVERY events).
     Each event takes two uniforms from rng, drawn _DRAW_BLOCK events at a
     time: the first sets the waiting time, the second picks the first site
-    whose cumulative rate reaches it times R.  The site picked always has
+    whose cumulative rate exceeds it times R.  The site picked always has
     a positive rate.
 
-    R += ra - rates[site] + rb - rates[j] rounds four times, each by at
-    most u = 2^-53 times a sum no larger than R + R' (R' the new total),
-    so it errs by at most 8u max(R, R'): 8u/f of R' while R' >= f R, with
-    R's earlier relative error grown by at most 1/f.  An R' below f R is
-    summed afresh from the rates.  f = _RECOMPUTE_BELOW = 1e-6 keeps each
-    update within 8u/f < 1e-9 of R', and needs rates a millionfold apart
-    to fire: at q = 1e17 a particle leaving a pair takes R from 1e17 to
-    about p, which the running sum would round to nothing.  At q = 1/2, 2
-    and 3/2 with p <= 24 it never fires.
+    R is summed afresh at the top of each block and updated by
+    R += ra - rates[site] + rb - rates[j] within it.  The sum errs by at
+    most N u of itself (u = 2^-53), and an update, four roundings of sums
+    below R + R' (R' the new total), by 8u max(R, R'), so R stays within
+    (N + 8 _DRAW_BLOCK) u of the block's largest total.  An update that
+    takes R below f = _RECOMPUTE_BELOW of its previous value, where that
+    total would dwarf R, sums R afresh: at q = 1e17 a particle leaving a
+    pair takes R from 1e17 to about p, which the running sum would round
+    to nothing.
     """
     N = len(n)
     rates = [ut[m] for m in n]
-    R = sum(rates)
     log = math.log
     below = _RECOMPUTE_BELOW
     following = [*range(1, N), 0]   # site i's particles hop to i + 1
     t = 0.0
-    Y_burn = 0
     events = 0
-    max_drift = 0.0
     while True:
+        R = sum(rates)
         draws = rng.random(2 * _DRAW_BLOCK).tolist()
         for w, v in zip([log(1.0 - d) for d in draws[0::2]], draws[1::2]):
             tn = t - w / R
-            lo = t if t > t_burn else t_burn
-            hi = tn if tn < t_end else t_end
-            if hi > lo:
-                hist[n[0]] += hi - lo
-            if t < t_burn <= tn:
-                Y_burn = events
-            if tn >= t_end:
-                return Y_burn, events, max_drift
+            if tn >= duration:
+                hist[n[0]] += duration - t
+                return events
+            hist[n[0]] += tn - t
             t = tn
-            # a zero uniform would pick site 0 even when it is empty
-            u = v * R or _LEAST_POSITIVE
+            u = v * R
             acc = 0.0
             for site, r in enumerate(rates):
                 acc += r
-                if acc >= u:
+                if acc > u:
                     break
-            else:   # rounding left the sum below u: the last occupied site
+            else:   # rounding left the sum at or below u: last occupied
                 site = max(i for i, r in enumerate(rates) if r)
             j = following[site]
             if j != site:
@@ -126,11 +119,18 @@ def _gillespie(n, ut, t_burn, t_end, rng, hist):
                 if R < low:   # the update cancelled
                     R = sum(rates)
             events += 1
-        # blocks hold _DRAW_BLOCK events, which divides _RESYNC_EVERY
-        if events % _RESYNC_EVERY == 0:
-            resynced = sum(rates)
-            max_drift = max(max_drift, abs(R - resynced))
-            R = resynced
+
+
+def _event_rate(params: ModelParams, rates: tuple) -> float:
+    """A bound on J, a stationary replica's events per unit time: p at
+    q = 1; min(N, p) occupied sites at the largest rate for q < 1; for
+    q > 1, where that overshoots by the rates' growth, J itself."""
+    N, p, q = params.N, params.p, params.q
+    if q == 1:
+        return p
+    if q < 1:
+        return min(N, p) * max(rates)
+    return float64_current(params)
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,13 @@ class SimConfig:
             raise InputError(
                 f"the rates at q = {params.q} exceed float64's largest "
                 "value, 1.8e308, in which simulate runs") from None
+        work = (self.reps * (self.burn_time + self.t_measure)
+                * _event_rate(params, rates))
+        if work > EVENT_BUDGET:
+            raise InputError(
+                f"the request asks for about {work:.2g} events, reps "
+                "(t_burn + t_measure) times the total rate, above "
+                f"simulate's budget of {EVENT_BUDGET:.0e}")
         z = (float(params.rho) if params.q == 1 else
              asymptotics.saddle_point(float(params.rho), params.q))
         log_z = math.log(z)
@@ -190,7 +197,6 @@ class SimConfig:
 class TrajectoryResult:
     Y_burn: int
     events: int
-    max_rate_drift: float
     hist: np.ndarray = field(repr=False)
 
 
@@ -221,25 +227,21 @@ def initial_config(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
 def run_trajectory(cfg: SimConfig, rep_index: int) -> TrajectoryResult:
     import numpy as np
 
-    params = cfg.params
     init_rng, kernel_rng = (
         np.random.default_rng(s) for s in
         np.random.SeedSequence([int(cfg.seed), int(rep_index)]).spawn(2))
     n = initial_config(cfg, init_rng).tolist()
-    hist = [0.0] * (params.p + 1)
-    t_end = cfg.burn_time + cfg.t_measure
-    Y_burn, events, drift = _gillespie(n, cfg.rates, cfg.burn_time, t_end,
-                                       kernel_rng, hist)
-    return TrajectoryResult(Y_burn=Y_burn, events=events,
-                            max_rate_drift=drift, hist=np.array(hist))
+    Y_burn = _gillespie(n, cfg.rates, cfg.burn_time, kernel_rng,
+                        [0.0] * len(cfg.rates))
+    hist = [0.0] * len(cfg.rates)   # one slot per occupation 0..p
+    events = Y_burn + _gillespie(n, cfg.rates, cfg.t_measure, kernel_rng,
+                                 hist)
+    return TrajectoryResult(Y_burn=Y_burn, events=events, hist=np.array(hist))
 
 
 def _jackknife_se(values: list, statistic) -> float:
     n = len(values)
-    thetas = []
-    for i in range(n):
-        rest = values[:i] + values[i + 1:]
-        thetas.append(statistic(rest))
+    thetas = [statistic(values[:i] + values[i + 1:]) for i in range(n)]
     mean_t = math.fsum(thetas) / n
     var = (n - 1) / n * math.fsum((t - mean_t) ** 2 for t in thetas)
     return math.sqrt(var)
@@ -255,11 +257,8 @@ def _usable_cpus() -> int:
 def _replica_windows(cfg: SimConfig, reps: range) -> list:
     """(events - Y_burn, events) of each replica in reps, in order: the
     displacement over the measuring window, and the event count."""
-    out = []
-    for rep in reps:
-        traj = run_trajectory(cfg, rep)
-        out.append((traj.events - traj.Y_burn, traj.events))
-    return out
+    trajs = (run_trajectory(cfg, rep) for rep in reps)
+    return [(traj.events - traj.Y_burn, traj.events) for traj in trajs]
 
 
 def _fork_share(cfg: SimConfig, share: range) -> tuple:
@@ -310,9 +309,7 @@ def _worker_result(pid: int, read: int) -> list:
 
 
 def estimate_cumulants(cfg: SimConfig) -> SimEstimate:
-    # contiguous shares of the replicas, one per usable CPU; the caller
-    # runs the first and forked workers the rest, in replica order, so the
-    # result is the serial one
+    # one contiguous share of the replicas per process (module docstring)
     procs = min(cfg.reps, _usable_cpus()) if hasattr(os, "fork") else 1
     bounds = [cfg.reps * w // procs for w in range(procs + 1)]
     shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -362,6 +363,19 @@ class TestSimulate:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: the rates at q = 2 exceed "
                                        "float64")
+
+    def test_work_above_budget_exits_2(self, capsys):
+        # J is about 4e12 here: 16 replicas of 0.002 ask for 1.3e11 events,
+        # refused before any replica runs
+        t0 = time.perf_counter()
+        code = main(["simulate", "--n", "2", "--p", "6", "--q", "1e6",
+                     "--reps", "16", "--t-burn", "0.001",
+                     "--t-measure", "0.001"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: the request asks for about "
+                                       "1.3e+11 events")
 
     def test_negative_seed_exits_2(self, capsys):
         # numpy's SeedSequence takes no negative entropy

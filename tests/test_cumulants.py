@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from qboson import cumulants
 from qboson.cli import _evaluate, _series
-from qboson.numerics import (FloatBackend, RATIONAL, escalate_precision,
-                             geometric_factor)
-from qboson.stationary import (compute_stationary, model, partition_error,
-                               phi_coefficients)
+from qboson.numerics import (FloatBackend, PrecisionError, RATIONAL,
+                             escalate_precision, geometric_factor)
+from qboson.stationary import (StationaryData, compute_stationary, model,
+                               partition_error, phi_coefficients)
 from qboson.cumulants import delta_exact_resummed, error_unit
 from qboson.oracle import lambda_derivatives
 
@@ -267,7 +267,6 @@ class TestFloatBackend:
     def test_a0_guard_fires_on_garbage_precision(self, monkeypatch):
         # the guard compares |A_0| against its shadow; a phi series read
         # from an inconsistent J must trip it
-        from qboson.numerics import PrecisionError
         be = FloatBackend(64)
         m = model(3, 3, F(1, 2), be)
 
@@ -278,6 +277,26 @@ class TestFloatBackend:
         monkeypatch.setattr(cumulants, "phi_coefficients", bad_phi)
         with pytest.raises(PrecisionError, match="A_0"):
             delta_exact_resummed(m)
+
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(3, 2)])
+    def test_a0_bound_sees_a_perturbed_partition_function(self, q,
+                                                          monkeypatch):
+        # Z(N, p-3) moved by 2^-150 relative: at 256 bits A_0 then exceeds
+        # its rounding bound, 2^-243 (q = 1/2) or 2^-239 (q = 3/2) of its
+        # shadow, though 2^-128 would pass it
+        be = FloatBackend(256)
+        compute = cumulants.compute_stationary
+
+        def perturbed(params, degree):
+            stat = compute(params, degree)
+            Z = list(stat.Zvals)
+            Z[params.p - 3] *= 1 + be.integer(2) ** -150
+            return StationaryData(Zvals=tuple(Z), J=stat.J)
+
+        monkeypatch.setattr(cumulants, "compute_stationary", perturbed)
+        with pytest.raises(PrecisionError, match="A_0"):
+            delta_exact_resummed(model(64, 64, q, be))
 
 
 def _rationals_in(lo, hi):

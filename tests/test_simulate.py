@@ -4,11 +4,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qboson import asymptotics, simulate
 from qboson.cli import main
 from qboson.numerics import InputError, SolverError
-from qboson.stationary import model
+from qboson.stationary import compute_stationary, model
 from qboson.cumulants import delta_exact_resummed
 from qboson.simulate import (SimConfig, _gillespie, estimate_cumulants,
                              initial_config, run_trajectory)
@@ -44,6 +46,16 @@ class TestConfigValidation:
         # a NaN window never ends: the kernel would run forever
         with pytest.raises(InputError):
             SimConfig(params=model(2, 2, F(1, 2)), reps=3, seed=1, **window)
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(-1, 2), F(1), F(2), F(7),
+                                   F(10001, 10000), F(10 ** 17)])
+    def test_event_rate_bounds_j(self, q):
+        # an upper bound on J below q = 1 and at it; J itself above
+        m = model(6, 9, q)
+        J = float(compute_stationary(m, 9).J)
+        rates = [float(simulate.rate_u(k, m)) for k in range(10)]
+        rate = simulate._event_rate(m, rates)
+        assert rate == pytest.approx(J, rel=1e-12) if q > 1 else rate >= J
 
     def test_default_burn_in(self):
         m = model(6, 3, F(1, 2))
@@ -104,15 +116,6 @@ class TestTrajectories:
         traj = run_trajectory(cfg, 0)
         assert 0 <= traj.Y_burn <= traj.events
 
-    def test_rate_bookkeeping_drift(self):
-        # long enough to cross the resync threshold at least once
-        m = model(8, 8, F(1, 2))
-        cfg = SimConfig(params=m, t_measure=220_000.0, reps=3, seed=4,
-                        t_burn=10.0)
-        traj = run_trajectory(cfg, 0)
-        assert traj.events > (1 << 20)
-        assert traj.max_rate_drift <= 1e-9
-
     def test_histogram_matches_marginal(self):
         m = model(4, 4, F(1, 2))
         cfg = SimConfig(params=m, t_measure=50_000.0, reps=3, seed=11,
@@ -140,14 +143,15 @@ class SiteUniforms:
 
 class TestKernel:
     def test_zero_uniform_moves_from_an_occupied_site(self):
-        # R = u(2) + u(1) = 5/2 and each wait is log(2)/R = 0.277, so
-        # t_end = 0.4 allows one event; site 0 is empty
+        # R = u(2) + u(1) = 5/2 and each wait is log(2)/R = 0.277, so a
+        # window of 0.4 allows one event; site 0 is empty throughout
         n = [0, 2, 1]
         hist = [0.0] * 4
-        events = _gillespie(n, request(3, 3, F(1, 2)).rates, 0.1, 0.4,
-                            SiteUniforms(0.0), hist)[1]
+        events = _gillespie(n, request(3, 3, F(1, 2)).rates, 0.4,
+                            SiteUniforms(0.0), hist)
         assert events == 1
         assert n == [0, 1, 2]
+        assert hist == [0.4, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("value,n,q", [
         (0.0, [0, 0, 3, 0, 1], F(2)),
@@ -159,9 +163,23 @@ class TestKernel:
     def test_extreme_uniforms_keep_occupations_nonnegative(self, value, n,
                                                            q):
         p = sum(n)
-        _gillespie(n, request(len(n), p, q).rates, 1.0, 300.0,
+        _gillespie(n, request(len(n), p, q).rates, 300.0,
                    SiteUniforms(value), [0.0] * (p + 1))
         assert sum(n) == p and min(n) >= 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=5).filter(
+               lambda n: 1 <= sum(n) <= 8),
+           st.sampled_from([F(1, 2), F(-1, 2), F(2), F(1)]),
+           st.floats(0.01, 5.0), st.integers(0, 2 ** 32 - 1))
+    def test_window_keeps_particles_and_time(self, n, q, duration, seed):
+        # site 0's histogram covers the window: it sums to the duration
+        p = sum(n)
+        hist = [0.0] * (p + 1)
+        _gillespie(n, request(len(n), p, q).rates, duration,
+                   np.random.default_rng(seed), hist)
+        assert sum(n) == p and min(n) >= 0
+        assert abs(math.fsum(hist) - duration) <= 1e-12 * duration
 
 
 class TestReplicaPool:

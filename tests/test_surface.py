@@ -21,9 +21,6 @@ ALLOWED: dict = {}
 ALLOWED_FIELDS = {
     "TrajectoryResult.hist": "ROADMAP item 7 reports it, and tests check the "
                              "kernel's stationary marginal through it",
-    "TrajectoryResult.max_rate_drift": "ROADMAP item 7 reports it, and tests "
-                                       "check the kernel's rate drift "
-                                       "through it",
 }
 
 
