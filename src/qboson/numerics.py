@@ -21,7 +21,9 @@ Two interchangeable scalar backends are provided:
 ``TruncSeries`` holds the phi series; the oracle and the Monte Carlo form
 the weights f(m) of F from their own rates.  ``poly_mul`` is the full
 product of two coefficient lists, which the first-order
-functional-equation check multiplies at their own degrees.
+functional-equation check multiplies at their own degrees; on the
+rational backend it is an integer convolution over one denominator per
+factor.
 """
 
 from __future__ import annotations
@@ -318,16 +320,31 @@ def poly_mul(a: Sequence, b: Sequence, backend: Backend) -> list:
     """The Cauchy product of the coefficient lists a and b, constant terms
     first: all len(a) + len(b) - 1 coefficients.
 
-    a is decoded once (backend.vector), and b once, reversed; coefficient k
-    is one backend.dot of the a_i and b_(k-i) that both exist.
+    Coefficient k is one dot of the a_i and b_(k-i) that both exist.  On
+    the float backend a is decoded once (backend.vector), b once,
+    reversed, and each dot is backend.dot.  On the rational backend each
+    factor is scaled once to integers by the lcm of its denominators, so
+    each dot is an integer convolution over that span, and coefficient k
+    is one Fraction of it over the product of the two lcms: one gcd per
+    coefficient, not one per product.
     """
     m = len(b)
-    av, rb = backend.vector(a), backend.vector(b[::-1])
+    if backend.exact:
+        da, db = (math.lcm(*(x.denominator for x in f)) for f in (a, b))
+        av = [x.numerator * (da // x.denominator) for x in a]
+        rb = [x.numerator * (db // x.denominator) for x in reversed(b)]
+        scale = da * db
+
+        def dot(x, y):
+            return Fraction(sum(map(operator.mul, x, y)), scale)
+    else:
+        av, rb = backend.vector(a), backend.vector(b[::-1])
+        dot = backend.dot
     out = []
     for k in range(len(a) + m - 1):
         # entry j of rb is b_(m-1-j), so b_(k-i) is rb[i + m - 1 - k]
         lo, hi, shift = max(0, k - m + 1), min(len(a), k + 1), m - 1 - k
-        out.append(backend.dot(av[lo:hi], rb[lo + shift:hi + shift]))
+        out.append(dot(av[lo:hi], rb[lo + shift:hi + shift]))
     return out
 
 

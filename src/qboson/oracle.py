@@ -18,7 +18,10 @@ vector and 1^T the left null vector of L (so 1^T M = R^T):
     Delta    = 2 lambda_2
 
 pi(a) is proportional to the orbit's size times prod_i f(n_i), and
-R(a) = sum_i u(n_i).
+R(a) = sum_i u(n_i).  Both depend only on the sorted occupations, so
+R and the product weight are formed once per class of orbits with equal
+sorted occupations (``_class_values``), in that sorted order: 15 classes
+for the 429 orbits at (N, p) = (8, 7).
 
 Both backends fix the gauge of the singular solve the same way: pin
 psi_k = 0 at k = argmax pi, drop row and column k of L, solve the reduced
@@ -92,6 +95,18 @@ def enumerate_configs(N: int, p: int) -> tuple:
     return tuple(configs)
 
 
+def _class_values(configs, value) -> list:
+    """value(occ) for each configuration, occ its occupations sorted.
+
+    Configurations with the same sorted occupations (one class) share
+    their exit rate and product weight, so value is formed once per class,
+    on the sorted tuple.
+    """
+    keys = [tuple(sorted(cfg)) for cfg in configs]
+    values = {key: value(key) for key in dict.fromkeys(keys)}
+    return [values[key] for key in keys]
+
+
 @dataclass(frozen=True)
 class GeneratorPair:
     """Rotation orbits, exit rates R and jump transitions of the lumped
@@ -134,11 +149,12 @@ def build_generator(params: ModelParams) -> GeneratorPair:
             orbit.update(dict.fromkeys(turns, len(reps)))
             reps.append(cfg)
             sizes.append(len(turns))
-    totals, jumps = [], []
     rates = tuple(rate_u(n, params) for n in range(p + 1))
     zero = backend.integer(0)
+    totals = _class_values(
+        reps, lambda occ: sum((rates[n] for n in occ if n), zero))
+    jumps = []
     for src, cfg in enumerate(reps):
-        totals.append(sum((rates[n] for n in cfg if n), zero))
         for i, n in enumerate(cfg):
             if n == 0:
                 continue
@@ -176,8 +192,8 @@ def product_form_vector(params: ModelParams, gen: GeneratorPair) -> list:
     backend = params.backend
     one = backend.integer(1)
     ftab = list(accumulate(gen.rates[1:], truediv, initial=one))
-    weights = [prod((ftab[n] for n in cfg), start=one)
-               for cfg in gen.configs]
+    weights = _class_values(
+        gen.configs, lambda occ: prod((ftab[n] for n in occ), start=one))
     Z = backend.dot(gen.sizes, weights)
     return [s * w / Z for s, w in zip(gen.sizes, weights)]
 
@@ -200,8 +216,9 @@ def _integer_weights(gen: GeneratorPair) -> list:
     for m in range(p - 1, -1, -1):
         acc *= gen.rates[m + 1].numerator
         h[m] *= acc
-    return [s * prod(h[n] for n in cfg)
-            for s, cfg in zip(gen.sizes, gen.configs)]
+    weights = _class_values(gen.configs,
+                            lambda occ: prod(h[n] for n in occ))
+    return [s * w for s, w in zip(gen.sizes, weights)]
 
 
 # ---------------------------------------------------------------------------

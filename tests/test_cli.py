@@ -237,9 +237,9 @@ class TestExact:
                 float(F(want["result"][key])), rel=1e-12)
 
     def test_single_particle_float(self, capsys):
-        # at p = 1, S1 = S2 = 0 identically, and Delta = pJ = J; at this q
-        # the float J d_1 - 1 is not exactly 0, so the series' own A_0
-        # check has only that one term to scale it
+        # at p = 1 the series returns before it forms A_0, S1 or S2: it
+        # reports S1 = S2 = 0 and Delta = pJ = J, with J = N Z(N, 0) /
+        # Z(N, 1) = 1 up to the float rounding at this q
         doc = run_json(capsys, "exact", "--n", "3", "--p", "1",
                        "--q=-2/39", "--backend", "float")
         res = doc["result"]

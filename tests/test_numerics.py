@@ -94,6 +94,16 @@ def sparse_factors(draw, entries, zero):
 
 NONZERO_FRACTIONS = st.fractions(min_value=-50, max_value=50,
                                  max_denominator=30).filter(bool)
+# poly_mul scales each rational factor by the lcm of its denominators: mix
+# small denominators with ones up to 2^64, some sharing factors (2^32 and
+# 2^64, 6^24 and 3^40) and some coprime to all others (the primes 2^61 - 1
+# and 2^64 - 59), and plain ints
+NONZERO_RATIONALS = st.one_of(
+    NONZERO_FRACTIONS,
+    st.builds(F, st.integers(-2 ** 70, 2 ** 70).filter(bool),
+              st.sampled_from((2 ** 32, 2 ** 64, 6 ** 24, 3 ** 40,
+                               2 ** 61 - 1, 2 ** 64 - 59))),
+    st.integers(-50, 50).filter(bool))
 # mantissas of 1-3 bits, which cancel exactly, and of up to 300 bits
 NONZERO_MPF = st.builds(
     lambda man, exp: mpmath.mp.make_mpf(from_man_exp(man, exp)),
@@ -106,10 +116,13 @@ class TestSpanBoundedMul:
     and b_(k-i) both exist, and only there."""
 
     @settings(max_examples=150, deadline=None)
-    @given(sparse_factors(NONZERO_FRACTIONS, F(0)))
+    @given(sparse_factors(NONZERO_RATIONALS, F(0)))
     @example([[F(3)], [F(-2)]])                    # degree 0
     @example([[F(0)] * 3, [F(1), F(2), F(3)]])     # an all-zero factor
     @example([[F(0), F(0), F(5)], [F(7)]])         # a monomial times a constant
+    # shared and coprime denominators in one factor, ints in the other
+    @example([[F(1, 2 ** 64), F(3, 2 ** 61 - 1), F(-5, 6 ** 24),
+               F(7, 3 ** 40)], [2, F(0), -3]])
     def test_rational_equals_dense_loop(self, factors):
         a, b = factors
         assert poly_mul(a, b, RATIONAL) == dense_mul(a, b, RATIONAL)
