@@ -11,8 +11,10 @@ float64 and print as the shortest string that reads back as the same
 double.
 
 Exit codes: 0 ok, 2 invalid input, 3 precision-verification failure at
-every float precision up to ``numerics.MAX_PREC_BITS``, 4 solver failure
-or a failed identity check.
+every float precision up to ``numerics.MAX_PREC_BITS`` (a value's error
+bound wider than DEFAULT_VERIFY_RTOL, or an identity of verify-tq or the
+series' A_0 beyond its derived rounding bound), 4 solver failure or a
+failed identity check.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .numerics import (FloatBackend, InputError, PrecisionError, RATIONAL,
                        SolverError, certify, escalate_precision)
@@ -75,7 +77,7 @@ def _backend(args):
     --backend float or a decimal q selects the float backend, at the
     default precision.  oracle computes at that precision, since it rounds
     to float64; exact, verify-tq and sweep raise it until their checks pass
-    (``numerics.escalate_precision``).
+    (``_evaluate``).
     """
     q = args.q or ""
     if args.backend == "float" or "." in q or "e" in q.lower():
@@ -133,21 +135,29 @@ def _series(params) -> tuple:
         params, res.errors["J"], res.errors["Delta"])}
 
 
-def _evaluate(make_params, backend):
-    """The backend of exact's values, and the values.
+def _certified(params) -> dict:
+    """exact's values at params; on the float backend, only if every
+    one's error bound, formed in the same run, is at most
+    DEFAULT_VERIFY_RTOL relative (``numerics.certify``)."""
+    values, errors = _series(params)
+    return values if errors is None else certify(values, errors,
+                                                 params.backend)
 
-    The rational backend runs the series once.  On the float backend each
-    precision P runs it once, and keeps the values only if every one's
-    error bound, formed in that run, is at most DEFAULT_VERIFY_RTOL
-    relative (``numerics.certify``); P starts at 256 bits and doubles until
-    they are (``escalate_precision``).  make_params builds the model afresh
-    at each precision, so a q like exp(-alpha/sqrt(N)) is recomputed at
-    the new P too.  The returned backend is the accepted run's.
+
+def _evaluate(compute, make_params, backend):
+    """The backend of compute's result, and the result.
+
+    The rational backend runs compute once.  On the float backend each
+    precision P runs it once, and keeps its result unless it raises
+    PrecisionError (a value's error bound too wide, or an identity beyond
+    its rounding bound); P starts at 256 bits and doubles until it does
+    not (``escalate_precision``).  make_params builds the model afresh at
+    each precision, so a q like exp(-alpha/sqrt(N)) is recomputed at the
+    new P too.  The returned backend is the accepted run's.
     """
     if backend.exact:
-        return backend, _series(make_params(backend))[0]
-    return escalate_precision(
-        lambda be: certify(*_series(make_params(be)), be))
+        return backend, compute(make_params(backend))
+    return escalate_precision(lambda be: compute(make_params(be)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +166,8 @@ def _evaluate(make_params, backend):
 
 def cmd_exact(args) -> int:
     N, p, qfrac = _system(args)
-    backend, values = _evaluate(partial(stationary.model, N, p, qfrac),
+    backend, values = _evaluate(_certified,
+                                partial(stationary.model, N, p, qfrac),
                                 _backend(args))
     result = {key: _scalar(val, backend) for key, val in values.items()}
     result.update(N=N, p=p, q=_fraction_str(qfrac))
@@ -222,27 +233,23 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_verify_tq(args) -> int:
-    make_params = partial(stationary.model, *_system(args))
-
-    def check(backend):
-        """(ok, result) at one backend; PrecisionError where it falls short."""
-        v = tq.verify_first_order(tq.build_first_order(make_params(backend)))
+    def check(params):
+        """(ok, result) at params; PrecisionError where a float identity
+        exceeds its rounding bound."""
+        v = tq.verify_first_order(tq.build_first_order(params))
+        scalar = partial(_scalar, backend=params.backend)
         return v.ok, {
             "residual_zero": v.residual_zero,
-            "max_residual": _scalar(v.max_residual, backend),
-            "max_relative_residual": _scalar(v.max_relative_residual,
-                                             backend),
-            "lambda1": _scalar(v.lambda1, backend),
-            "J": _scalar(v.J, backend),
+            "max_residual": scalar(v.max_residual),
+            "max_relative_residual": scalar(v.max_relative_residual),
+            "lambda1": scalar(v.lambda1),
+            "J": scalar(v.J),
             "lambda1_equals_J": v.lambda1_equals_J,
-            "Q1_at_1": _scalar(v.Q1_at_1, backend),
+            "Q1_at_1": scalar(v.Q1_at_1),
         }
 
-    backend = _backend(args)
-    if backend.exact:
-        ok, result = check(backend)
-    else:
-        backend, (ok, result) = escalate_precision(check)
+    backend, (ok, result) = _evaluate(
+        check, partial(stationary.model, *_system(args)), _backend(args))
     _emit(args, _describe(backend), result)
     return 0 if ok else 4
 
@@ -301,7 +308,7 @@ def _sweep_rows(args):
                 predictions[rho] = asymptotics.crossover_prediction(
                     rho, args.alpha).prediction
             qcol = float(make_params(backend).q)
-        _, values = _evaluate(make_params, backend)
+        _, values = _evaluate(_certified, make_params, backend)
         J, Delta = float(values["J"]), float(values["Delta"])
         d32, d1 = Delta / N ** 1.5, Delta / N
         gap = (d32 if kpz else d1) - predictions[rho]
@@ -336,7 +343,9 @@ FLAGS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call of a process."""
     parser = argparse.ArgumentParser(
         prog="qboson",
         description="Current statistics of the q-boson zero range process")

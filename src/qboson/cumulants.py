@@ -44,11 +44,12 @@ carries it, and it vanishes identically because
 by the definition of J.  For q <= 1, where F^N is built from d
 (``stationary.compute_stationary``), the check is a consequence of F^N's
 own recurrence; for q > 1, where F^N comes from the q-difference identity,
-it checks the product-form d against that Z.  On the rational backend
-A_0 = 0 is asserted exactly; on the float backend |A_0| must lie within
-its rounding bound, 2 (3 Z_r + 4p + 7) 2^-P times its absolute-value
-shadow (``error_unit``), or the run raises PrecisionError.  A_0 = 0 holds
-at the rounded q too, so no input error enters that bound.
+it checks the product-form d against that Z.  ``numerics.negligible``
+tests it: exactly on the rational backend, and on the float backend
+against its rounding bound, 2 (3 Z_r + 4p + 7) 2^-P times its
+absolute-value shadow (``_a0_unit``), a shortfall raising
+PrecisionError.  A_0 = 0 holds at the rounded q too, so no input error
+enters that bound.
 
 On the float backend every value carries a bound on its error, formed in
 the same run: gamma times its absolute-value shadow, the same expression
@@ -73,7 +74,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .numerics import PrecisionError, SolverError, geometric_factor
+from .numerics import SolverError, geometric_factor, negligible
 from .stationary import (ModelParams, compute_stationary, partition_error,
                          phi_coefficients, q_amplification)
 
@@ -241,21 +242,15 @@ def delta_exact_resummed(params: ModelParams) -> DeltaResult:
                     S2=S2)
 
     A0, *sums = _sums(params, Z, ratio, phi.coeffs, c, s, gf, -1)
-    A0_abs = shadows = None
+    a0_bound = shadows = None
     if not backend.exact:
         # phi_0 = (J/p) d_1 - 1 enters the shadow as (J/p) |d_1| + 1
         phi_abs = [abs(phi.coeff(0) + 1) + 1, *map(abs, phi.coeffs[1:])]
-        A0_abs, *shadows = _sums(params, Z, ratio, phi_abs, abs(c), 1,
-                                 [abs(x) for x in gf], 1)
-        shadows = breakdown(*shadows)
+        a0_shadow, *shadows = _sums(params, Z, ratio, phi_abs, abs(c), 1,
+                                    [abs(x) for x in gf], 1)
+        a0_bound, shadows = _a0_unit(params) * a0_shadow, breakdown(*shadows)
     # A_0 = 0 carries the divergent i-independent branch, which is dropped
-    if backend.exact:
-        if A0 != 0:
-            raise SolverError(f"internal identity violated: A_0 = {A0} != 0 "
-                              "on the rational backend")
-    elif abs(A0) > _a0_unit(params) * A0_abs:
-        raise PrecisionError(
-            f"A_0 = {backend.ctx.nstr(A0, 10)} exceeds its rounding bound "
-            f"against the scale {backend.ctx.nstr(A0_abs, 10)} at "
-            f"{backend.prec_bits} bits")
+    if not negligible("A_0", A0, a0_bound, backend):
+        raise SolverError(f"internal identity violated: A_0 = {A0} != 0 "
+                          "on the rational backend")
     return _bounded(params, shadows, **breakdown(*sums))

@@ -16,7 +16,11 @@ Two interchangeable scalar backends are provided:
   is accepted only when the bound is at most ``DEFAULT_VERIFY_RTOL``
   relative for every value (see ``certify``).  P is not an input: it
   starts at 256 bits and doubles until the computation passes, up to
-  ``MAX_PREC_BITS`` (see ``escalate_precision``).
+  ``MAX_PREC_BITS`` (see ``escalate_precision``).  A sum whose terms
+  cancel identically, such as the series' A_0 or an identity of the
+  first-order functional-equation check, counts as zero when it lies
+  within a rounding bound that its caller derives (``negligible``); a
+  larger one fails that precision the same way.
 
 ``TruncSeries`` holds the phi series; the oracle and the Monte Carlo form
 the weights f(m) of F from their own rates.  ``poly_mul`` is the full
@@ -44,7 +48,8 @@ class InputError(ValueError):
 
 
 class PrecisionError(ArithmeticError):
-    """Float-backend result whose error bound is too wide (exit code 3)."""
+    """Float-backend result whose error bound is too wide, or a cancelling
+    identity beyond its derived rounding bound (exit code 3)."""
 
 
 class SolverError(RuntimeError):
@@ -238,22 +243,23 @@ def require_positive(name: str, value: float) -> float:
     return value
 
 
-def negligible(what: str, x, scale, backend: Backend) -> bool:
+def negligible(what: str, x, bound, backend: Backend) -> bool:
     """Whether x, a sum of terms that cancel identically, is zero.
 
-    On the rational backend x must be exactly zero and scale is not read.
-    On the float backend x counts as zero when |x| <= scale * 2^-(prec//2),
-    scale being the sum of the absolute values of the terms summed into x;
-    half the mantissa is the margin for rounding.  A larger |x| means the
+    On the rational backend x must be exactly zero and bound is not read.
+    On the float backend x counts as zero when |x| <= bound, the caller's
+    bound on the rounding error of x: a unit derived from the roundings
+    along x's path, times x's absolute-value shadow (the sum of the
+    absolute values of the terms summed into x).  A larger |x| means the
     working precision fell short, so it raises PrecisionError.
     """
     if backend.exact:
         return x == 0
-    if abs(x) <= scale * backend.integer(2) ** -(backend.prec_bits // 2):
+    if abs(x) <= bound:
         return True
     raise PrecisionError(
-        f"{what} = {backend.ctx.nstr(x, 10)} is not negligible against the "
-        f"scale {backend.ctx.nstr(scale, 10)} at {backend.prec_bits} bits")
+        f"{what} = {backend.ctx.nstr(x, 10)} exceeds its rounding bound "
+        f"{backend.ctx.nstr(bound, 10)} at {backend.prec_bits} bits")
 
 
 def certify(values: dict, errors: dict, backend: FloatBackend) -> dict:

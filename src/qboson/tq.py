@@ -28,6 +28,12 @@ The residual of the first-order relation, and lambda_1 = q_{p-1} = J,
 hold by construction for any B_1 that passes divisibility, so they check
 the arithmetic only.  All three gate the verdict.
 
+Each identity is tested by ``numerics.negligible``: exactly on the
+rational backend, which builds no bound; on the float backend within
+``_rounding_unit`` times its absolute-value shadow, the same sum with
+every term in absolute value.  The identities hold exactly at the rounded
+q, so only the roundings of the P-bit run enter that unit.
+
 Polynomials are lists of coefficients, constant term first, at their own
 length: (1 - x)^N has N + 1, B_1 and Q_1 have p, T_1 has N and the
 residual N + p.  Products are full Cauchy products (``numerics.poly_mul``)
@@ -38,11 +44,13 @@ builds (1 - x)^N once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import comb
+from operator import mul
 
-from .numerics import (Backend, InputError, SolverError, negligible,
-                       poly_mul)
-from .stationary import ModelParams, compute_stationary
+from .numerics import Backend, InputError, SolverError, negligible, poly_mul
+from .stationary import (ModelParams, compute_stationary, partition_error,
+                         q_amplification)
 
 
 def one_minus_x_pow(params: ModelParams) -> list:
@@ -78,14 +86,12 @@ class TqVerdict:
 
 def b1_polynomial(params: ModelParams, stat) -> list:
     """b_i = -N (1-q)^{p-i} Z(N,i) / Z(N,p), i = 0..p-1."""
-    q = params.q
+    N, p, q, Z = params.N, params.p, params.q, stat.Zvals
     if q == 1:
         raise InputError("the first-order functional-equation step is "
                          "undefined at q = 1; use the free-particle values "
                          "J = Delta = p")
-    N, p = params.N, params.p
-    Zp = stat.Zvals[p]
-    return [-N * (1 - q) ** (p - i) * stat.Zvals[i] / Zp for i in range(p)]
+    return [-N * (1 - q) ** (p - i) * Z[i] / Z[p] for i in range(p)]
 
 
 def q1_polynomial(b1: list, params: ModelParams) -> list:
@@ -97,28 +103,77 @@ def q1_polynomial(b1: list, params: ModelParams) -> list:
 
 def _powers(q, count: int) -> list:
     """q^0..q^(count-1), each the last times q, from the int 1."""
-    powers = [1]
-    for _ in range(count - 1):
-        powers.append(powers[-1] * q)
-    return powers
+    return list(accumulate(repeat(q, count - 1), mul, initial=1))
 
 
 def _abs(coeffs: list) -> list:
     return [abs(c) for c in coeffs]
 
 
-def _first_nonzero(what: str, value: list, scale, count: int,
+def _rounding_unit(params: ModelParams):
+    """The unit of every identity of the check on the float backend: each
+    identity's P-bit value lies within this unit times its absolute-value
+    shadow of 0.  None on the rational backend, which reads no bound;
+    q != 1.
+
+    The identities hold exactly at the rounded q, so only roundings enter.
+    With u = 2^-P, a pow counted as two roundings, kappa =
+    q_amplification and Z_r the rounding part of Z(N, k <= p)'s error
+    (``stationary.partition_error``), to first order, relative and in
+    units of u:
+
+    * inputs: (1 - x)^N's binomials are within 1 (rounded to P bits);
+      1 - q within 1, so (1 - q)^(p-i) within (p - i) + 2, and
+      b_i = -N (1 - q)^(p-i) Z_i / Z_p within 2 Z_r + p + 5; q^m within 2,
+      which q^m - 1 amplifies by at most kappa, so q_i is b_i /
+      (q^(p-i) - 1) within 2 kappa + 2; the running powers q^k are within
+      k - 1 < p, and J = N Z_(p-1) / Z_p within 2 Z_r + 2.
+    * bracket coefficient k < p of T_1: each term within 2 Z_r + 2p + 5,
+      the dot (FloatBackend.dot) adds 2 and the subtraction 1:
+      2 Z_r + 2p + 8.
+    * Q1(1) - p, the shadow sum |q_i| + p: each q_i within
+      2 Z_r + p + 2 kappa + 7, the p additions add p: 2 Z_r + 2p +
+      2 kappa + 7.
+    * lambda1 - J, the shadow |lambda1| + |J| = 2 |J|: (2 Z_r + 2 kappa +
+      8 + 2 Z_r + 2) / 2 and the subtraction: 2 Z_r + kappa + 6.
+    * residual coefficient k, the shadow its printed scale: in exact
+      arithmetic on the P-bit Q_1 and T_1 it is
+      (1 - x)^N M(x) - M(qx) - beta(x) + x^p E(x), with
+      mu_i = b_i - (q^(p-i) - 1) q_i the coefficients of M, beta the
+      exact bracket below x^p of the P-bit b_i (within 2 Z_r + p + 6 of
+      its shadow), E T_1's rounding (within 4 of the scale) and
+      |mu_i| <= (2 kappa + 2) (|q|^(p-i) + 1) |q_i|.  As
+      |b_i| <= (|q|^(p-i) + 1) |q_i|, the terms of M and the bracket's
+      shadow are at most the scale plus 2 |q|^p |q_k|, which is only
+      nonzero for q < 0, |q| < 1, where it is at most twice the scale's
+      term |q|^(p-k) |q_k|: so 3 (2 Z_r + p + 2 kappa + 8) + 4.  The
+      residual's own evaluation adds p + 7 (T_0's 1 + q^p 3, the dots 2,
+      the running power p, the sums 2): 6 Z_r + 4p + 6 kappa + 35.
+
+    The last is the largest, so unit = 2 (6 Z_r + 4p + 6 kappa + 35) u:
+    the factor 2 covers the higher-order terms and the shadows' own
+    rounding to nearest, within (p + 7) u of themselves.
+    """
+    backend, p = params.backend, params.p
+    if backend.exact:
+        return None
+    z_rounding = partition_error(params, p)[0]
+    return (2 * (6 * z_rounding + 4 * p + 6 * q_amplification(params) + 35)
+            * backend.integer(2) ** -backend.prec_bits)
+
+
+def _first_nonzero(what: str, value: list, shadows, count: int, unit,
                    backend: Backend) -> int | None:
     """The first k < count whose coefficient of value is not zero, or None.
 
-    Each coefficient is tested by ``numerics.negligible``; scale() gives the
-    list of their scales and is only built on the float backend, the one
-    that reads it.
+    Each coefficient is tested by ``numerics.negligible``, on the float
+    backend within unit (``_rounding_unit``) times its shadow; shadows()
+    gives the list of shadows and is only built there.
     """
-    scales = value if backend.exact else scale()
+    bounds = value if unit is None else [unit * s for s in shadows()]
     for k in range(count):
         if not negligible(f"{what} coefficient of x^{k}", value[k],
-                          scales[k], backend):
+                          bounds[k], backend):
             return k
     return None
 
@@ -130,19 +185,18 @@ def t1_polynomial(b1: list, onemx: list, params: ModelParams) -> list:
     one means the construction is broken, so it raises SolverError rather
     than truncates.
     """
-    backend = params.backend
-    q = params.q
-    N, p = params.N, params.p
+    backend, N, p, q = params.backend, params.N, params.p, params.q
     bracket = poly_mul(onemx, b1, backend)
     for k, w in enumerate(_powers(q, p)):
         bracket[k] = bracket[k] - b1[k] * w
 
-    def scales():
+    def shadows():
         out = poly_mul(_abs(onemx), _abs(b1), backend)
         return [s + abs(b) * w
                 for s, b, w in zip(out, b1, _powers(abs(q), p))]
 
-    k = _first_nonzero("bracket", bracket, scales, p, backend)
+    k = _first_nonzero("bracket", bracket, shadows, p,
+                       _rounding_unit(params), backend)
     if k is not None:
         raise SolverError(
             f"bracket coefficient of x^{k} is {bracket[k]}, "
@@ -168,11 +222,12 @@ def verify_first_order(tq: TqFirstOrder) -> TqVerdict:
     Q1(1) = p and lambda1 = J.
 
     Each is tested by ``numerics.negligible``: exactly on the rational
-    backend, to the working precision on the float backend, which raises
-    PrecisionError where one falls short.  max_relative_residual is the
-    largest |residual_k| / scale_k, scale_k being the sum of the absolute
-    values of the terms of coefficient k; an exactly zero residual has
-    relative 0 without its scales being built.
+    backend, and on the float backend within _rounding_unit times its
+    shadow, raising PrecisionError where one falls short.  The residual's
+    shadow at x^k, scale_k, is the sum of the absolute values of the terms
+    of coefficient k; Q1(1)'s is sum |q_i| + p and lambda1's |lambda1| +
+    |J|.  max_relative_residual is the largest |residual_k| / scale_k; an
+    exactly zero residual has relative 0 without its scales being built.
     """
     params = tq.params
     backend, p = params.backend, params.p
@@ -191,6 +246,7 @@ def verify_first_order(tq: TqFirstOrder) -> TqVerdict:
         rhs[p] = powers[p] * N + rhs[p]
         return lhs, rhs
 
+    unit = _rounding_unit(params)   # None on the rational backend
     T0 = [tq.onemx[0] + params.q ** p] + tq.onemx[1:]
     lhs, rhs = sides(T0, tq.T1, tq.Q1, tq.onemx, params.q)
     residual = [a - b for a, b in zip(lhs, rhs)]
@@ -201,14 +257,15 @@ def verify_first_order(tq: TqFirstOrder) -> TqVerdict:
                          abs(params.q))
         scales = [a + b for a, b in zip(lhs, rhs)]
         residual_zero = _first_nonzero("residual", residual, lambda: scales,
-                                       len(residual), backend) is None
+                                       len(residual), unit, backend) is None
         relative = max((abs(x) / s for x, s in zip(residual, scales) if s),
                        default=relative)
     q1_at_1 = sum(tq.Q1)
     q1_is_p = negligible("Q1(1) - p", q1_at_1 - p,
-                         sum(map(abs, tq.Q1)) + p, backend)
-    lambda1_is_J = negligible("lambda1 - J", tq.lambda1 - tq.J,
-                              abs(tq.lambda1) + abs(tq.J), backend)
+                         unit and unit * (sum(map(abs, tq.Q1)) + p), backend)
+    lambda1_is_J = negligible(
+        "lambda1 - J", tq.lambda1 - tq.J,
+        unit and unit * (abs(tq.lambda1) + abs(tq.J)), backend)
     return TqVerdict(ok=residual_zero and q1_is_p and lambda1_is_J,
                      residual_zero=residual_zero,
                      lambda1_equals_J=lambda1_is_J,

@@ -818,25 +818,23 @@ class TestVerifyTqFloat:
         monkeypatch.setattr(tq, "compute_stationary", lossy)
 
     def test_precision_shortfall_exits_3(self, capsys, monkeypatch):
-        # 140 bits lost leave 116 at 256 bits, where the bracket of T_1 is
-        # not negligible (2^-128 of its scale), and 372 at 512, where it is
+        # 140 bits lost at every precision P leave Q1(1) - p and the bracket
+        # of T_1 near 2^-(P - 140) of their shadows, far above the derived
+        # rounding unit, 2^-(P - 16): no precision passes, and the request
+        # exits 3 naming the last one tried
         self.partition_function_losing_bits(monkeypatch, 140)
-        argv = ["verify-tq", "--n", "8", "--p", "40", "--q", "5",
-                "--backend", "float"]
-        doc = run_json(capsys, *argv)
-        assert doc["backend"] == {"kind": "float", "prec_bits": 512}
-        assert doc["result"]["residual_zero"] is True
-        monkeypatch.setattr(numerics, "MAX_PREC_BITS", 256)
-        code = main(argv)
+        code = main(["verify-tq", "--n", "8", "--p", "40", "--q", "5",
+                     "--backend", "float"])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("precision failure: no precision up "
-                                       "to 256 bits passed")
-        assert "at 256 bits" in captured.err
+                                       "to 4096 bits passed")
+        assert "at 4096 bits" in captured.err
 
     def test_escalation_builds_f_n_to_degree_p(self, capsys, monkeypatch):
-        # F^N is built to degree p at each precision tried, and the check
-        # passes at 512 bits only, as test_precision_shortfall_exits_3 pins
+        # F^N is built to degree p at each precision tried, from 256 bits
+        # to MAX_PREC_BITS, as test_precision_shortfall_exits_3 fails at
+        # every one
         self.partition_function_losing_bits(monkeypatch, 140)
         builds = []
         lossy = tq.compute_stationary
@@ -846,10 +844,34 @@ class TestVerifyTqFloat:
             return lossy(params, degree)
 
         monkeypatch.setattr(tq, "compute_stationary", counted)
-        doc = run_json(capsys, "verify-tq", "--n", "8", "--p", "40", "--q",
-                       "5", "--backend", "float")
-        assert doc["backend"] == {"kind": "float", "prec_bits": 512}
-        assert builds == [(256, 40), (512, 40)]
+        code = main(["verify-tq", "--n", "8", "--p", "40", "--q", "5",
+                     "--backend", "float"])
+        capsys.readouterr()
+        assert code == 3
+        assert builds == [(256, 40), (512, 40), (1024, 40), (2048, 40),
+                          (4096, 40)]
+
+    @pytest.mark.parametrize("q", ["1/2", "3/2"])
+    def test_identities_see_a_perturbed_partition_function(self, capsys,
+                                                           monkeypatch, q):
+        # Z(N, p-3) moved by 2^-150 relative at every precision: at 256 bits
+        # the rounding unit is 2^-243 (q = 1/2) or 2^-240 (q = 3/2) of each
+        # shadow, which sees the move, though 2^-128 would pass it
+        compute = tq.compute_stationary
+
+        def perturbed(params, degree):
+            stat = compute(params, degree)
+            Z = list(stat.Zvals)
+            Z[params.p - 3] *= 1 + params.backend.integer(2) ** -150
+            return stationary.StationaryData(Zvals=tuple(Z), J=stat.J)
+
+        monkeypatch.setattr(tq, "compute_stationary", perturbed)
+        code = main(["verify-tq", "--n", "64", "--p", "64", "--q", q,
+                     "--backend", "float"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("precision failure: no precision up "
+                                       "to 4096 bits passed")
 
 
 # The stdout corpus: each request's argv and exit code on a "$" line, then

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qboson import cumulants
-from qboson.cli import _evaluate, _series
+from qboson.cli import _certified, _evaluate, _series
 from qboson.numerics import (FloatBackend, PrecisionError, RATIONAL,
                              escalate_precision, geometric_factor)
 from qboson.stationary import (StationaryData, compute_stationary, model,
@@ -347,11 +347,11 @@ def _float_and_exact(N, p, q):
     for each Z(N, k), k < 2p, whose bound is twice partition_error's, as
     gamma's is."""
     make = partial(model, N, p, q)
-    be, values = _evaluate(make, FloatBackend())
+    be, values = _evaluate(_certified, make, FloatBackend())
     m = make(be)
     got, errors = _series(m)
     assert got == values
-    _, exact = _evaluate(make, RATIONAL)
+    _, exact = _evaluate(_certified, make, RATIONAL)
     unit = 2 * be.integer(2) ** -be.prec_bits
     power = [(z, unit * sum(partition_error(m, k)) * z, ref)
              for k, (z, ref) in enumerate(zip(

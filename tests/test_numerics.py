@@ -461,19 +461,26 @@ def test_rational_dot_is_the_written_out_sum():
 
 class TestNegligible:
     def test_rational_means_exactly_zero(self):
-        assert negligible("x", F(0), F(1), RATIONAL)
+        # the bound is not read on the rational backend
+        assert negligible("x", F(0), None, RATIONAL)
         assert not negligible("x", F(1, 10 ** 100), F(10 ** 100), RATIONAL)
 
     def test_float_tolerance_scales_with_terms(self):
-        # 2^-(64 // 2) of the scale is the tolerance at 64 bits
+        # the tolerance is the caller's bound, a unit times the scale of the
+        # terms: |x| up to it passes and the next float above fails, and
+        # 2^-33 of the scale, inside half the mantissa, fails 2^-56 of it
         be = FloatBackend(64)
-        tiny = be.integer(2) ** -33
         big = be.integer(2) ** 100
-        assert negligible("x", tiny * big, big, be)
+        bound = big * be.integer(2) ** -56
+        assert negligible("x", bound, bound, be)
+        assert negligible("x", -bound, bound, be)
+        with pytest.raises(PrecisionError,
+                           match="x = .* exceeds its rounding bound .* at 64"):
+            negligible("x", bound * (1 + be.integer(2) ** -63), bound, be)
         with pytest.raises(PrecisionError):
-            negligible("x", 4 * tiny * big, big, be)
+            negligible("x", big * be.integer(2) ** -33, bound, be)
         with pytest.raises(PrecisionError):
-            negligible("x", tiny, be.integer(0), be)
+            negligible("x", big * be.integer(2) ** -200, be.integer(0), be)
 
 
 class TestCertify:

@@ -1,11 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qboson.numerics import InputError, SolverError
+from qboson.numerics import FloatBackend, InputError, SolverError
 from qboson.stationary import compute_stationary, model
 from qboson.tq import (b1_polynomial, build_first_order, one_minus_x_pow,
                        q1_polynomial, t1_polynomial, verify_first_order)
+
+from test_cumulants import Q_REGIMES, _near_unit
 
 Q_GRID = (F(-1, 2), F(1, 3), F(1, 2), F(2), F(3), F(0))
 
@@ -106,3 +110,15 @@ class TestIdentity:
             assert verdict.ok
             assert verdict.max_residual == 0
             assert verdict.max_relative_residual == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 24),
+       Q_REGIMES | st.integers(2 ** 20, 2 ** 40).flatmap(_near_unit)
+       | st.just(F(0)),
+       st.sampled_from((53, 256)))
+def test_float_identities_lie_within_their_rounding_unit(N, p, q, prec):
+    # every identity of a correct F^N passes its derived bound: at any
+    # system, q within 2^-20 of +-1 included, and at 53 bits as at 256
+    first = build_first_order(model(N, p, q, FloatBackend(prec)))
+    assert verify_first_order(first).ok
