@@ -10,11 +10,12 @@ together with the precision in bits, except the float oracle's, which are
 float64 and print as the shortest string that reads back as the same
 double.
 
-Exit codes: 0 ok, 2 invalid input, 3 precision-verification failure at
-every float precision up to ``numerics.MAX_PREC_BITS`` (a value's error
-bound wider than DEFAULT_VERIFY_RTOL, or an identity of verify-tq or the
-series' A_0 beyond its derived rounding bound), 4 solver failure or a
-failed identity check.
+Exit codes: 0 ok, 2 invalid input or an unwritable --out file, 3
+precision-verification failure at every float precision up to
+``numerics.MAX_PREC_BITS`` (a value's error bound wider than
+DEFAULT_VERIFY_RTOL, or an identity of verify-tq or the series' A_0
+beyond its derived rounding bound), 4 solver failure or a failed
+identity check.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def _backend(args):
     --backend float or a decimal q selects the float backend, at the
     default precision.  oracle computes at that precision, since it rounds
     to float64; exact, verify-tq and sweep raise it until their checks pass
-    (``_evaluate``).
+    (``numerics.escalate_precision``).
     """
     q = args.q or ""
     if args.backend == "float" or "." in q or "e" in q.lower():
@@ -107,8 +108,12 @@ def _system(args) -> tuple[int, int, Fraction]:
 def _write(text: str, args) -> None:
     """Write to the --out file, or to stdout without one."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out!r}: "
+                             f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -144,31 +149,15 @@ def _certified(params) -> dict:
                                                  params.backend)
 
 
-def _evaluate(compute, make_params, backend):
-    """The backend of compute's result, and the result.
-
-    The rational backend runs compute once.  On the float backend each
-    precision P runs it once, and keeps its result unless it raises
-    PrecisionError (a value's error bound too wide, or an identity beyond
-    its rounding bound); P starts at 256 bits and doubles until it does
-    not (``escalate_precision``).  make_params builds the model afresh at
-    each precision, so a q like exp(-alpha/sqrt(N)) is recomputed at the
-    new P too.  The returned backend is the accepted run's.
-    """
-    if backend.exact:
-        return backend, compute(make_params(backend))
-    return escalate_precision(lambda be: compute(make_params(be)))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_exact(args) -> int:
     N, p, qfrac = _system(args)
-    backend, values = _evaluate(_certified,
-                                partial(stationary.model, N, p, qfrac),
-                                _backend(args))
+    backend, values = escalate_precision(
+        lambda be: _certified(stationary.model(N, p, qfrac, be)),
+        _backend(args))
     result = {key: _scalar(val, backend) for key, val in values.items()}
     result.update(N=N, p=p, q=_fraction_str(qfrac))
     _emit(args, _describe(backend), result)
@@ -233,25 +222,22 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_verify_tq(args) -> int:
-    def check(params):
-        """(ok, result) at params; PrecisionError where a float identity
-        exceeds its rounding bound."""
-        v = tq.verify_first_order(tq.build_first_order(params))
-        scalar = partial(_scalar, backend=params.backend)
-        return v.ok, {
-            "residual_zero": v.residual_zero,
-            "max_residual": scalar(v.max_residual),
-            "max_relative_residual": scalar(v.max_relative_residual),
-            "lambda1": scalar(v.lambda1),
-            "J": scalar(v.J),
-            "lambda1_equals_J": v.lambda1_equals_J,
-            "Q1_at_1": scalar(v.Q1_at_1),
-        }
-
-    backend, (ok, result) = _evaluate(
-        check, partial(stationary.model, *_system(args)), _backend(args))
-    _emit(args, _describe(backend), result)
-    return 0 if ok else 4
+    # a float identity beyond its rounding bound raises PrecisionError,
+    # on which the driver retries at twice the bits
+    system = _system(args)
+    backend, v = escalate_precision(lambda be: tq.verify_first_order(
+        tq.build_first_order(stationary.model(*system, be))), _backend(args))
+    scalar = partial(_scalar, backend=backend)
+    _emit(args, _describe(backend), {
+        "residual_zero": v.residual_zero,
+        "max_residual": scalar(v.max_residual),
+        "max_relative_residual": scalar(v.max_relative_residual),
+        "lambda1": scalar(v.lambda1),
+        "J": scalar(v.J),
+        "lambda1_equals_J": v.lambda1_equals_J,
+        "Q1_at_1": scalar(v.Q1_at_1),
+    })
+    return 0 if v.ok else 4
 
 
 def _ring_sizes(text) -> list:
@@ -308,7 +294,8 @@ def _sweep_rows(args):
                 predictions[rho] = asymptotics.crossover_prediction(
                     rho, args.alpha).prediction
             qcol = float(make_params(backend).q)
-        _, values = _evaluate(_certified, make_params, backend)
+        _, values = escalate_precision(
+            lambda be: _certified(make_params(be)), backend)
         J, Delta = float(values["J"]), float(values["Delta"])
         d32, d1 = Delta / N ** 1.5, Delta / N
         gap = (d32 if kpz else d1) - predictions[rho]

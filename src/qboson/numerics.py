@@ -280,13 +280,20 @@ def certify(values: dict, errors: dict, backend: FloatBackend) -> dict:
     return values
 
 
-def escalate_precision(compute: Callable[[FloatBackend], object]) -> tuple:
+def escalate_precision(compute: Callable, backend: Backend) -> tuple:
     """(backend, compute(backend)) at the least precision that passes.
 
-    compute runs on a FloatBackend of DEFAULT_PREC_BITS bits, and again at
-    twice the bits each time it raises PrecisionError.  At MAX_PREC_BITS
-    the PrecisionError propagates, its message naming that precision.
+    On the rational backend compute runs once.  On the float backend,
+    whatever the given backend's precision, it runs on a FloatBackend of
+    DEFAULT_PREC_BITS bits, and again at twice the bits each time it
+    raises PrecisionError (a value's error bound too wide, or an identity
+    beyond its rounding bound).  compute builds its model from the backend
+    it is given, so a q like exp(-alpha/sqrt(N)) is recomputed at each P.
+    At MAX_PREC_BITS the PrecisionError propagates, its message naming
+    that precision.
     """
+    if backend.exact:
+        return backend, compute(backend)
     prec = DEFAULT_PREC_BITS
     while True:
         backend = FloatBackend(prec)

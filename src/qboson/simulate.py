@@ -13,8 +13,11 @@ the clock at 0 in the state the first left: exact, as the waiting times
 are memoryless.  One CPU of a 2-CPU Intel Xeon host runs about 1.0e6
 events/s at N = p = 16 and 5.6e5 at N = p = 64 (q = 1/2, CPython 3.11),
 as the ``monte-carlo`` workload of perfbench/ measures.  A request asks
-for about reps (t_burn + t_measure) J events; ``SimConfig`` refuses one
-whose bound on that exceeds EVENT_BUDGET before any replica runs.
+for about reps (t_burn + t_measure) J events, and each replica draws at
+least one block of uniforms in each of its two kernel calls, however
+short its windows; ``SimConfig`` refuses a request whose bound on that
+work, reps ((t_burn + t_measure) J + 2 _DRAW_BLOCK), exceeds EVENT_BUDGET
+before any replica runs.
 
 Every replica starts from an exact draw of the stationary measure: i.i.d.
 site occupations with weights f(m) z^m at the saddle-point fugacity z,
@@ -23,17 +26,22 @@ float64 rates and these weights once per request, before any worker forks.
 
 Estimation uses independent replicas: W_r = Y(t_burn + t_measure) -
 Y(t_burn), J_hat = mean(W)/t_measure, Delta_hat = var(W)/t_measure, with
-standard errors from the replica jackknife.  Each replica spawns two PCG64
-streams, one for its initial configuration and one for its kernel, from
+standard errors from the replica jackknife, which for these two
+statistics has a closed form in the central moments of W (see
+``estimate_cumulants``).  So a replica contributes only the powers W^0 to
+W^4 and its event count to six integer sums, and the estimate needs
+fixed memory and O(reps) time.  Each replica spawns two PCG64 streams,
+one for its initial configuration and one for its kernel, from
 SeedSequence([seed, rep_index]), whose spawning contract guarantees
 stream independence; numpy's global random state is never touched.
 
 ``estimate_cumulants`` runs the replicas in min(reps, usable CPUs)
 processes: the caller runs the first contiguous share and forked workers
-the others, each returning its windows through a pipe, put back in replica
-order so that the estimate is the serial one, byte for byte.  Forking is
-cheaper than a fresh interpreter's imports, and safe: the program starts
-no Python threads, and the workers call no BLAS routine.
+the others, each returning its six sums through a pipe.  Integer sums are
+exact in any order, so the estimate is the serial one, byte for byte, on
+any number of CPUs.  Forking is cheaper than a fresh interpreter's
+imports, and safe: the program starts no Python threads, and the workers
+call no BLAS routine.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -166,13 +175,14 @@ class SimConfig:
             raise InputError(
                 f"the rates at q = {params.q} exceed float64's largest "
                 "value, 1.8e308, in which simulate runs") from None
-        work = (self.reps * (self.burn_time + self.t_measure)
-                * _event_rate(params, rates))
+        # a replica draws at least one block in each of its two windows
+        work = self.reps * ((self.burn_time + self.t_measure)
+                            * _event_rate(params, rates) + 2 * _DRAW_BLOCK)
         if work > EVENT_BUDGET:
             raise InputError(
-                f"the request asks for about {work:.2g} events, reps "
-                "(t_burn + t_measure) times the total rate, above "
-                f"simulate's budget of {EVENT_BUDGET:.0e}")
+                f"the request asks for about {work:.2g} events, each replica "
+                f"{2 * _DRAW_BLOCK} plus (t_burn + t_measure) times a rate "
+                f"bound, above simulate's budget of {EVENT_BUDGET:.0e}")
         z = (float(params.rho) if params.q == 1 else
              asymptotics.saddle_point(float(params.rho), params.q))
         log_z = math.log(z)
@@ -239,14 +249,6 @@ def run_trajectory(cfg: SimConfig, rep_index: int) -> TrajectoryResult:
     return TrajectoryResult(Y_burn=Y_burn, events=events, hist=np.array(hist))
 
 
-def _jackknife_se(values: list, statistic) -> float:
-    n = len(values)
-    thetas = [statistic(values[:i] + values[i + 1:]) for i in range(n)]
-    mean_t = math.fsum(thetas) / n
-    var = (n - 1) / n * math.fsum((t - mean_t) ** 2 for t in thetas)
-    return math.sqrt(var)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -254,15 +256,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _replica_windows(cfg: SimConfig, reps: range) -> list:
-    """(events - Y_burn, events) of each replica in reps, in order: the
-    displacement over the measuring window, and the event count."""
-    trajs = (run_trajectory(cfg, rep) for rep in reps)
-    return [(traj.events - traj.Y_burn, traj.events) for traj in trajs]
+def _replica_sums(cfg: SimConfig, reps: range) -> tuple:
+    """(count, sum W, sum W^2, sum W^3, sum W^4, sum of events) over the
+    replicas in reps, as ints, with W = events - Y_burn a replica's
+    displacement over its measuring window."""
+    sums = [0] * 6
+    for rep in reps:
+        traj = run_trajectory(cfg, rep)
+        w = traj.events - traj.Y_burn
+        terms = (1, w, w * w, w ** 3, w ** 4, traj.events)
+        sums = [a + b for a, b in zip(sums, terms)]
+    return tuple(sums)
 
 
 def _fork_share(cfg: SimConfig, share: range) -> tuple:
-    """Fork a worker that runs share and writes its windows, or the
+    """Fork a worker that runs share and writes its sums, or the
     exception it raised, pickled to a pipe.  Returns (pid, read end).
 
     A bare fork and pipe, not multiprocessing: importing multiprocessing
@@ -283,7 +291,7 @@ def _fork_share(cfg: SimConfig, share: range) -> tuple:
     try:   # the worker never returns to the caller's stack
         os.close(read)
         try:
-            result = _replica_windows(cfg, share)
+            result = _replica_sums(cfg, share)
         except BaseException as exc:   # re-raised by _worker_result
             result = exc
         data = pickle.dumps(result)
@@ -293,7 +301,7 @@ def _fork_share(cfg: SimConfig, share: range) -> tuple:
         os._exit(0)
 
 
-def _worker_result(pid: int, read: int) -> list:
+def _worker_result(pid: int, read: int) -> tuple:
     """Read a worker's pipe to its end; re-raise what the worker raised."""
     import pickle
 
@@ -309,6 +317,29 @@ def _worker_result(pid: int, read: int) -> list:
 
 
 def estimate_cumulants(cfg: SimConfig) -> SimEstimate:
+    """J_hat and Delta_hat with their replica-jackknife standard errors,
+    from the replicas' integer power sums.
+
+    With R replicas, mean m and d_i = W_i - m, the central moments
+    M2 = sum d_i^2 = S2 - m S1 and
+    M4 = sum d_i^4 = S4 - 4 m S3 + 6 m^2 S2 - 3 m^3 S1, with Sk = sum W^k,
+    are formed exactly as Fractions.
+    Leaving replica i out gives the mean m - d_i/(R - 1), and (expanding
+    the square about m, as sum d_j = 0) the unbiased variance
+    s_i = (M2 - R d_i^2/(R - 1))/(R - 2).  The jackknife variance of a
+    statistic is (R - 1)/R sum (theta_i - mean theta)^2, so:
+
+    - the mean's deviations are -d_i/(R - 1), and its se^2 is
+      M2 / (R (R - 1));
+    - the variance's leave-one-out values average M2/(R - 1), the full
+      estimate, and deviate by -R (d_i^2 - M2/R) / ((R - 1)(R - 2)), so
+      its se^2 is (R M4 - M2^2) / ((R - 1)(R - 2)^2).
+
+    Both, and Delta_hat = M2/(R - 1), are divided by t_measure (t^2 for
+    the squares).  Each quotient of moments is exact until one rounding
+    to float64; the square root and the division by t_measure add one
+    rounding each.  J_hat = float(m)/t_measure.
+    """
     # one contiguous share of the replicas per process (module docstring)
     procs = min(cfg.reps, _usable_cpus()) if hasattr(os, "fork") else 1
     bounds = [cfg.reps * w // procs for w in range(procs + 1)]
@@ -317,9 +348,8 @@ def estimate_cumulants(cfg: SimConfig) -> SimEstimate:
     try:
         for share in shares[1:]:
             workers.append(_fork_share(cfg, share))
-        results = _replica_windows(cfg, shares[0])
-        for worker in workers:
-            results += _worker_result(*worker)
+        sums = [_replica_sums(cfg, shares[0])]
+        sums += [_worker_result(*worker) for worker in workers]
     finally:
         import signal
 
@@ -329,20 +359,14 @@ def estimate_cumulants(cfg: SimConfig) -> SimEstimate:
             os.close(read)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    R, s1, s2, s3, s4, total_events = map(sum, zip(*sums))
     t = cfg.t_measure
-    windows = [float(w) for w, _ in results]
-    total_events = sum(events for _, events in results)
-
-    def mean_stat(vals):
-        return math.fsum(vals) / len(vals)
-
-    def var_stat(vals):
-        m = math.fsum(vals) / len(vals)
-        return math.fsum((v - m) ** 2 for v in vals) / (len(vals) - 1)
-
-    J_hat = mean_stat(windows) / t
-    Delta_hat = var_stat(windows) / t
-    se_J = _jackknife_se(windows, mean_stat) / t
-    se_D = _jackknife_se(windows, var_stat) / t
-    return SimEstimate(J_hat=J_hat, se_J=se_J, Delta_hat=Delta_hat,
-                       se_D=se_D, reps=cfg.reps, total_events=total_events)
+    mean = Fraction(s1, R)
+    m2 = s2 - mean * s1
+    m4 = s4 - mean * (4 * s3 - mean * (6 * s2 - 3 * mean * s1))
+    return SimEstimate(
+        J_hat=float(mean) / t,
+        se_J=math.sqrt(m2 / (R * (R - 1))) / t,
+        Delta_hat=float(m2 / (R - 1)) / t,
+        se_D=math.sqrt((R * m4 - m2 ** 2) / ((R - 1) * (R - 2) ** 2)) / t,
+        reps=cfg.reps, total_events=total_events)

@@ -201,6 +201,15 @@ class TestExact:
         assert code == 0
         assert json.loads(out.read_text())["result"]["J"] == "12/7"
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "res.json"
+        code = main(["exact", "--n", "2", "--p", "2", "--q", "1/2",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: cannot write --out "
+                                       f"{str(out)!r}")
+
     def test_precision_failure_exits_3(self, capsys, monkeypatch):
         # passes at 512 bits only, so a cap of 256 bits must trip the
         # acceptance check and name the cap
@@ -376,6 +385,19 @@ class TestSimulate:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: the request asks for about "
                                        "1.3e+11 events")
+
+    def test_replica_count_above_budget_exits_2(self, capsys):
+        # windows of 1e-9 hold almost no events, but each replica draws a
+        # block of 1024 event pairs in each of its two windows
+        t0 = time.perf_counter()
+        code = main(["simulate", "--n", "4", "--p", "4", "--q", "1/2",
+                     "--reps", "10000000", "--t-burn", "1e-9",
+                     "--t-measure", "1e-9"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: the request asks for about "
+                                       "2e+10 events")
 
     def test_negative_seed_exits_2(self, capsys):
         # numpy's SeedSequence takes no negative entropy

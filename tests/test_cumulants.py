@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qboson import cumulants
-from qboson.cli import _certified, _evaluate, _series
+from qboson.cli import _certified, _series
 from qboson.numerics import (FloatBackend, PrecisionError, RATIONAL,
                              escalate_precision, geometric_factor)
 from qboson.stationary import (StationaryData, compute_stationary, model,
@@ -347,11 +347,13 @@ def _float_and_exact(N, p, q):
     for each Z(N, k), k < 2p, whose bound is twice partition_error's, as
     gamma's is."""
     make = partial(model, N, p, q)
-    be, values = _evaluate(_certified, make, FloatBackend())
+    be, values = escalate_precision(lambda be: _certified(make(be)),
+                                    FloatBackend())
     m = make(be)
     got, errors = _series(m)
     assert got == values
-    _, exact = _evaluate(_certified, make, RATIONAL)
+    _, exact = escalate_precision(lambda be: _certified(make(be)),
+                                  RATIONAL)
     unit = 2 * be.integer(2) ** -be.prec_bits
     power = [(z, unit * sum(partition_error(m, k)) * z, ref)
              for k, (z, ref) in enumerate(zip(
@@ -417,7 +419,8 @@ def test_float_shadows_are_the_exact_shadows(case):
     # which is the exact shadow at the unrounded q to within 2^-200: the
     # roundings, q's included, move it far less
     make = partial(model, *case)
-    be, res = escalate_precision(lambda be: delta_exact_resummed(make(be)))
+    be, res = escalate_precision(lambda be: delta_exact_resummed(make(be)),
+                                 FloatBackend())
     want, gamma = exact_shadows(make()), error_unit(make(be))
     for key, ref in want.items():
         got = _fraction(res.errors[key] / gamma)

@@ -276,7 +276,7 @@ class TestEscalatePrecision:
                 raise PrecisionError("short")
             return "done"
 
-        backend, out = escalate_precision(compute)
+        backend, out = escalate_precision(compute, FloatBackend())
         assert (backend.prec_bits, out) == (1024, "done")
         assert tried == [256, 512, 1024]
 
@@ -289,8 +289,18 @@ class TestEscalatePrecision:
 
         with pytest.raises(PrecisionError, match="up to 4096 bits passed: "
                                                  "short at 4096 bits"):
-            escalate_precision(compute)
+            escalate_precision(compute, FloatBackend())
         assert tried == [256, 512, 1024, 2048, 4096]
+
+    def test_rational_runs_once(self):
+        tried = []
+
+        def compute(b):
+            tried.append(b)
+            return "done"
+
+        assert escalate_precision(compute, RATIONAL) == (RATIONAL, "done")
+        assert tried == [RATIONAL]
 
 
 def exact(x) -> F:

@@ -12,8 +12,9 @@ from qboson.cli import main
 from qboson.numerics import InputError, SolverError
 from qboson.stationary import compute_stationary, model
 from qboson.cumulants import delta_exact_resummed
-from qboson.simulate import (SimConfig, _gillespie, estimate_cumulants,
-                             initial_config, run_trajectory)
+from qboson.simulate import (SimConfig, TrajectoryResult, _gillespie,
+                             estimate_cumulants, initial_config,
+                             run_trajectory)
 from test_stationary import one_site_weights, site_marginal
 
 
@@ -21,6 +22,25 @@ def request(N, p, q, **window):
     """A SimConfig of the model (N, p, q), whose set-up tests read."""
     return SimConfig(params=model(N, p, q), **({"t_measure": 1.0, "reps": 3,
                                                 "seed": 1} | window))
+
+
+def mean_stat(vals):
+    return math.fsum(vals) / len(vals)
+
+
+def var_stat(vals):
+    m = math.fsum(vals) / len(vals)
+    return math.fsum((v - m) ** 2 for v in vals) / (len(vals) - 1)
+
+
+def jackknife_se(values, statistic):
+    """The replica jackknife by its definition: statistic on each of the
+    len(values) leave-one-out copies, O(R^2) work."""
+    n = len(values)
+    thetas = [statistic(values[:i] + values[i + 1:]) for i in range(n)]
+    mean_t = math.fsum(thetas) / n
+    var = (n - 1) / n * math.fsum((t - mean_t) ** 2 for t in thetas)
+    return math.sqrt(var)
 
 
 class TestConfigValidation:
@@ -197,6 +217,10 @@ class TestReplicaPool:
         windows = [float(tr.events - tr.Y_burn) for tr in trajs]
         assert est.total_events == sum(tr.events for tr in trajs)
         assert est.J_hat == math.fsum(windows) / cfg.reps / cfg.t_measure
+        assert est.se_J == pytest.approx(
+            jackknife_se(windows, mean_stat) / cfg.t_measure, rel=1e-12)
+        assert est.se_D == pytest.approx(
+            jackknife_se(windows, var_stat) / cfg.t_measure, rel=1e-12)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
         assert est == estimate_cumulants(cfg)
 
@@ -258,6 +282,45 @@ class TestReplicaPool:
         monkeypatch.setattr(simulate, "run_trajectory", wrapper)
         assert estimate_cumulants(cfg) == expected
         assert calls == [0, 1]   # the caller's share
+
+
+WINDOW = st.integers(0, 2 ** 40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+           st.lists(WINDOW, min_size=3, max_size=60),
+           # all equal, and all equal but one outlier
+           st.tuples(WINDOW, st.integers(3, 60)).map(lambda c: [c[0]] * c[1]),
+           st.tuples(WINDOW, WINDOW, st.integers(2, 59)).map(
+               lambda c: [c[0]] * c[2] + [c[1]])),
+       st.floats(0.01, 1000.0))
+def test_closed_forms_equal_the_leave_one_out_jackknife(windows, t):
+    # replicas with the given windows stand in for the kernel
+    def trajectory(cfg, rep):
+        return TrajectoryResult(Y_burn=0, events=windows[rep], hist=None)
+
+    cfg = SimConfig(params=model(2, 2, F(1, 2)), t_measure=t,
+                    reps=len(windows), seed=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "run_trajectory", trajectory)
+        mp.setattr(simulate, "_usable_cpus", lambda: 1)
+        est = estimate_cumulants(cfg)
+    assert est.J_hat == math.fsum(windows) / len(windows) / t
+    assert est.total_events == sum(windows)
+    # both statistics' jackknife is blind to a common shift of W; the
+    # reference gets the windows above their least, as it rounds each
+    # leave-one-out mean at the windows' own magnitude.  Where every d_i^2
+    # is about equal the variance's se is near 0, and the reference's
+    # rounding of each leave-one-out value, near 2^-52 Delta_hat, is all
+    # that remains
+    low = min(windows)
+    shifted = [float(w - low) for w in windows]
+    assert est.Delta_hat == pytest.approx(var_stat(shifted) / t, rel=1e-12)
+    assert est.se_J == pytest.approx(jackknife_se(shifted, mean_stat) / t,
+                                     rel=1e-12)
+    assert est.se_D == pytest.approx(jackknife_se(shifted, var_stat) / t,
+                                     rel=1e-12, abs=1e-12 * est.Delta_hat)
 
 
 class TestEstimates:
