@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb
 
 from .numerics import Backend, InputError, RATIONAL, TruncSeries
 
@@ -61,6 +60,15 @@ def model(N: int, p: int, q, backend: Backend = RATIONAL,
     if not backend.exact:
         q = backend.ratio(q)
     return ModelParams(N=N, p=p, q=q, backend=backend, q_error=q_error)
+
+
+def binomial_row(N: int, k: int) -> list:
+    """C(N, 0), ..., C(N, k), each from the one before by
+    C(N, j) = C(N, j-1) (N - j + 1) / j: k big-int steps for the row."""
+    row = [1]
+    for j in range(1, k + 1):
+        row.append(row[-1] * (N - j + 1) // j)
+    return row
 
 
 def rate_u(n: int, params: ModelParams):
@@ -142,8 +150,8 @@ def compute_stationary(params: ModelParams, degree: int) -> StationaryData:
     if q > 1:
         # w_j = C(N, j) (q - 1)^(j-1), j = 1..min(N, degree)
         c, power, w = q - 1, 1, []
-        for j in range(1, min(N, degree) + 1):
-            w.append(comb(N, j) * power)
+        for binom in binomial_row(N, min(N, degree))[1:]:
+            w.append(binom * power)
             power = power * c
         w, qint = backend.vector(w), 0
         for k in range(1, degree + 1):
@@ -170,8 +178,8 @@ def float64_current(params: ModelParams) -> float:
     q = 3/2, where the rational compute_stationary takes 15 s."""
     N, p, q = params.N, params.p, params.q
     lq, lc = math.log(q), math.log(q - 1)
-    log_w = [math.log(comb(N, j)) + (j - 1) * lc
-             for j in range(1, min(N, p) + 1)]
+    log_w = [math.log(binom) + (j - 1) * lc
+             for j, binom in enumerate(binomial_row(N, min(N, p))[1:], 1)]
     log_g = [0.0]
     for k in range(1, p + 1):
         terms = [w + log_g[k - j] for j, w in enumerate(log_w[:k], 1)]

@@ -45,18 +45,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from math import comb
 from operator import mul
 
 from .numerics import Backend, InputError, SolverError, negligible, poly_mul
-from .stationary import (ModelParams, compute_stationary, partition_error,
-                         q_amplification)
+from .stationary import (ModelParams, binomial_row, compute_stationary,
+                         partition_error, q_amplification)
 
 
 def one_minus_x_pow(params: ModelParams) -> list:
     """The N + 1 coefficients of (1 - x)^N."""
     backend, N = params.backend, params.N
-    return [backend.integer((-1) ** k * comb(N, k)) for k in range(N + 1)]
+    return [backend.integer(-binom if k % 2 else binom)
+            for k, binom in enumerate(binomial_row(N, N))]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qboson.numerics import FloatBackend, InputError
+from qboson.numerics import FloatBackend, InputError, SolverError
 from qboson.stationary import compute_stationary, model
 from qboson.asymptotics import (crossover_F, crossover_prediction,
                                 kpz_coefficient, log_f_log_derivative,
@@ -232,7 +235,51 @@ class TestKpzCoefficient:
         assert ks[-1] < 0.01
 
 
+def crossover_reference(g: float):
+    """F(g, infinity) at 200 bits by mpmath's tanh-sinh quadrature, split
+    where 1/tanh(c y) bends, at 2^k/c below 1, and along the Gaussian."""
+    with mpmath.workprec(200):
+        g = mpmath.mpf(g)
+        c = mpmath.sqrt(g / 32)
+        points = ([0] + [2 ** k / c for k in range(-2, 40) if 2 ** k / c < 1]
+                  + [1, 2, 4, 8, 16, mpmath.inf])
+        integral = mpmath.quad(
+            lambda y: y * y * mpmath.exp(-y * y) / mpmath.tanh(c * y), points)
+        return +(mpmath.sqrt(g / 8) * integral)
+
+
+# F(g) lies within this many units in the last place of the 200-bit value.
+# The measured worst, over the listed g and 1000 log-uniform draws in
+# [1e-6, 1e6], is 1.73 ulp (at g = 100); the bound leaves a factor of 2.3.
+F_ULP_BOUND = 4
+
+
+def crossover_ulps(g: float) -> float:
+    ref = crossover_reference(g)
+    with mpmath.workprec(200):
+        return float(abs(crossover_F(g) - ref)) / math.ulp(float(ref))
+
+
 class TestCrossover:
+    # 1e8 and 3e8: 1/tanh(c y) bends within 1/c < 6e-4 of 0, and panels
+    # with no node that close miss 1e-7 to 4e-7 of F(g) while their halves
+    # agree
+    @pytest.mark.parametrize("g", [1e-6, 1e-3, 0.1, 1.0, 8.0, 16.0, 100.0,
+                                   1e4, 1e6, 1e8, 3e8])
+    def test_within_ulps_of_200_bit_reference(self, g):
+        assert crossover_ulps(g) <= F_ULP_BOUND
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-6.0, 6.0))
+    def test_log_uniform_g_within_ulps(self, log10_g):
+        assert crossover_ulps(10.0 ** log10_g) <= F_ULP_BOUND
+
+    def test_error_estimate_above_tolerance_raises(self):
+        # at g = 1e14, F is about 5e5 and the panels' rounding alone moves
+        # the estimate past the absolute 1e-10
+        with pytest.raises(SolverError, match="quadrature error estimate"):
+            crossover_F(1e14)
+
     def test_small_g_limit(self):
         assert crossover_F(1e-6) == pytest.approx(1.0, abs=1e-3)
 
@@ -260,6 +307,10 @@ class TestCrossover:
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
             crossover_F(0.0)
+
+    def test_rejects_nan(self):
+        with pytest.raises(InputError):
+            crossover_F(float("nan"))
 
     def test_prediction_even_in_alpha(self):
         a = crossover_prediction(1.0, 1.0)

@@ -665,6 +665,35 @@ def test_rational_requests_load_no_mpmath():
     assert out.strip() == str([False] * 4)
 
 
+def test_each_request_loads_only_the_libraries_it_uses():
+    # one fresh process runs the requests in turn and records, after each,
+    # which of numpy, scipy and mpmath are loaded: the crossover quadrature
+    # needs none of them, the series and asymptotic requests only mpmath,
+    # simulate adds numpy, and only the float oracle loads scipy
+    code = ("import contextlib, io, sys\n"
+            "import qboson.cli\n"
+            "for line in sys.stdin:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert qboson.cli.main(line.split()) == 0, line\n"
+            "    print(' '.join(m for m in ('numpy', 'scipy', 'mpmath')\n"
+            "                   if m in sys.modules))\n")
+    requests = {
+        "crossover --rho 1 --alpha 1": "",
+        "sweep --rho 1 --alpha 1 --n 4,9": "mpmath",
+        "exact --n 3 --p 2 --q 1/2 --backend float": "mpmath",
+        "sweep --rho 1 --q 1/2 --n 4,8": "mpmath",
+        "asymptotic --rho 1 --q 1/2": "mpmath",
+        "simulate --n 2 --p 2 --q 1/2 --seed 3 --reps 3 --t-burn 2 "
+        "--t-measure 5": "numpy mpmath",
+        "oracle --n 3 --p 2 --q 1/2 --backend float": "numpy scipy mpmath",
+    }
+    src = os.path.dirname(os.path.dirname(qboson.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         input="\n".join(requests), capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split("\n")[:-1] == list(requests.values())
+
+
 # one request per subcommand, each setting most of the flags it declares
 ONE_REQUEST = {
     "exact": ["--n", "3", "--p", "2", "--q", "1/2", "--backend", "float"],

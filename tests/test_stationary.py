@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from qboson.numerics import FloatBackend, InputError, RATIONAL
-from qboson.stationary import (ModelParams, compute_stationary,
+from qboson.stationary import (ModelParams, binomial_row, compute_stationary,
                                intensive_quantities, model, phi_coefficients,
                                rate_u)
 
@@ -301,3 +301,8 @@ def test_float_backend_matches_rational():
         rel = abs(sf.Zvals[k] - be.ratio(exact.numerator,
                                          exact.denominator))
         assert rel < be.ratio(1, 10 ** 40) * max(1, abs(sf.Zvals[k]))
+
+
+@pytest.mark.parametrize("N,k", [(1, 1), (7, 3), (40, 40), (300, 299)])
+def test_binomial_row_equals_comb(N, k):
+    assert binomial_row(N, k) == [comb(N, j) for j in range(k + 1)]
