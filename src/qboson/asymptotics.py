@@ -267,10 +267,10 @@ def crossover_F(g: float) -> float:
     # whose nodes all lie beyond a few 1/c see y^2 e^{-y^2} alone and agree
     # with their halves, while they miss integral y^2 (coth(c y) - 1) dy,
     # about 0.6/c^3; panels doubling from 1/c up to 1 resolve the bend.
-    edges, w = [0.0], 1.0 / c
-    while 0.0 < w < 1.0:
-        edges.append(w)
-        w *= 2.0
+    edges, edge = [0.0], 1.0 / c
+    while 0.0 < edge < 1.0:
+        edges.append(edge)
+        edge *= 2.0
     edges.append(_QUAD_UPPER)
     value, err = _adaptive_quad(
         integrand, edges,
